@@ -2,10 +2,10 @@
 problems, and a statistical evaluation harness."""
 
 from .core import (Categorical, Continuous, EvaluationBudget, Firefly,
-                   IntegerRange, MixedSolution, SearchSpace, clamp,
+                   IntegerRange, MixedSolution, RunTrace, SearchSpace, clamp,
                    random_solution)
 from .distances import DistanceKind, euclidean, gower, hamming, mixed_eh
-from .firefly import FireflyConfig, RunTrace, run_classical_fa, run_famv
+from .firefly import FireflyConfig, run_classical_fa, run_famv
 from .ga import GaConfig, run_ga
 from .harness import ALGORITHMS, ExperimentSpec, run_algorithm, run_experiment
 from .problems import absolute_error, available_problems, get_problem

@@ -4,6 +4,12 @@ A solution over a mixed search space keeps its continuous components in a
 numpy vector and its discrete components (integers or category symbols) in a
 tuple.  Continuous components come first, discrete second; both follow the
 order in which their dimensions appear in the search space.
+
+The engines hold the discrete part as an int64 *code* vector instead: an
+integer's value, or a category's index in ``values``.  Only `SearchSpace`
+knows that layout (`encode`, `decode`, index and bound arrays).  The
+objective always gets a `MixedSolution` of values and symbols, through
+`Recorder`, the evaluation path every engine shares.
 """
 
 from __future__ import annotations
@@ -66,7 +72,10 @@ class SearchSpace:
 
     Dimension order is stable and defines the solution layout: the k-th
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
-    ``disc[k]``.
+    ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
+    ``dims``; ``int_idx``/``cat_idx`` pick the integer/categorical codes,
+    bounded by ``disc_lo``/``disc_hi`` (0 and ``cat_sizes`` - 1 for a
+    categorical).  ``lo``/``hi`` bound every dimension in ``dims`` order.
     """
 
     def __init__(self, dims: Iterable[DimensionSpec]):
@@ -80,9 +89,33 @@ class SearchSpace:
         self.n_c = len(self.continuous)
         self.n_d = len(self.discrete)
         self.dim = self.n_c + self.n_d
-        self.cont_lo = np.array([d.lo for d in self.continuous], dtype=float)
-        self.cont_hi = np.array([d.hi for d in self.continuous], dtype=float)
+        lo = [0 if isinstance(d, Categorical) else d.lo for d in self.dims]
+        hi = [len(d.values) - 1 if isinstance(d, Categorical) else d.hi for d in self.dims]
+        is_cont = np.array([isinstance(d, Continuous) for d in self.dims])
+        self.cont_pos, self.disc_pos = np.flatnonzero(is_cont), np.flatnonzero(~is_cont)
+        self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        self.cont_lo, self.cont_hi = self.lo[self.cont_pos], self.hi[self.cont_pos]
         self.cont_range = self.cont_hi - self.cont_lo
+        self.disc_lo = np.array([lo[k] for k in self.disc_pos], dtype=np.int64)
+        self.disc_hi = np.array([hi[k] for k in self.disc_pos], dtype=np.int64)
+        is_cat = np.array([isinstance(d, Categorical) for d in self.discrete], dtype=bool)
+        self.int_idx, self.cat_idx = np.flatnonzero(~is_cat), np.flatnonzero(is_cat)
+        self.cat_sizes = self.disc_hi[self.cat_idx] + 1
+        self._symbols = [(int(k), self.discrete[k].values) for k in self.cat_idx]
+        self._index = [{v: i for i, v in enumerate(d.values)}
+                       if isinstance(d, Categorical) else None for d in self.discrete]
+
+    def encode(self, disc) -> np.ndarray:
+        """Codes of a tuple of integer values and category symbols."""
+        return np.array([v if index is None else index[v]
+                         for v, index in zip(disc, self._index)], dtype=np.int64)
+
+    def decode(self, codes: np.ndarray) -> tuple:
+        """The tuple of integer values and category symbols of a code vector."""
+        disc = codes.tolist()
+        for k, values in self._symbols:
+            disc[k] = values[disc[k]]
+        return tuple(disc)
 
     def __repr__(self):
         return f"SearchSpace(n_c={self.n_c}, n_d={self.n_d})"
@@ -109,14 +142,9 @@ class MixedSolution:
             return False
         if np.any(self.cont < space.cont_lo) or np.any(self.cont > space.cont_hi):
             return False
-        for value, dim in zip(self.disc, space.discrete):
-            if isinstance(dim, IntegerRange):
-                if not (isinstance(value, (int, np.integer)) and dim.lo <= value <= dim.hi):
-                    return False
-            else:
-                if value not in dim.values:
-                    return False
-        return True
+        return all(isinstance(v, (int, np.integer)) and d.lo <= v <= d.hi
+                   if isinstance(d, IntegerRange) else v in d.values
+                   for v, d in zip(self.disc, space.discrete))
 
 
 @dataclass
@@ -125,10 +153,6 @@ class Firefly:
 
     solution: MixedSolution
     fitness: float
-
-
-class BudgetExhausted(Exception):
-    """Signals that the function-evaluation budget is spent (not an error)."""
 
 
 class EvaluationBudget:
@@ -168,6 +192,50 @@ class ObjectiveFunction(Protocol):
     def __call__(self, solution: MixedSolution) -> float: ...
 
 
+@dataclass
+class RunTrace:
+    """Best-so-far samples of one run: (evaluation count, best fitness)."""
+
+    samples: list[tuple[int, float]]
+    final: Firefly
+    seed: int
+    algorithm: str
+
+    def __post_init__(self):
+        fes = [fe for fe, _ in self.samples]
+        if fes != sorted(set(fes)):
+            raise ValueError("trace fe values must be strictly increasing")
+
+
+class Recorder:
+    """Evaluates solutions for one run and keeps its best-so-far samples.
+
+    A non-finite objective value is stored as +inf, so it never becomes the
+    best while a finite value exists and never wins a comparison.
+    """
+
+    def __init__(self, problem: ObjectiveFunction, budget: EvaluationBudget):
+        self.problem = problem
+        self.budget = budget
+        self.best: Firefly | None = None
+        self.samples: list[tuple[int, float]] = []
+
+    def evaluate(self, solution: MixedSolution) -> float:
+        """Objective value of an evaluation the budget has already charged."""
+        fitness = self.problem(solution)
+        if not math.isfinite(fitness):
+            fitness = math.inf
+        if self.best is None or fitness < self.best.fitness:
+            self.best = Firefly(solution, fitness)
+            self.samples.append((self.budget.consumed, fitness))
+        return fitness
+
+    def build(self, seed: int, algorithm: str) -> RunTrace:
+        if self.best is None:
+            raise RuntimeError("run produced no evaluations")
+        return RunTrace(self.samples, self.best, seed, algorithm)
+
+
 def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
     """Draw a uniform random solution from the space."""
     cont = space.cont_lo + rng.random(space.n_c) * space.cont_range
@@ -189,11 +257,6 @@ def clamp(space: SearchSpace, sol: MixedSolution) -> MixedSolution:
         raise ValueError(
             f"solution layout ({len(sol.cont)}, {len(sol.disc)}) does not match "
             f"space ({space.n_c}, {space.n_d})")
-    cont = np.clip(sol.cont, space.cont_lo, space.cont_hi)
-    disc = []
-    for value, dim in zip(sol.disc, space.discrete):
-        if isinstance(dim, IntegerRange):
-            disc.append(min(max(int(value), dim.lo), dim.hi))
-        else:
-            disc.append(value)
-    return MixedSolution(cont, tuple(disc))
+    disc = tuple(min(max(int(v), d.lo), d.hi) if isinstance(d, IntegerRange) else v
+                 for v, d in zip(sol.disc, space.discrete))
+    return MixedSolution(np.clip(sol.cont, space.cont_lo, space.cont_hi), disc)

@@ -1,7 +1,10 @@
-"""Distance measures feeding the attractiveness computation."""
+"""Distance measures feeding the attractiveness computation.  `mixed_eh` and
+`gower` wrap array kernels on continuous and code vectors (`CODE_DISTANCES`),
+which the firefly engine calls directly."""
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import Sequence
 
@@ -11,7 +14,6 @@ from .core import MixedSolution, SearchSpace
 
 
 class DistanceKind(Enum):
-    EUCLIDEAN = "euclidean"
     MIXED_EH = "mixed-eh"
     GOWER = "gower"
 
@@ -19,7 +21,8 @@ class DistanceKind(Enum):
 def euclidean(a: np.ndarray, b: np.ndarray) -> float:
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return float(np.linalg.norm(np.asarray(b, dtype=float) - np.asarray(a, dtype=float)))
+    d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    return math.sqrt(d.dot(d))
 
 
 def hamming(a: Sequence, b: Sequence) -> int:
@@ -29,11 +32,28 @@ def hamming(a: Sequence, b: Sequence) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
+def mixed_eh_codes(space: SearchSpace, x_cont: np.ndarray, x_codes: np.ndarray,
+                   y_cont: np.ndarray, y_codes: np.ndarray) -> float:
+    """`mixed_eh` on continuous vectors and code vectors."""
+    d = y_cont - x_cont
+    return (math.sqrt(d.dot(d)) + int(np.count_nonzero(x_codes != y_codes))) / space.dim
+
+
+def gower_codes(space: SearchSpace, x_cont: np.ndarray, x_codes: np.ndarray,
+                y_cont: np.ndarray, y_codes: np.ndarray) -> float:
+    """`gower` on continuous vectors and code vectors."""
+    total = float((np.abs(x_cont - y_cont) / space.cont_range).sum())
+    return (total + int(np.count_nonzero(x_codes != y_codes))) / space.dim
+
+
+CODE_DISTANCES = {DistanceKind.MIXED_EH: mixed_eh_codes, DistanceKind.GOWER: gower_codes}
+
+
 def mixed_eh(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
     """Euclidean over the continuous part plus Hamming over the discrete
     part, averaged over the total dimension count."""
     _check(space, x, y)
-    return (euclidean(x.cont, y.cont) + hamming(x.disc, y.disc)) / space.dim
+    return mixed_eh_codes(space, x.cont, space.encode(x.disc), y.cont, space.encode(y.disc))
 
 
 def gower(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
@@ -43,18 +63,7 @@ def gower(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
     mismatch indicator, so the result lies in [0, 1].
     """
     _check(space, x, y)
-    total = float(np.sum(np.abs(x.cont - y.cont) / space.cont_range))
-    total += hamming(x.disc, y.disc)
-    return total / space.dim
-
-
-def solution_distance(kind: DistanceKind, space: SearchSpace,
-                      x: MixedSolution, y: MixedSolution) -> float:
-    if kind is DistanceKind.MIXED_EH:
-        return mixed_eh(space, x, y)
-    if kind is DistanceKind.GOWER:
-        return gower(space, x, y)
-    raise ValueError(f"no mixed-solution form for {kind}")
+    return gower_codes(space, x.cont, space.encode(x.disc), y.cont, space.encode(y.disc))
 
 
 def _check(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> None:

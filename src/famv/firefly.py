@@ -1,24 +1,24 @@
 """Firefly engines for mixed search spaces.
 
-`run_mixed_firefly` moves fireflies with type-aware operators: the classical
+`run_famv` moves fireflies with type-aware operators: the classical
 attraction rule on the continuous part, and a two-phase discrete update (a
 probabilistic copy of differing components from the brighter firefly, then a
-random exploration step).  `run_classical_firefly` is the continuous baseline
-applied through relaxation: every dimension becomes a real interval and
-discrete values are decoded by rounding at evaluation time.
+random exploration step), both on the discrete code vectors of `famv.core`.
+`run_classical_fa` is the continuous baseline applied through relaxation:
+every dimension becomes a real interval and discrete values are decoded by
+rounding at evaluation time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Categorical, Continuous, EvaluationBudget, Firefly,
-                   IntegerRange, MixedSolution, ObjectiveFunction, SearchSpace,
-                   clamp, random_solution)
-from .distances import DistanceKind, euclidean, solution_distance
+from .core import (EvaluationBudget, MixedSolution, ObjectiveFunction, Recorder,
+                   RunTrace, SearchSpace, random_solution)
+from .distances import CODE_DISTANCES, DistanceKind, euclidean
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,6 @@ class FireflyConfig:
             raise ValueError("beta0, alpha, gamma and k must be positive")
 
 
-@dataclass
-class RunTrace:
-    """Best-so-far samples of one run: (evaluation count, best fitness)."""
-
-    samples: list[tuple[int, float]]
-    final: Firefly
-    seed: int
-    algorithm: str
-
-    def __post_init__(self):
-        fes = [fe for fe, _ in self.samples]
-        assert fes == sorted(set(fes)), "trace fe values must be strictly increasing"
-
-
 def attractiveness(beta0: float, gamma: float, r: float) -> float:
     """beta0 * exp(-gamma r^2): full attraction at r = 0, decaying with distance."""
     return beta0 * math.exp(-gamma * r * r)
@@ -76,40 +62,52 @@ def continuous_move(xi: np.ndarray, xj: np.ndarray, beta: float, alpha: float,
     return xi + beta * (xj - xi) + alpha * (rng.random(len(xi)) - 0.5)
 
 
-def beta_step(space: SearchSpace, xi_disc: tuple, xj_disc: tuple, prob: float,
-              rng: np.random.Generator) -> tuple:
+def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``np.clip(x, lo, hi)``; ``np.clip`` costs twice as much on short vectors."""
+    return np.minimum(np.maximum(lo, x), hi)
+
+
+def _round_codes(v: np.ndarray) -> np.ndarray:
+    """Round to the nearest integer code, halves away from zero (the cast
+    truncates toward zero)."""
+    return (v + np.copysign(0.5, v)).astype(np.int64)
+
+
+def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
+              rng: np.random.Generator) -> np.ndarray:
     """Copy each differing discrete component from the brighter firefly with
-    probability ``prob``; agreeing components never change."""
-    if len(xi_disc) != space.n_d or len(xj_disc) != space.n_d:
+    probability ``prob``; agreeing components never change.  One uniform is
+    drawn per differing component, in order; with none, ``xi_codes`` itself
+    comes back."""
+    xi_codes, xj_codes = np.asarray(xi_codes), np.asarray(xj_codes)
+    if len(xi_codes) != space.n_d or len(xj_codes) != space.n_d:
         raise ValueError("discrete parts do not conform to the space")
-    out = []
-    for a, b in zip(xi_disc, xj_disc):
-        if a != b and rng.random() < prob:
-            out.append(b)
-        else:
-            out.append(a)
-    return tuple(out)
+    differ = (xi_codes != xj_codes).nonzero()[0]
+    if not len(differ):
+        return xi_codes
+    copied = differ[rng.random(len(differ)) < prob]
+    out = xi_codes.copy()
+    out[copied] = xj_codes[copied]
+    return out
 
 
-def _round_half_away(v: float) -> int:
-    return int(math.floor(v + 0.5)) if v >= 0 else int(math.ceil(v - 0.5))
+def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """Bounded local perturbation of integer codes: round(x + alpha * eps)
+    with eps ~ U[-1, 1] per component, rounding half away from zero, clipped
+    into [lo, hi]."""
+    v = codes + alpha * (2.0 * rng.random(len(codes)) - 1.0)
+    return _clip(_round_codes(v), lo, hi)
 
 
-def alpha_step_integer(dim: IntegerRange, x: int, alpha: float,
-                       rng: np.random.Generator) -> int:
-    """Bounded local perturbation: round(x + alpha * eps) with eps ~ U[-1, 1],
-    rounding half away from zero, clamped into the range."""
-    eps = rng.uniform(-1.0, 1.0)
-    return min(max(_round_half_away(x + alpha * eps), dim.lo), dim.hi)
-
-
-def alpha_step_categorical(dim: Categorical, x, p_alpha: float,
-                           rng: np.random.Generator):
-    """With probability ``p_alpha`` resample uniformly over the value set
-    (the current value may be redrawn); otherwise keep ``x``."""
-    if rng.random() < p_alpha:
-        return dim.values[int(rng.integers(len(dim.values)))]
-    return x
+def alpha_step_categorical(codes: np.ndarray, sizes: np.ndarray, p_alpha: float,
+                           rng: np.random.Generator) -> np.ndarray:
+    """Each categorical code is redrawn uniformly over its ``sizes`` symbols
+    with probability ``p_alpha`` (the current one may be redrawn)."""
+    out = codes.copy()
+    hit = rng.random(len(codes)) < p_alpha
+    out[hit] = rng.integers(sizes[hit])
+    return out
 
 
 def replacement_prob(alpha: float, alpha_init: float, k: float, adaptive: bool) -> float:
@@ -131,51 +129,50 @@ def adapt_parameters(alpha_init: float, gamma_init: float,
             max(gamma_floor, gamma_init * remaining))
 
 
-class _Recorder:
-    """Tracks the global best and collects improvement samples."""
-
-    def __init__(self):
-        self.best: Firefly | None = None
-        self.samples: list[tuple[int, float]] = []
-
-    def observe(self, fe: int, firefly: Firefly) -> None:
-        if self.best is None or firefly.fitness < self.best.fitness:
-            self.best = Firefly(firefly.solution, firefly.fitness)
-            self.samples.append((fe, firefly.fitness))
-
-    def build(self, seed: int, algorithm: str) -> RunTrace:
-        assert self.best is not None, "run produced no evaluations"
-        return RunTrace(self.samples, self.best, seed, algorithm)
-
-
-def _alpha_step_all(space: SearchSpace, disc: tuple, alpha: float, p_alpha: float,
-                    rng: np.random.Generator) -> tuple:
-    out = []
-    for value, dim in zip(disc, space.discrete):
-        if isinstance(dim, IntegerRange):
-            out.append(alpha_step_integer(dim, value, alpha, rng))
-        else:
-            out.append(alpha_step_categorical(dim, value, p_alpha, rng))
-    return tuple(out)
+def _alpha_step_all(space: SearchSpace, codes: np.ndarray, alpha: float,
+                    p_alpha: float, rng: np.random.Generator) -> np.ndarray:
+    """The exploration step on a whole code vector: integer codes first, then
+    categorical codes, each drawing its uniforms in dimension order."""
+    ints, cats = space.int_idx, space.cat_idx
+    if not len(cats):   # integers only: no gather and scatter
+        if not len(ints):
+            return codes
+        return alpha_step_integer(codes, space.disc_lo, space.disc_hi, alpha, rng)
+    out = codes.copy()
+    if len(ints):
+        out[ints] = alpha_step_integer(codes[ints], space.disc_lo[ints],
+                                       space.disc_hi[ints], alpha, rng)
+    out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
+    return out
 
 
 def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
-    """Mixed-variable firefly run under a function-evaluation budget."""
+    """Mixed-variable firefly run under a function-evaluation budget.
+
+    The population is kept as continuous vectors, code vectors and a fitness
+    list; a `MixedSolution` is built only to call the objective.
+    """
     space = problem.space
     rng = np.random.default_rng(config.seed)
     budget = EvaluationBudget(config.max_fe)
-    rec = _Recorder()
+    rec = Recorder(problem, budget)
+    distance = CODE_DISTANCES[config.distance]
 
-    pop: list[Firefly] = []
+    conts, codes, fitness = [], [], []
     for _ in range(config.pop_size):
         if not budget.consume():
             break
         sol = random_solution(space, rng)
-        fly = Firefly(sol, problem(sol))
-        pop.append(fly)
-        rec.observe(budget.consumed, fly)
-    if not pop:
-        raise ValueError("budget too small to evaluate any firefly")
+        conts.append(sol.cont)
+        codes.append(space.encode(sol.disc))
+        fitness.append(rec.evaluate(sol))
+
+    def evaluate(i: int, cont: np.ndarray, disc: np.ndarray) -> None:
+        """Explore from the moved position, clip it and evaluate it as
+        firefly i's new position."""
+        codes[i] = _alpha_step_all(space, disc, alpha, p_alpha, rng)
+        conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
+        fitness[i] = rec.evaluate(MixedSolution(conts[i], space.decode(codes[i])))
 
     alpha, gamma = config.alpha, config.gamma
     while not budget.exhausted:
@@ -188,67 +185,36 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
                 gamma = g
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
 
-        for i, fi in enumerate(pop):
-            updated = False
-            for j, fj in enumerate(pop):
-                if i == j or not fj.fitness < fi.fitness:
+        for i in range(len(fitness)):
+            moved = False
+            for j in range(len(fitness)):
+                if i == j or not fitness[j] < fitness[i]:
                     continue
                 if not budget.consume():
                     return rec.build(config.seed, "famv")
-                r = solution_distance(config.distance, space,
-                                      fi.solution, fj.solution)
+                r = distance(space, conts[i], codes[i], conts[j], codes[j])
                 beta = attractiveness(config.beta0, gamma, r)
-                cont = continuous_move(fi.solution.cont, fj.solution.cont,
-                                       beta, alpha, rng)
-                disc = beta_step(space, fi.solution.disc, fj.solution.disc,
+                cont = continuous_move(conts[i], conts[j], beta, alpha, rng)
+                disc = beta_step(space, codes[i], codes[j],
                                  discrete_attraction_prob(gamma, r), rng)
-                disc = _alpha_step_all(space, disc, alpha, p_alpha, rng)
-                fi.solution = clamp(space, MixedSolution(cont, disc))
-                fi.fitness = problem(fi.solution)
-                rec.observe(budget.consumed, fi)
-                updated = True
-            if not updated:
+                evaluate(i, cont, disc)
+                moved = True
+            if not moved:
                 if not budget.consume():
                     return rec.build(config.seed, "famv")
-                cont = fi.solution.cont + alpha * (rng.random(space.n_c) - 0.5)
-                disc = _alpha_step_all(space, fi.solution.disc, alpha, p_alpha, rng)
-                fi.solution = clamp(space, MixedSolution(cont, disc))
-                fi.fitness = problem(fi.solution)
-                rec.observe(budget.consumed, fi)
+                evaluate(i, conts[i] + alpha * (rng.random(space.n_c) - 0.5), codes[i])
 
     return rec.build(config.seed, "famv")
 
 
-def relaxed_bounds(space: SearchSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Real-interval bounds for every dimension: integer ranges keep their
-    endpoints, categorical sets become index intervals [0, size - 1]."""
-    lo, hi = [], []
-    for dim in space.dims:
-        if isinstance(dim, Categorical):
-            lo.append(0.0)
-            hi.append(float(len(dim.values) - 1))
-        else:
-            lo.append(float(dim.lo))
-            hi.append(float(dim.hi))
-    return np.array(lo), np.array(hi)
-
-
 def relaxed_decode(space: SearchSpace, position: np.ndarray) -> MixedSolution:
-    """Map a relaxed real vector back to a feasible mixed solution: continuous
-    components pass through, integers round to the nearest value, categoricals
-    round to the nearest index."""
+    """Map a relaxed real vector back to a feasible mixed solution: every
+    component is clipped to ``space.lo``/``space.hi``, and discrete ones
+    round half away from zero to an integer value or category index."""
     if len(position) != space.dim:
         raise ValueError("relaxed vector length does not match the space")
-    cont, disc = [], []
-    for value, dim in zip(position, space.dims):
-        if isinstance(dim, Continuous):
-            cont.append(min(max(float(value), dim.lo), dim.hi))
-        elif isinstance(dim, IntegerRange):
-            disc.append(min(max(_round_half_away(float(value)), dim.lo), dim.hi))
-        else:
-            idx = min(max(_round_half_away(float(value)), 0), len(dim.values) - 1)
-            disc.append(dim.values[idx])
-    return MixedSolution(np.array(cont), tuple(disc))
+    x = _clip(position, space.lo, space.hi)
+    return MixedSolution(x[space.cont_pos], space.decode(_round_codes(x[space.disc_pos])))
 
 
 def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
@@ -262,27 +228,20 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     space = problem.space
     rng = np.random.default_rng(config.seed)
     budget = EvaluationBudget(config.max_fe)
-    rec = _Recorder()
-    lo, hi = relaxed_bounds(space)
+    rec = Recorder(problem, budget)
+    lo, hi = space.lo, space.hi
 
     positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
     fitness = []
     for pos in positions:
         if not budget.consume():
             break
-        sol = relaxed_decode(space, pos)
-        f = problem(sol)
-        fitness.append(f)
-        rec.observe(budget.consumed, Firefly(sol, f))
-    if not fitness:
-        raise ValueError("budget too small to evaluate any firefly")
+        fitness.append(rec.evaluate(relaxed_decode(space, pos)))
     positions = positions[:len(fitness)]
 
     def evaluate(i: int, position: np.ndarray) -> None:
-        positions[i] = np.clip(position, lo, hi)
-        sol = relaxed_decode(space, positions[i])
-        fitness[i] = problem(sol)
-        rec.observe(budget.consumed, Firefly(sol, fitness[i]))
+        positions[i] = _clip(position, lo, hi)
+        fitness[i] = rec.evaluate(relaxed_decode(space, positions[i]))
 
     while not budget.exhausted:
         for i in range(len(positions)):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Categorical, Continuous, EvaluationBudget, Firefly,
-                   IntegerRange, MixedSolution, ObjectiveFunction, SearchSpace)
-from .firefly import RunTrace, _Recorder
+from .core import (EvaluationBudget, MixedSolution, ObjectiveFunction, Recorder,
+                   RunTrace, SearchSpace)
 
 
 @dataclass(frozen=True)
@@ -40,45 +39,35 @@ class GaConfig:
 
 
 class ChromosomeLayout:
-    """Per-dimension bit segments derived solely from the search space."""
+    """Per-dimension bit segments derived solely from the search space.
+
+    ``place[b]`` is bit ``b``'s place value inside its segment (most
+    significant bit first), so summing ``bits * place`` from each of
+    ``starts`` gives every segment's unsigned integer at once.
+    """
 
     def __init__(self, space: SearchSpace, bits_per_continuous: int = 16):
         self.space = space
-        self.segments: list[tuple[object, int, int]] = []  # (dim, offset, nbits)
-        offset = 0
-        for dim in space.dims:
-            if isinstance(dim, Continuous):
-                nbits = bits_per_continuous
-            elif isinstance(dim, IntegerRange):
-                nbits = max(1, math.ceil(math.log2(dim.hi - dim.lo + 1)))
-            else:
-                nbits = max(1, math.ceil(math.log2(len(dim.values))))
-            self.segments.append((dim, offset, nbits))
-            offset += nbits
-        self.length = offset
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+        self.disc_sizes = space.disc_hi - space.disc_lo + 1
+        widths = np.full(space.dim, bits_per_continuous)
+        widths[space.disc_pos] = [max(1, math.ceil(math.log2(n))) for n in self.disc_sizes.tolist()]
+        self.starts = np.cumsum(widths) - widths
+        self.length = int(widths.sum())
+        self.segments = list(zip(space.dims, self.starts.tolist(), widths.tolist()))
+        self.place = np.concatenate([2 ** np.arange(w - 1, -1, -1) for w in widths.tolist()])
+        self.cont_levels = 2.0 ** widths[space.cont_pos] - 1
 
 
 def decode(layout: ChromosomeLayout, bits: np.ndarray) -> MixedSolution:
-    """Map a chromosome to a feasible mixed solution."""
+    """Map a chromosome to a feasible mixed solution: continuous segments
+    linearly onto their interval, discrete ones modulo their size."""
     if len(bits) != layout.length:
         raise ValueError(f"chromosome length {len(bits)} != layout length {layout.length}")
-    cont, disc = [], []
-    for dim, offset, nbits in layout.segments:
-        raw = _bits_to_int(bits[offset:offset + nbits])
-        if isinstance(dim, Continuous):
-            cont.append(dim.lo + raw / (2 ** nbits - 1) * (dim.hi - dim.lo))
-        elif isinstance(dim, IntegerRange):
-            disc.append(dim.lo + raw % (dim.hi - dim.lo + 1))
-        else:
-            disc.append(dim.values[raw % len(dim.values)])
-    return MixedSolution(np.array(cont), tuple(disc))
+    space = layout.space
+    raw = np.add.reduceat(bits * layout.place, layout.starts)
+    cont = space.cont_lo + raw[space.cont_pos] / layout.cont_levels * space.cont_range
+    codes = space.disc_lo + raw[space.disc_pos] % layout.disc_sizes
+    return MixedSolution(cont, space.decode(codes))
 
 
 def one_point_crossover(a: np.ndarray, b: np.ndarray,
@@ -92,15 +81,6 @@ def one_point_crossover(a: np.ndarray, b: np.ndarray,
     child_a = np.concatenate([a[:cut], b[cut:]])
     child_b = np.concatenate([b[:cut], a[cut:]])
     return child_a, child_b
-
-
-def tournament_select(pop: list[Firefly], rng: np.random.Generator,
-                      size: int = 3) -> Firefly:
-    """Best of ``size`` individuals sampled uniformly with replacement."""
-    if not pop:
-        raise ValueError("empty population")
-    picks = rng.integers(len(pop), size=size)
-    return min((pop[i] for i in picks), key=lambda ind: ind.fitness)
 
 
 def _tournament_index(fitnesses: list[float], rng: np.random.Generator,
@@ -122,33 +102,29 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
     layout = ChromosomeLayout(space, config.bits_per_continuous)
     rng = np.random.default_rng(config.seed)
     budget = EvaluationBudget(config.max_fe)
-    rec = _Recorder()
+    rec = Recorder(problem, budget)
 
     genomes: list[np.ndarray] = []
-    pop: list[Firefly] = []
+    fitnesses: list[float] = []
     for _ in range(config.pop_size):
         if not budget.consume():
             break
         bits = rng.integers(0, 2, size=layout.length, dtype=np.int8)
-        sol = decode(layout, bits)
-        fly = Firefly(sol, problem(sol))
         genomes.append(bits)
-        pop.append(fly)
-        rec.observe(budget.consumed, fly)
-    if not pop:
+        fitnesses.append(rec.evaluate(decode(layout, bits)))
+    if not genomes:
         raise ValueError("budget too small to evaluate any individual")
 
     if config.elitism_count >= config.pop_size:
         return rec.build(config.seed, "ga")  # fully elitist: nothing evolves
 
     while not budget.exhausted:
-        order = sorted(range(len(pop)), key=lambda i: pop[i].fitness)
+        order = sorted(range(len(fitnesses)), key=fitnesses.__getitem__)
         elite_idx = order[:config.elitism_count]
         next_genomes = [genomes[i].copy() for i in elite_idx]
-        next_pop = [Firefly(pop[i].solution, pop[i].fitness) for i in elite_idx]
+        next_fitnesses = [fitnesses[i] for i in elite_idx]
 
-        fitnesses = [ind.fitness for ind in pop]
-        while len(next_pop) < config.pop_size:
+        while len(next_genomes) < config.pop_size:
             pa = genomes[_tournament_index(fitnesses, rng, config.tournament_size)]
             pb = genomes[_tournament_index(fitnesses, rng, config.tournament_size)]
             if rng.random() < config.p_crossover:
@@ -156,17 +132,14 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
             else:
                 ca, cb = pa.copy(), pb.copy()
             for child in (ca, cb):
-                if len(next_pop) >= config.pop_size:
+                if len(next_genomes) >= config.pop_size:
                     break
                 child = _mutate(child, config.p_mutation, rng)
                 if not budget.consume():
                     return rec.build(config.seed, "ga")
-                sol = decode(layout, child)
-                fly = Firefly(sol, problem(sol))
                 next_genomes.append(child)
-                next_pop.append(fly)
-                rec.observe(budget.consumed, fly)
+                next_fitnesses.append(rec.evaluate(decode(layout, child)))
 
-        genomes, pop = next_genomes, next_pop
+        genomes, fitnesses = next_genomes, next_fitnesses
 
     return rec.build(config.seed, "ga")

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ObjectiveFunction
+from .core import ObjectiveFunction, RunTrace
 from .distances import DistanceKind
-from .firefly import FireflyConfig, RunTrace, run_classical_fa, run_famv
+from .firefly import FireflyConfig, run_classical_fa, run_famv
 from .ga import GaConfig, run_ga
 from .problems import ENGINEERING_NAMES, available_problems, get_problem
 from .stats import compare
@@ -47,16 +47,14 @@ def _ga_runner(problem: ObjectiveFunction, max_fe: int, seed: int,
     return run_ga(problem, config)
 
 
+# famv-{h,g}{,-adaptive,-alpha,-gamma}: distance x (adapt_alpha, adapt_gamma)
+_SCHEDULES = {"": (False, False), "-adaptive": (True, True),
+              "-alpha": (True, False), "-gamma": (False, True)}
 ALGORITHMS = {
     "fa": _firefly_runner(None, False, False),
-    "famv-h": _firefly_runner(DistanceKind.MIXED_EH, False, False),
-    "famv-h-adaptive": _firefly_runner(DistanceKind.MIXED_EH, True, True),
-    "famv-h-alpha": _firefly_runner(DistanceKind.MIXED_EH, True, False),
-    "famv-h-gamma": _firefly_runner(DistanceKind.MIXED_EH, False, True),
-    "famv-g": _firefly_runner(DistanceKind.GOWER, False, False),
-    "famv-g-adaptive": _firefly_runner(DistanceKind.GOWER, True, True),
-    "famv-g-alpha": _firefly_runner(DistanceKind.GOWER, True, False),
-    "famv-g-gamma": _firefly_runner(DistanceKind.GOWER, False, True),
+    **{f"famv-{tag}{suffix}": _firefly_runner(kind, *adapt)
+       for tag, kind in (("h", DistanceKind.MIXED_EH), ("g", DistanceKind.GOWER))
+       for suffix, adapt in _SCHEDULES.items()},
     "ga": _ga_runner,
 }
 

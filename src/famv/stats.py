@@ -209,8 +209,3 @@ def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonR
                 similar.add(other)
 
     return ComparisonReport(h, p, pairwise, means, stds, best, similar)
-
-
-def summarize(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonReport:
-    """Alias for `compare`; kept as the reporting entry point."""
-    return compare(groups, level)

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famv import (Categorical, Continuous, EvaluationBudget, IntegerRange,
-                  MixedSolution, SearchSpace, clamp, random_solution)
+from famv import (Categorical, Continuous, EvaluationBudget, Firefly,
+                  IntegerRange, MixedSolution, RunTrace, SearchSpace, clamp,
+                  random_solution)
+from famv.core import Recorder
 
 
 def _hypothesis_space():
@@ -51,6 +55,24 @@ class TestSearchSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SearchSpace([])
+
+    def test_code_layout(self):
+        space = SearchSpace([IntegerRange(-2, 4), Continuous(0.0, 1.0),
+                             Categorical(("x", "y", "z")), IntegerRange(7, 7)])
+        np.testing.assert_array_equal(space.cont_pos, [1])
+        np.testing.assert_array_equal(space.disc_pos, [0, 2, 3])
+        np.testing.assert_array_equal(space.int_idx, [0, 2])
+        np.testing.assert_array_equal(space.cat_idx, [1])
+        np.testing.assert_array_equal(space.disc_lo, [-2, 0, 7])
+        np.testing.assert_array_equal(space.disc_hi, [4, 2, 7])
+        np.testing.assert_array_equal(space.cat_sizes, [3])
+
+    def test_codes_round_trip(self, mixed_space):
+        codes = mixed_space.encode((7, "c"))
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, [7, 2])
+        disc = mixed_space.decode(codes)
+        assert disc == (7, "c") and type(disc[0]) is int
 
 
 class TestMixedSolution:
@@ -133,6 +155,40 @@ class TestClamp:
         once = clamp(space, sol)
         assert clamp(space, once) == once
         assert once.conforms(space)
+
+
+class TestRunTrace:
+    def test_rejects_unordered_samples(self):
+        final = Firefly(MixedSolution(np.zeros(1), ()), 0.5)
+        with pytest.raises(ValueError):
+            RunTrace([(2, 1.0), (1, 0.5)], final, 0, "x")
+        with pytest.raises(ValueError):
+            RunTrace([(1, 1.0), (1, 0.5)], final, 0, "x")
+
+
+class TestRecorder:
+    def _recorder(self, values):
+        """A recorder whose objective returns ``values`` in turn."""
+        values = iter(values)
+        budget = EvaluationBudget(10)
+        return Recorder(lambda sol: next(values), budget), budget
+
+    def test_no_evaluation_is_an_error(self):
+        recorder, _ = self._recorder([])
+        with pytest.raises(RuntimeError):
+            recorder.build(0, "x")
+
+    def test_non_finite_values_are_inf_and_never_best(self):
+        recorder, budget = self._recorder([math.nan, 3.0, -math.inf, math.nan, 2.0])
+        sol = MixedSolution(np.zeros(1), ())
+        stored = []
+        for _ in range(5):
+            budget.consume()
+            stored.append(recorder.evaluate(sol))
+        assert stored == [math.inf, 3.0, math.inf, math.inf, 2.0]
+        trace = recorder.build(0, "x")
+        assert trace.samples == [(1, math.inf), (2, 3.0), (5, 2.0)]
+        assert trace.final.fitness == 2.0
 
 
 class TestEvaluationBudget:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from famv import (Categorical, Continuous, DistanceKind, IntegerRange,
                   MixedSolution, SearchSpace, euclidean, gower, hamming,
                   mixed_eh, random_solution)
-from famv.distances import solution_distance
+from famv.distances import CODE_DISTANCES
 
 
 class TestEuclidean:
@@ -100,23 +100,20 @@ class TestGower:
 
 class TestSolutionDistance:
     def test_dispatch(self, mixed_space, rng):
+        # each kind's code kernel, fed the engine's arrays, gives the public value
         x = random_solution(mixed_space, rng)
         y = random_solution(mixed_space, rng)
-        assert solution_distance(DistanceKind.MIXED_EH, mixed_space, x, y) == \
-            mixed_eh(mixed_space, x, y)
-        assert solution_distance(DistanceKind.GOWER, mixed_space, x, y) == \
-            gower(mixed_space, x, y)
-
-    def test_euclidean_has_no_mixed_form(self, mixed_space, rng):
-        x = random_solution(mixed_space, rng)
-        with pytest.raises(ValueError):
-            solution_distance(DistanceKind.EUCLIDEAN, mixed_space, x, x)
+        for kind, public in ((DistanceKind.MIXED_EH, mixed_eh), (DistanceKind.GOWER, gower)):
+            kernel = CODE_DISTANCES[kind]
+            assert kernel(mixed_space, x.cont, mixed_space.encode(x.disc),
+                          y.cont, mixed_space.encode(y.disc)) == public(mixed_space, x, y)
 
     def test_nonconforming_rejected(self, mixed_space):
         bad = MixedSolution(np.array([0.0]), (3, "b"))
         good = MixedSolution(np.array([0.0, 5.0]), (3, "b"))
-        with pytest.raises(ValueError):
-            mixed_eh(mixed_space, bad, good)
+        for fn in (mixed_eh, gower):
+            with pytest.raises(ValueError):
+                fn(mixed_space, bad, good)
 
 
 @given(seed=st.integers(0, 2**31))

@@ -9,7 +9,7 @@ from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
 from famv.firefly import (adapt_parameters, alpha_step_categorical,
                           alpha_step_integer, attractiveness, beta_step,
                           continuous_move, discrete_attraction_prob,
-                          relaxed_bounds, relaxed_decode, replacement_prob)
+                          relaxed_decode, replacement_prob)
 
 
 class TestAttractiveness:
@@ -67,65 +67,65 @@ class TestBetaStep:
     space = SearchSpace([Categorical(("a", "b")), Categorical(("a", "b")),
                          IntegerRange(0, 9)])
 
+    def step(self, xi, xj, prob, rng):
+        enc = self.space.encode
+        return self.space.decode(beta_step(self.space, enc(xi), enc(xj), prob, rng))
+
     def test_certain_copy(self, rng):
-        out = beta_step(self.space, ("a", "a", 1), ("b", "a", 7), 1.0, rng)
-        assert out == ("b", "a", 7)
+        assert self.step(("a", "a", 1), ("b", "a", 7), 1.0, rng) == ("b", "a", 7)
 
     def test_no_copy(self, rng):
-        out = beta_step(self.space, ("a", "a", 1), ("b", "a", 7), 0.0, rng)
-        assert out == ("a", "a", 1)
+        assert self.step(("a", "a", 1), ("b", "a", 7), 0.0, rng) == ("a", "a", 1)
 
     def test_copy_frequency(self, rng):
         trials = 10_000
-        copied = sum(beta_step(self.space, ("a", "a", 1), ("b", "a", 1), 0.5,
-                               rng)[0] == "b" for _ in range(trials))
+        copied = sum(self.step(("a", "a", 1), ("b", "a", 1), 0.5, rng)[0] == "b"
+                     for _ in range(trials))
         assert abs(copied / trials - 0.5) < 0.02
 
     def test_agreeing_components_never_change(self, rng):
         for _ in range(200):
-            out = beta_step(self.space, ("a", "b", 5), ("b", "b", 5), 1.0, rng)
+            out = self.step(("a", "b", 5), ("b", "b", 5), 1.0, rng)
             assert out[1] == "b" and out[2] == 5
 
     def test_output_from_parent_values(self, rng):
         xi, xj = ("a", "a", 1), ("b", "b", 7)
         for _ in range(200):
-            out = beta_step(self.space, xi, xj, 0.5, rng)
+            out = self.step(xi, xj, 0.5, rng)
             assert all(o in (a, b) for o, a, b in zip(out, xi, xj))
 
 
 class TestAlphaStepInteger:
     def test_zero_alpha_keeps_value(self, rng):
-        assert alpha_step_integer(IntegerRange(0, 10), 5, 0.0, rng) == 5
+        codes = np.array([0, 5, 10])
+        np.testing.assert_array_equal(alpha_step_integer(codes, 0, 10, 0.0, rng), codes)
 
     def test_lower_boundary_clamped(self, rng):
-        dim = IntegerRange(3, 10)
-        assert all(alpha_step_integer(dim, 3, 0.9, rng) >= 3 for _ in range(500))
+        assert alpha_step_integer(np.full(500, 3), 3, 10, 0.9, rng).min() >= 3
 
     def test_step_law(self, rng):
-        dim = IntegerRange(0, 10)
-        samples = np.array([alpha_step_integer(dim, 5, 1.5, rng)
-                            for _ in range(10_000)])
+        samples = alpha_step_integer(np.full(10_000, 5), 0, 10, 1.5, rng)
+        assert samples.dtype == np.int64
         assert set(np.unique(samples)) <= {3, 4, 5, 6, 7}
         assert abs(samples.mean() - 5.0) < 0.05
 
 
 class TestAlphaStepCategorical:
     def test_zero_probability_keeps_value(self, rng):
-        dim = Categorical(("a", "b", "c"))
-        assert alpha_step_categorical(dim, "a", 0.0, rng) == "a"
+        codes = np.array([0, 2, 1])
+        out = alpha_step_categorical(codes, np.array([3, 3, 3]), 0.0, rng)
+        np.testing.assert_array_equal(out, codes)
 
     def test_uniform_replacement(self, rng):
-        dim = Categorical(("a", "b", "c"))
         trials = 30_000
-        counts = {"a": 0, "b": 0, "c": 0}
-        for _ in range(trials):
-            counts[alpha_step_categorical(dim, "a", 1.0, rng)] += 1
-        for symbol in counts:
-            assert abs(counts[symbol] / trials - 1.0 / 3.0) < 0.02
+        out = alpha_step_categorical(np.zeros(trials, dtype=np.int64),
+                                     np.full(trials, 3), 1.0, rng)
+        for share in np.bincount(out, minlength=3) / trials:
+            assert abs(share - 1.0 / 3.0) < 0.02
 
     def test_singleton_forced(self, rng):
-        dim = Categorical(("x",))
-        assert alpha_step_categorical(dim, "x", 1.0, rng) == "x"
+        out = alpha_step_categorical(np.array([0]), np.array([1]), 1.0, rng)
+        np.testing.assert_array_equal(out, [0])
 
 
 class TestReplacementProb:
@@ -238,9 +238,8 @@ class TestRunFamv:
 
 class TestRelaxation:
     def test_bounds(self, mixed_space):
-        lo, hi = relaxed_bounds(mixed_space)
-        np.testing.assert_allclose(lo, [-5.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(hi, [5.0, 10.0, 9.0, 2.0])
+        np.testing.assert_allclose(mixed_space.lo, [-5.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(mixed_space.hi, [5.0, 10.0, 9.0, 2.0])
 
     def test_decode_nearest_index(self, mixed_space):
         sol = relaxed_decode(mixed_space, np.array([0.0, 5.0, 3.2, 1.4]))
@@ -251,6 +250,12 @@ class TestRelaxation:
         sol = relaxed_decode(mixed_space, np.array([7.0, -1.0, 12.6, 9.0]))
         assert sol.cont[0] == 5.0 and sol.cont[1] == 0.0
         assert sol.disc == (9, "c")
+
+    def test_decode_rounds_half_away_from_zero(self):
+        space = SearchSpace([IntegerRange(-5, 5)] * 4)
+        sol = relaxed_decode(space, np.array([-1.5, -0.4, 0.5, 2.5]))
+        assert sol.disc == (-2, 0, 1, 3)
+        assert all(type(v) is int for v in sol.disc)
 
     def test_decode_length_check(self, mixed_space):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from famv import (Categorical, Continuous, Firefly, GaConfig, IntegerRange,
-                  MixedSolution, SearchSpace, run_ga)
-from famv.ga import (ChromosomeLayout, decode, one_point_crossover,
-                     tournament_select)
+from famv import (Categorical, Continuous, GaConfig, IntegerRange, SearchSpace,
+                  run_ga)
+from famv.ga import (ChromosomeLayout, _tournament_index, decode,
+                     one_point_crossover)
 
 
 class TestLayout:
@@ -29,13 +29,12 @@ class TestDecode:
         assert decode(layout, np.ones(8, dtype=np.int8)).cont[0] == 1.0
 
     def test_modulo_mapping(self):
-        space = SearchSpace([Categorical(("a", "b", "c"))])
+        # 5 symbols and 5 integers each take 3 bits, so raw 5..7 wrap around
+        space = SearchSpace([Categorical(("a", "b", "c", "d", "e")), IntegerRange(2, 6)])
         layout = ChromosomeLayout(space)
-        assert layout.length == 2
-        # widen manually to the 3-bit case: raw 5 mod 3 = 2 -> "c"
-        layout.segments = [(space.dims[0], 0, 3)]
-        layout.length = 3
-        assert decode(layout, np.array([1, 0, 1], dtype=np.int8)).disc == ("c",)
+        assert layout.length == 6
+        # raw 6 mod 5 = 1 -> "b"; raw 7 mod 5 = 2 -> 2 + 2
+        assert decode(layout, np.array([1, 1, 0, 1, 1, 1], dtype=np.int8)).disc == ("b", 4)
 
     def test_always_feasible(self, mixed_space, rng):
         layout = ChromosomeLayout(mixed_space)
@@ -82,33 +81,26 @@ class TestCrossover:
 
 
 class TestTournament:
-    def _population(self, n):
-        sol = MixedSolution(np.empty(0), (0,))
-        return [Firefly(sol, float(f)) for f in range(n)]
-
     def test_population_of_one(self, rng):
-        pop = self._population(1)
-        assert tournament_select(pop, rng, size=3) is pop[0]
+        assert _tournament_index([5.0], rng, 3) == 0
 
     def test_best_selection_frequency(self, rng):
-        pop = self._population(10)
+        fitnesses = [float(f) for f in range(10)]
         trials = 10_000
-        wins = sum(tournament_select(pop, rng, size=3).fitness == 0.0
-                   for _ in range(trials))
+        wins = sum(_tournament_index(fitnesses, rng, 3) == 0 for _ in range(trials))
         # with replacement: P(best in sample) = 1 - (9/10)^3 = 0.271
         assert abs(wins / trials - 0.271) < 0.02
 
     def test_worst_selection_frequency(self, rng):
-        pop = self._population(10)
+        fitnesses = [float(f) for f in range(10)]
         trials = 10_000
-        losses = sum(tournament_select(pop, rng, size=3).fitness == 9.0
-                     for _ in range(trials))
+        losses = sum(_tournament_index(fitnesses, rng, 3) == 9 for _ in range(trials))
         # only an all-worst sample selects it: (1/10)^3 = 0.001
         assert abs(losses / trials - 0.001) < 0.002
 
     def test_empty_population(self, rng):
         with pytest.raises(ValueError):
-            tournament_select([], rng)
+            _tournament_index([], rng, 3)
 
 
 class TestGaConfig:

@@ -1,10 +1,14 @@
 import csv
+import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from famv import ALGORITHMS, ExperimentSpec, compare, run_algorithm, run_experiment
+from famv import (ALGORITHMS, Categorical, Continuous, ExperimentSpec,
+                  IntegerRange, SearchSpace, compare, run_algorithm,
+                  run_experiment)
 from famv.cli import main as cli_main
 from famv.firefly import FireflyConfig, run_famv
 from famv.harness import (DEFAULT_ENGINEERING_BUDGET, DEFAULT_SYNTHETIC_BUDGET,
@@ -227,3 +231,87 @@ class TestCli:
 
     def test_compare_missing_dir_exits_2(self, tmp_path, capsys):
         assert cli_main(["compare", "--in", str(tmp_path / "empty")]) == 2
+
+
+GOLDEN_ALGORITHMS = ("fa", "famv-h", "famv-g", "famv-h-adaptive", "ga")
+GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
+# sha256 of every run's samples and final point; taken from famv 0.1.0's
+# per-component engines, so a change to the RNG stream or to the arithmetic
+# of a move on these spaces (no categorical dimension) shows here
+GOLDEN_DIGEST = "b219e970eb45bff930d7391414d7652f8c13c84f0f9f386870ea4571034ad421"
+
+
+def test_golden_stream():
+    digest = hashlib.sha256()
+    for name in GOLDEN_PROBLEMS:
+        problem = get_problem(name, dim=10)
+        for algo in GOLDEN_ALGORITHMS:
+            for seed in (0, 1):
+                trace = run_algorithm(algo, problem, 1000, seed)
+                sol = trace.final.solution
+                record = ([(fe, float(best)) for fe, best in trace.samples],
+                          float(trace.final.fitness), sol.cont.tolist(), sol.disc)
+                digest.update(repr(record).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+class MixedCategorical:
+    """Continuous, integer and categorical dimensions, optimum 0 at
+    (0.5, 3, "c")."""
+
+    name = "mixed-categorical"
+    reference_optimum = 0.0
+    space = SearchSpace([Continuous(-2.0, 2.0), IntegerRange(0, 6),
+                         Categorical(("a", "b", "c", "d"))])
+
+    def __call__(self, sol):
+        return (float((sol.cont[0] - 0.5) ** 2) + (sol.disc[0] - 3) ** 2
+                + (sol.disc[1] != "c"))
+
+
+@pytest.mark.parametrize("algo", ["famv-h", "famv-g"])
+def test_categorical_runs_deterministic_and_conforming(algo):
+    problem = MixedCategorical()
+    first = run_algorithm(algo, problem, 800, 4)
+    again = run_algorithm(algo, problem, 800, 4)
+    assert first.samples == again.samples
+    assert first.final.solution == again.final.solution
+    assert first.final.solution.conforms(problem.space)
+    assert problem(first.final.solution) == first.final.fitness
+
+
+class FirstEvaluationNaN:
+    """Returns NaN on its first call, a finite value afterwards; with
+    ``always``, NaN on every call."""
+
+    name = "first-nan"
+    reference_optimum = 0.0
+    space = SearchSpace([Continuous(-1.0, 1.0), IntegerRange(0, 5),
+                         Categorical(("a", "b"))])
+
+    def __init__(self, always: bool = False):
+        self.always = always
+        self.calls = 0
+
+    def __call__(self, sol):
+        self.calls += 1
+        if self.always or self.calls == 1:
+            return math.nan
+        return float(sol.cont[0] ** 2) + sol.disc[0] + (sol.disc[1] == "b")
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "ga"])
+def test_nan_first_evaluation_still_yields_finite_best(algo):
+    trace = run_algorithm(algo, FirstEvaluationNaN(), 300, 0)
+    assert trace.samples[0] == (1, math.inf)
+    assert all(math.isfinite(best) for _, best in trace.samples[1:])
+    assert math.isfinite(trace.final.fitness)
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "ga"])
+def test_all_nan_objective_spends_budget_with_inf_best(algo):
+    problem = FirstEvaluationNaN(always=True)
+    trace = run_algorithm(algo, problem, 300, 0)
+    assert problem.calls == 300
+    assert trace.samples == [(1, math.inf)]
+    assert trace.final.fitness == math.inf

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _stat_reference import DATASETS, reference_dunn, reference_kruskal
 from famv import compare, dunn_pairwise, holm_adjust, kruskal_wallis
-from famv.stats import chi2_sf, norm_sf_two_sided, summarize
+from famv.stats import chi2_sf, norm_sf_two_sided
 
 
 class TestTailFunctions:
@@ -123,7 +123,3 @@ class TestCompare:
         assert report.means["a"] == 2.0
         assert report.stds["a"] == pytest.approx(np.std([1.0, 3.0], ddof=1))
         assert report.stds["b"] == 0.0
-
-    def test_summarize_alias(self):
-        groups = {"a": [1.0, 2.0], "b": [3.0, 4.0]}
-        assert summarize(groups).best_group == compare(groups).best_group
