@@ -26,18 +26,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment grid")
-    run.add_argument("--problem", action="append", default=None,
-                     help="problem name (repeatable)")
-    run.add_argument("--algo", action="append", default=None,
-                     help="algorithm name (repeatable)")
-    run.add_argument("--runs", type=int, default=None)
-    run.add_argument("--budget", type=int, default=None,
+    run.add_argument("--problem", action="append", help="problem name (repeatable)")
+    run.add_argument("--algo", action="append", help="algorithm name (repeatable)")
+    run.add_argument("--runs", type=int)
+    run.add_argument("--budget", type=int,
                      help="FE budget; defaults depend on the problem class")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--config", default=None, help="INI config file")
-    run.add_argument("--stride", type=int, default=None, help="trace sampling stride")
-    run.add_argument("--dim", type=int, default=None, help="synthetic problem dimension")
+    run.add_argument("--seed", type=int)
+    run.add_argument("--out", help="output directory")
+    run.add_argument("--config", help="INI config file")
+    run.add_argument("--stride", type=int, help="trace sampling stride")
+    run.add_argument("--dim", type=int, help="synthetic problem dimension")
 
     cmp_cmd = sub.add_parser("compare", help="stats over existing summaries")
     cmp_cmd.add_argument("--in", dest="in_dir", required=True)
@@ -46,46 +44,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# INI key and flag name -> ExperimentSpec field
+_SPEC_FIELDS = {"problem": "problems", "algo": "algorithms", "out": "out_dir",
+                "runs": "runs", "budget": "budget", "seed": "base_seed",
+                "stride": "stride", "dim": "dim"}
+
+
 def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    settings = {
-        "problem": None, "algo": None, "runs": 30, "budget": None,
-        "seed": 0, "out": None, "stride": 250, "dim": 50,
-    }
+    """A spec of only the settings given in the config file or as flags."""
+    settings = {}
     if args.config:
         cfg = configparser.ConfigParser()
         if not cfg.read(args.config):
             raise ValueError(f"cannot read config file {args.config!r}")
         section = cfg["run"] if cfg.has_section("run") else cfg["DEFAULT"]
-        for key in settings:
-            if key in section:
-                value = section[key]
-                if key in ("problem", "algo"):
-                    settings[key] = [v.strip() for v in value.split(",") if v.strip()]
-                elif key == "out":
-                    settings[key] = value
-                else:
-                    settings[key] = int(value)
-    for key, arg_name in (("problem", "problem"), ("algo", "algo"),
-                          ("runs", "runs"), ("budget", "budget"),
-                          ("seed", "seed"), ("out", "out"),
-                          ("stride", "stride"), ("dim", "dim")):
-        value = getattr(args, arg_name)
+        unknown = sorted(set(section) - set(_SPEC_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in section.items():
+            if key in ("problem", "algo"):
+                value = [v.strip() for v in value.split(",") if v.strip()]
+            elif key != "out":
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            settings[_SPEC_FIELDS[key]] = value
+    for key, name in _SPEC_FIELDS.items():
+        value = getattr(args, key)
         if value is not None:
-            settings[key] = value
-    if not settings["problem"]:
-        raise ValueError("no problems given (use --problem or a config file)")
-    if not settings["algo"]:
-        raise ValueError("no algorithms given (use --algo or a config file)")
-    if not settings["out"]:
-        raise ValueError("no output directory given (use --out or a config file)")
-    return ExperimentSpec(problems=settings["problem"],
-                          algorithms=settings["algo"],
-                          out_dir=settings["out"],
-                          runs=settings["runs"],
-                          budget=settings["budget"],
-                          base_seed=settings["seed"],
-                          stride=settings["stride"],
-                          dim=settings["dim"])
+            settings[name] = value
+    return ExperimentSpec(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -247,16 +247,3 @@ def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSoluti
             disc.append(dim.values[int(rng.integers(len(dim.values)))])
     return MixedSolution(cont, tuple(disc))
 
-
-def clamp(space: SearchSpace, sol: MixedSolution) -> MixedSolution:
-    """Project continuous/integer components onto their bounds.
-
-    Categorical components pass through untouched.  Idempotent.
-    """
-    if len(sol.cont) != space.n_c or len(sol.disc) != space.n_d:
-        raise ValueError(
-            f"solution layout ({len(sol.cont)}, {len(sol.disc)}) does not match "
-            f"space ({space.n_c}, {space.n_d})")
-    disc = tuple(min(max(int(v), d.lo), d.hi) if isinstance(d, IntegerRange) else v
-                 for v, d in zip(sol.disc, space.discrete))
-    return MixedSolution(np.clip(sol.cont, space.cont_lo, space.cont_hi), disc)

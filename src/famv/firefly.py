@@ -33,8 +33,6 @@ class FireflyConfig:
     distance: DistanceKind = DistanceKind.MIXED_EH
     adapt_alpha: bool = False
     adapt_gamma: bool = False
-    alpha_floor: float = 0.01
-    gamma_floor: float = 0.01
 
     def __post_init__(self):
         if self.pop_size < 2:
@@ -43,6 +41,7 @@ class FireflyConfig:
             raise ValueError("beta0, alpha, gamma and k must be positive")
 
 
+# Kept name: bench/run.py counts its calls and the share with beta > 1e-3.
 def attractiveness(beta0: float, gamma: float, r: float) -> float:
     """beta0 * exp(-gamma r^2): full attraction at r = 0, decaying with distance."""
     return beta0 * math.exp(-gamma * r * r)
@@ -91,6 +90,7 @@ def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
     return out
 
 
+# Kept name: bench/run.py counts its calls; bench/tests asserts categorical ones on mixed-cat.
 def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                        alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Bounded local perturbation of integer codes: round(x + alpha * eps)
@@ -100,6 +100,7 @@ def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return _clip(_round_codes(v), lo, hi)
 
 
+# Kept name: bench/run.py counts its calls; bench/tests asserts categorical ones on mixed-cat.
 def alpha_step_categorical(codes: np.ndarray, sizes: np.ndarray, p_alpha: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Each categorical code is redrawn uniformly over its ``sizes`` symbols
@@ -119,16 +120,14 @@ def replacement_prob(alpha: float, alpha_init: float, k: float, adaptive: bool) 
 
 
 def adapt_parameters(alpha_init: float, gamma_init: float,
-                     budget: EvaluationBudget,
-                     alpha_floor: float = 0.01,
-                     gamma_floor: float = 0.01) -> tuple[float, float]:
-    """Linear decay with the consumed-budget ratio, floored to keep a minimum
-    level of stochasticity."""
+                     budget: EvaluationBudget) -> tuple[float, float]:
+    """Linear decay with the consumed-budget ratio, floored at 0.01 to keep a
+    minimum level of stochasticity."""
     remaining = 1.0 - budget.progress
-    return (max(alpha_floor, alpha_init * remaining),
-            max(gamma_floor, gamma_init * remaining))
+    return max(0.01, alpha_init * remaining), max(0.01, gamma_init * remaining)
 
 
+# Kept name: bench/run.py spans it as the alpha-step layer.
 def _alpha_step_all(space: SearchSpace, codes: np.ndarray, alpha: float,
                     p_alpha: float, rng: np.random.Generator) -> np.ndarray:
     """The exploration step on a whole code vector: integer codes first, then
@@ -144,6 +143,28 @@ def _alpha_step_all(space: SearchSpace, codes: np.ndarray, alpha: float,
                                        space.disc_hi[ints], alpha, rng)
     out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
     return out
+
+
+def _sweep(fitness: list[float], budget: EvaluationBudget):
+    """One pass of the firefly schedule (Yang 2009): yields ``(i, j)`` for a
+    move of firefly i toward the brighter j, and ``(i, None)`` for the idle
+    walk of a firefly with no brighter one, charging one evaluation before
+    each and stopping when the budget is spent.  The caller stores i's new
+    value in ``fitness[i]``, which is re-read after every yield, so each
+    firefly moves from its updated position."""
+    for i in range(len(fitness)):
+        moved = False
+        for j in range(len(fitness)):
+            if i == j or not fitness[j] < fitness[i]:
+                continue
+            if not budget.consume():
+                return
+            yield i, j
+            moved = True
+        if not moved:
+            if not budget.consume():
+                return
+            yield i, None
 
 
 def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
@@ -167,42 +188,29 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
         codes.append(space.encode(sol.disc))
         fitness.append(rec.evaluate(sol))
 
-    def evaluate(i: int, cont: np.ndarray, disc: np.ndarray) -> None:
-        """Explore from the moved position, clip it and evaluate it as
-        firefly i's new position."""
-        codes[i] = _alpha_step_all(space, disc, alpha, p_alpha, rng)
-        conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
-        fitness[i] = rec.evaluate(MixedSolution(conts[i], space.decode(codes[i])))
-
     alpha, gamma = config.alpha, config.gamma
     while not budget.exhausted:
         if config.adapt_alpha or config.adapt_gamma:
-            a, g = adapt_parameters(config.alpha, config.gamma, budget,
-                                    config.alpha_floor, config.gamma_floor)
+            a, g = adapt_parameters(config.alpha, config.gamma, budget)
             if config.adapt_alpha:
                 alpha = a
             if config.adapt_gamma:
                 gamma = g
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
 
-        for i in range(len(fitness)):
-            moved = False
-            for j in range(len(fitness)):
-                if i == j or not fitness[j] < fitness[i]:
-                    continue
-                if not budget.consume():
-                    return rec.build(config.seed, "famv")
+        for i, j in _sweep(fitness, budget):
+            if j is None:
+                cont = conts[i] + alpha * (rng.random(space.n_c) - 0.5)
+                disc = codes[i]
+            else:
                 r = distance(space, conts[i], codes[i], conts[j], codes[j])
                 beta = attractiveness(config.beta0, gamma, r)
                 cont = continuous_move(conts[i], conts[j], beta, alpha, rng)
                 disc = beta_step(space, codes[i], codes[j],
                                  discrete_attraction_prob(gamma, r), rng)
-                evaluate(i, cont, disc)
-                moved = True
-            if not moved:
-                if not budget.consume():
-                    return rec.build(config.seed, "famv")
-                evaluate(i, conts[i] + alpha * (rng.random(space.n_c) - 0.5), codes[i])
+            codes[i] = _alpha_step_all(space, disc, alpha, p_alpha, rng)
+            conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
+            fitness[i] = rec.evaluate(MixedSolution(conts[i], space.decode(codes[i])))
 
     return rec.build(config.seed, "famv")
 
@@ -237,29 +245,17 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
         if not budget.consume():
             break
         fitness.append(rec.evaluate(relaxed_decode(space, pos)))
-    positions = positions[:len(fitness)]
-
-    def evaluate(i: int, position: np.ndarray) -> None:
-        positions[i] = _clip(position, lo, hi)
-        fitness[i] = rec.evaluate(relaxed_decode(space, positions[i]))
 
     while not budget.exhausted:
-        for i in range(len(positions)):
-            moved = False
-            for j in range(len(positions)):
-                if i == j or not fitness[j] < fitness[i]:
-                    continue
-                if not budget.consume():
-                    return rec.build(config.seed, "fa")
+        for i, j in _sweep(fitness, budget):
+            if j is None:
+                position = positions[i] + config.alpha * (rng.random(space.dim) - 0.5)
+            else:
                 r = euclidean(positions[i], positions[j])
                 beta = attractiveness(config.beta0, config.gamma, r)
-                evaluate(i, continuous_move(positions[i], positions[j], beta,
-                                            config.alpha, rng))
-                moved = True
-            if not moved:
-                if not budget.consume():
-                    return rec.build(config.seed, "fa")
-                evaluate(i, positions[i]
-                         + config.alpha * (rng.random(space.dim) - 0.5))
+                position = continuous_move(positions[i], positions[j], beta,
+                                           config.alpha, rng)
+            positions[i] = _clip(position, lo, hi)
+            fitness[i] = rec.evaluate(relaxed_decode(space, positions[i]))
 
     return rec.build(config.seed, "fa")

@@ -53,7 +53,6 @@ class ChromosomeLayout:
         widths[space.disc_pos] = [max(1, math.ceil(math.log2(n))) for n in self.disc_sizes.tolist()]
         self.starts = np.cumsum(widths) - widths
         self.length = int(widths.sum())
-        self.segments = list(zip(space.dims, self.starts.tolist(), widths.tolist()))
         self.place = np.concatenate([2 ** np.arange(w - 1, -1, -1) for w in widths.tolist()])
         self.cont_levels = 2.0 ** widths[space.cont_pos] - 1
 
@@ -127,7 +126,8 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
         while len(next_genomes) < config.pop_size:
             pa = genomes[_tournament_index(fitnesses, rng, config.tournament_size)]
             pb = genomes[_tournament_index(fitnesses, rng, config.tournament_size)]
-            if rng.random() < config.p_crossover:
+            # a one-bit chromosome has no cut point: its children are copies
+            if layout.length > 1 and rng.random() < config.p_crossover:
                 ca, cb = one_point_crossover(pa, pb, rng)
             else:
                 ca, cb = pa.copy(), pb.copy()

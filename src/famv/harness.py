@@ -5,7 +5,7 @@ pipeline."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from .core import ObjectiveFunction, RunTrace
 from .distances import DistanceKind
 from .firefly import FireflyConfig, run_classical_fa, run_famv
 from .ga import GaConfig, run_ga
-from .problems import ENGINEERING_NAMES, available_problems, get_problem
+from .problems import ENGINEERING_NAMES, get_problem
 from .stats import compare
 
 DEFAULT_SYNTHETIC_BUDGET = 100_000
@@ -70,9 +70,13 @@ def run_algorithm(name: str, problem: ObjectiveFunction, max_fe: int, seed: int,
 
 @dataclass
 class ExperimentSpec:
-    problems: list[str]
-    algorithms: list[str]
-    out_dir: str
+    """An experiment grid and the defaults of every run setting; the CLI
+    passes only the settings a user gave.  Bad settings are rejected here,
+    before any output is written."""
+
+    problems: list[str] = field(default_factory=list)
+    algorithms: list[str] = field(default_factory=list)
+    out_dir: str = ""
     runs: int = 30
     budget: int | None = None       # None: per-problem default
     base_seed: int = 0
@@ -80,8 +84,13 @@ class ExperimentSpec:
     dim: int = 50                   # synthetic problems only
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        for name in ("problems", "algorithms", "out_dir"):
+            if not getattr(self, name):
+                raise ValueError(f"no {name} given")
+        for name, least in (("runs", 1), ("budget", 1), ("stride", 1), ("base_seed", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
     def budget_for(self, problem_name: str) -> int:
         if self.budget is not None:

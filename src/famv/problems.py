@@ -8,13 +8,11 @@ overridden per instance; they only feed absolute-error reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import (Categorical, Continuous, IntegerRange, MixedSolution,
-                   SearchSpace)
+from .core import Continuous, IntegerRange, MixedSolution, SearchSpace
 
 PENALTY_M = 1.0e6
 
@@ -52,12 +50,8 @@ class Problem:
         return value
 
     def absolute_error(self, achieved: float) -> float:
+        """|achieved - reference optimum|."""
         return abs(achieved - self.reference_optimum)
-
-
-def absolute_error(problem: Problem, achieved: float) -> float:
-    """|achieved - reference optimum| of the problem."""
-    return abs(achieved - problem.reference_optimum)
 
 
 # --- pressure vessel -------------------------------------------------------

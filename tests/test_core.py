@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famv import (Categorical, Continuous, EvaluationBudget, Firefly,
-                  IntegerRange, MixedSolution, RunTrace, SearchSpace, clamp,
+                  IntegerRange, MixedSolution, RunTrace, SearchSpace,
                   random_solution)
 from famv.core import Recorder
 
@@ -125,36 +125,6 @@ class TestRandomSolution:
         space = _hypothesis_space()
         sol = random_solution(space, np.random.default_rng(seed))
         assert sol.conforms(space)
-
-
-class TestClamp:
-    def test_projects_continuous(self):
-        space = SearchSpace([Continuous(0.0, 1.0)])
-        out = clamp(space, MixedSolution(np.array([1.7]), ()))
-        assert out.cont[0] == 1.0
-
-    def test_projects_integer(self):
-        space = SearchSpace([IntegerRange(2, 9)])
-        out = clamp(space, MixedSolution(np.empty(0), (-3,)))
-        assert out.disc == (2,)
-
-    def test_feasible_unchanged(self, mixed_space):
-        sol = MixedSolution(np.array([0.5, 5.0]), (3, "b"))
-        assert clamp(mixed_space, sol) == sol
-
-    def test_rejects_wrong_layout(self, mixed_space):
-        with pytest.raises(ValueError):
-            clamp(mixed_space, MixedSolution(np.array([0.5]), (3, "b")))
-
-    @given(cont=st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=2),
-           k=st.integers(-50, 50))
-    @settings(max_examples=100, deadline=None)
-    def test_idempotent(self, cont, k):
-        space = _hypothesis_space()
-        sol = MixedSolution(np.array(cont), (k, "c"))
-        once = clamp(space, sol)
-        assert clamp(space, once) == once
-        assert once.conforms(space)
 
 
 class TestRunTrace:

@@ -6,7 +6,7 @@ import pytest
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
                   IntegerRange, MixedSolution, SearchSpace, run_classical_fa,
                   run_famv)
-from famv.firefly import (adapt_parameters, alpha_step_categorical,
+from famv.firefly import (_sweep, adapt_parameters, alpha_step_categorical,
                           alpha_step_integer, attractiveness, beta_step,
                           continuous_move, discrete_attraction_prob,
                           relaxed_decode, replacement_prob)
@@ -178,6 +178,24 @@ class TestFireflyConfig:
             FireflyConfig(max_fe=100, pop_size=1)
         with pytest.raises(ValueError):
             FireflyConfig(max_fe=100, beta0=0.0)
+
+
+class TestSweep:
+    def test_schedule_and_charges(self):
+        fitness = [4.0, 1.0, 2.0, 3.0]
+        budget = EvaluationBudget(9)
+        seen = []
+        for _ in range(2):
+            for i, j in _sweep(fitness, budget):
+                seen.append((i, j))
+                assert budget.consumed == len(seen)  # one charge per yield
+                if (i, j) == (0, 1):
+                    fitness[0] = 0.5  # now the brightest: no move toward 2 or 3
+        assert seen == [(0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+                        (0, None), (1, 0)]  # second pass stops at exhaustion
+        assert budget.exhausted
+        assert list(_sweep(fitness, budget)) == []
+        assert budget.consumed == 9
 
 
 class TestRunFamv:

@@ -10,7 +10,7 @@ from famv.ga import (ChromosomeLayout, _tournament_index, decode,
 class TestLayout:
     def test_segment_widths(self, mixed_space):
         layout = ChromosomeLayout(mixed_space, bits_per_continuous=16)
-        widths = [nbits for _, _, nbits in layout.segments]
+        widths = np.diff([*layout.starts, layout.length]).tolist()
         # two continuous (16 each), IntegerRange(0,9) -> 4 bits,
         # three categories -> 2 bits
         assert widths == [16, 16, 4, 2]
@@ -134,6 +134,23 @@ class TestRunGa:
         config = GaConfig(max_fe=2000, seed=5)
         assert run_ga(toy_problem, config).samples == \
             run_ga(toy_problem, config).samples
+
+    @pytest.mark.parametrize("dim", [Categorical(("x", "y")), IntegerRange(5, 5)])
+    def test_one_bit_chromosome(self, dim):
+        # no cut point exists, so children are copies (then mutated)
+        class OneBit:
+            name = "one-bit"
+            reference_optimum = 0.0
+            space = SearchSpace([dim])
+            calls = 0
+            def __call__(self, sol):
+                self.calls += 1
+                return float(sol.disc[0] == "y")
+
+        problem = OneBit()
+        trace = run_ga(problem, GaConfig(max_fe=300, seed=1))
+        assert problem.calls == 300
+        assert trace.final.solution.conforms(problem.space)
 
     def test_finds_toy_optimum_region(self, toy_problem):
         trace = run_ga(toy_problem, GaConfig(max_fe=5000, seed=0))

@@ -54,6 +54,15 @@ class TestBudgets:
         with pytest.raises(ValueError):
             ExperimentSpec(["sphere"], ["famv-h"], out_dir="unused", runs=0)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("problems", []), ("algorithms", []), ("out_dir", ""), ("runs", -1),
+        ("budget", 0), ("stride", 0), ("base_seed", -1)])
+    def test_rejects_bad_setting_by_name(self, setting, value):
+        spec = dict(problems=["sphere"], algorithms=["famv-h"], out_dir="unused")
+        spec[setting] = value
+        with pytest.raises(ValueError, match=setting):
+            ExperimentSpec(**spec)
+
 
 class TestEmitTrace:
     def _trace(self, toy_problem, max_fe=600, seed=0):
@@ -232,6 +241,32 @@ class TestCli:
     def test_compare_missing_dir_exits_2(self, tmp_path, capsys):
         assert cli_main(["compare", "--in", str(tmp_path / "empty")]) == 2
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--stride", "0", "stride"), ("--seed", "-1", "seed"),
+        ("--budget", "0", "budget")])
+    def test_bad_flag_exits_2_before_any_output(self, tmp_path, capsys,
+                                                flag, value, setting):
+        out = tmp_path / "out"
+        code = cli_main(["run", "--problem", "sphere", "--algo", "famv-h",
+                         "--runs", "1", "--budget", "50", "--dim", "4",
+                         "--out", str(out), flag, value])
+        assert code == 2
+        assert setting in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ("problem =\nalgo = fa", "problem"),
+        ("problem = sphere\nalgo = fa\nrun = 3", "unknown config keys: run"),
+        ("problem = sphere\nalgo = fa\nruns = three", "runs")])
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys,
+                                                  entries, message):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[run]\n{entries}\nout = {out}\n")
+        assert cli_main(["run", "--config", str(cfg), "--budget", "10"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 GOLDEN_ALGORITHMS = ("fa", "famv-h", "famv-g", "famv-h-adaptive", "ga")
 GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
@@ -241,10 +276,9 @@ GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
 GOLDEN_DIGEST = "b219e970eb45bff930d7391414d7652f8c13c84f0f9f386870ea4571034ad421"
 
 
-def test_golden_stream():
+def _stream_digest(problems) -> str:
     digest = hashlib.sha256()
-    for name in GOLDEN_PROBLEMS:
-        problem = get_problem(name, dim=10)
+    for problem in problems:
         for algo in GOLDEN_ALGORITHMS:
             for seed in (0, 1):
                 trace = run_algorithm(algo, problem, 1000, seed)
@@ -252,7 +286,12 @@ def test_golden_stream():
                 record = ([(fe, float(best)) for fe, best in trace.samples],
                           float(trace.final.fitness), sol.cont.tolist(), sol.disc)
                 digest.update(repr(record).encode())
-    assert digest.hexdigest() == GOLDEN_DIGEST
+    return digest.hexdigest()
+
+
+def test_golden_stream():
+    problems = [get_problem(name, dim=10) for name in GOLDEN_PROBLEMS]
+    assert _stream_digest(problems) == GOLDEN_DIGEST
 
 
 class MixedCategorical:
@@ -267,6 +306,15 @@ class MixedCategorical:
     def __call__(self, sol):
         return (float((sol.cont[0] - 0.5) ** 2) + (sol.disc[0] - 3) ** 2
                 + (sol.disc[1] != "c"))
+
+
+# the same digest on MixedCategorical; taken from the engines before the
+# firefly schedule moved into `firefly._sweep`
+CATEGORICAL_DIGEST = "b825a819e53a1fd5f74c4a6dad4aa0287381cf6261a16ba79daba58db9747dac"
+
+
+def test_golden_stream_categorical():
+    assert _stream_digest([MixedCategorical()]) == CATEGORICAL_DIGEST
 
 
 @pytest.mark.parametrize("algo", ["famv-h", "famv-g"])

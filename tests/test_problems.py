@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from famv import MixedSolution, absolute_error, available_problems, get_problem
+from famv import MixedSolution, available_problems, get_problem
 from famv.problems import (PENALTY_M, BeamProblem, CsdProblem, SyntheticProblem,
                            VesselProblem, beam_constraints, synthetic)
 
@@ -131,15 +131,15 @@ class TestSynthetic:
 class TestAbsoluteError:
     def test_zero_at_reference(self):
         problem = synthetic("sphere", dim=10)
-        assert absolute_error(problem, 0.0) == 0.0
+        assert problem.absolute_error(0.0) == 0.0
 
     def test_offset_reference(self):
         problem = VesselProblem(reference_optimum=-1400.0)
-        assert absolute_error(problem, -919.0) == pytest.approx(481.0)
+        assert problem.absolute_error(-919.0) == pytest.approx(481.0)
 
     def test_symmetric(self):
         problem = VesselProblem(reference_optimum=100.0)
-        assert absolute_error(problem, 103.0) == absolute_error(problem, 97.0)
+        assert problem.absolute_error(103.0) == problem.absolute_error(97.0)
 
 
 class TestRegistry:
