@@ -34,10 +34,6 @@ class Continuous:
         if not self.lo < self.hi:
             raise ValueError(f"continuous dimension needs lo < hi, got [{self.lo}, {self.hi}]")
 
-    @property
-    def range(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class IntegerRange:
@@ -239,11 +235,6 @@ class Recorder:
 def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
     """Draw a uniform random solution from the space."""
     cont = space.cont_lo + rng.random(space.n_c) * space.cont_range
-    disc = []
-    for dim in space.discrete:
-        if isinstance(dim, IntegerRange):
-            disc.append(int(rng.integers(dim.lo, dim.hi + 1)))
-        else:
-            disc.append(dim.values[int(rng.integers(len(dim.values)))])
-    return MixedSolution(cont, tuple(disc))
+    codes = rng.integers(space.disc_lo, space.disc_hi + 1)
+    return MixedSolution(cont, space.decode(codes))
 

@@ -59,13 +59,16 @@ ALGORITHMS = {
 }
 
 
+def _runner(name: str):
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise KeyError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}") from None
+
+
 def run_algorithm(name: str, problem: ObjectiveFunction, max_fe: int, seed: int,
                   overrides: dict | None = None) -> RunTrace:
-    try:
-        runner = ALGORITHMS[name]
-    except KeyError:
-        raise KeyError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-    return runner(problem, max_fe, seed, overrides)
+    return _runner(name)(problem, max_fe, seed, overrides)
 
 
 @dataclass
@@ -91,6 +94,15 @@ class ExperimentSpec:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
+        for name in ("problems", "algorithms"):
+            names = getattr(self, name)
+            for k, value in enumerate(names):
+                if value in names[:k]:
+                    raise ValueError(f"{name} repeats {value!r}")
+        for name in self.problems:
+            get_problem(name, dim=self.dim)
+        for name in self.algorithms:
+            _runner(name)
 
     def budget_for(self, problem_name: str) -> int:
         if self.budget is not None:
@@ -161,7 +173,50 @@ def emit_results_table(rows: list[ResultRow], results_path: str | Path,
             writer.writerow([algo, n_best, n_similar])
 
 
-def _comparison_rows(ae_by_problem: dict[str, dict[str, list[float]]]) -> list[ResultRow]:
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """Execute the grid, write traces and summary, then rank the summary
+    with `compare_directory`."""
+    out = Path(spec.out_dir)
+    traces_dir = out / "traces"
+    traces_dir.mkdir(parents=True, exist_ok=True)
+
+    summary_rows = []
+    for problem_name in spec.problems:
+        problem = get_problem(problem_name, dim=spec.dim)
+        budget = spec.budget_for(problem_name)
+        for algo in spec.algorithms:
+            for run_idx in range(spec.runs):
+                seed = spec.base_seed + run_idx
+                trace = run_algorithm(algo, problem, budget, seed)
+                trace_path = traces_dir / f"{problem_name}__{algo}__run{run_idx:03d}.csv"
+                emit_trace(trace, trace_path, spec.stride)
+                best = trace.final.fitness
+                summary_rows.append((problem_name, algo, run_idx, seed,
+                                     trace.samples[-1][0], best,
+                                     problem.absolute_error(best)))
+
+    with (out / "summary.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["problem", "algorithm", "run", "seed", "final_fe",
+                         "best", "ae"])
+        for problem_name, algo, run_idx, seed, fe, best, ae in summary_rows:
+            writer.writerow([problem_name, algo, run_idx, seed, fe,
+                             _fmt(best), _fmt(ae)])
+    return compare_directory(out)
+
+
+def compare_directory(out_dir: str | Path) -> list[ResultRow]:
+    """Rank every cell of summary.csv and write results.csv and counts.csv:
+    the one source of the result tables, for `run_experiment` too."""
+    out = Path(out_dir)
+    summary = out / "summary.csv"
+    if not summary.exists():
+        raise FileNotFoundError(f"no summary.csv in {out}")
+    ae_by_problem: dict[str, dict[str, list[float]]] = {}
+    with summary.open(newline="") as fh:
+        for record in csv.DictReader(fh):
+            groups = ae_by_problem.setdefault(record["problem"], {})
+            groups.setdefault(record["algorithm"], []).append(float(record["ae"]))
     rows = []
     for problem_name, groups in ae_by_problem.items():
         if len(groups) >= 2 and sum(len(v) for v in groups.values()) >= 3:
@@ -176,65 +231,5 @@ def _comparison_rows(ae_by_problem: dict[str, dict[str, list[float]]]) -> list[R
                 mean = float(np.mean(values))
                 std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
                 rows.append(ResultRow(problem_name, algo, mean, std, True, True))
-    return rows
-
-
-def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    """Execute the grid and write traces, summary, results and counts files."""
-    for name in spec.problems:
-        get_problem(name, dim=spec.dim)  # fail fast on unknown names
-    for name in spec.algorithms:
-        if name not in ALGORITHMS:
-            raise KeyError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
-
-    out = Path(spec.out_dir)
-    traces_dir = out / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
-
-    summary_rows = []
-    ae_by_problem: dict[str, dict[str, list[float]]] = {}
-    for problem_name in spec.problems:
-        problem = get_problem(problem_name, dim=spec.dim)
-        budget = spec.budget_for(problem_name)
-        ae_by_problem[problem_name] = {}
-        for algo in spec.algorithms:
-            aes = []
-            for run_idx in range(spec.runs):
-                seed = spec.base_seed + run_idx
-                trace = run_algorithm(algo, problem, budget, seed)
-                trace_path = traces_dir / f"{problem_name}__{algo}__run{run_idx:03d}.csv"
-                emit_trace(trace, trace_path, spec.stride)
-                best = trace.final.fitness
-                ae = problem.absolute_error(best)
-                aes.append(ae)
-                summary_rows.append((problem_name, algo, run_idx, seed,
-                                     trace.samples[-1][0], best, ae))
-            ae_by_problem[problem_name][algo] = aes
-
-    with (out / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "algorithm", "run", "seed", "final_fe",
-                         "best", "ae"])
-        for problem_name, algo, run_idx, seed, fe, best, ae in summary_rows:
-            writer.writerow([problem_name, algo, run_idx, seed, fe,
-                             _fmt(best), _fmt(ae)])
-
-    rows = _comparison_rows(ae_by_problem)
-    emit_results_table(rows, out / "results.csv", out / "counts.csv")
-    return rows
-
-
-def compare_directory(out_dir: str | Path) -> list[ResultRow]:
-    """Recompute results/counts from an existing summary.csv."""
-    out = Path(out_dir)
-    summary = out / "summary.csv"
-    if not summary.exists():
-        raise FileNotFoundError(f"no summary.csv in {out}")
-    ae_by_problem: dict[str, dict[str, list[float]]] = {}
-    with summary.open(newline="") as fh:
-        for record in csv.DictReader(fh):
-            groups = ae_by_problem.setdefault(record["problem"], {})
-            groups.setdefault(record["algorithm"], []).append(float(record["ae"]))
-    rows = _comparison_rows(ae_by_problem)
     emit_results_table(rows, out / "results.csv", out / "counts.csv")
     return rows

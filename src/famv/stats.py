@@ -78,19 +78,9 @@ def _pooled_midranks(groups: SampleSet) -> tuple[dict[str, np.ndarray], float]:
     sum(t^3 - t)."""
     names = list(groups)
     pooled = np.concatenate([np.asarray(groups[n], dtype=float) for n in names])
-    order = np.argsort(pooled, kind="mergesort")
-    ranks = np.empty(len(pooled))
-    tie_term = 0.0
-    i = 0
-    while i < len(pooled):
-        j = i
-        while j + 1 < len(pooled) and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        t = j - i + 1
-        if t > 1:
-            tie_term += t ** 3 - t
-        i = j + 1
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    tie_term = float(np.sum(counts ** 3 - counts))
     out = {}
     start = 0
     for n in names:

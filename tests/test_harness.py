@@ -56,7 +56,9 @@ class TestBudgets:
 
     @pytest.mark.parametrize("setting, value", [
         ("problems", []), ("algorithms", []), ("out_dir", ""), ("runs", -1),
-        ("budget", 0), ("stride", 0), ("base_seed", -1)])
+        ("budget", 0), ("stride", 0), ("base_seed", -1),
+        ("problems", ["sphere", "vessel", "sphere"]),
+        ("algorithms", ["famv-h", "famv-h"])])
     def test_rejects_bad_setting_by_name(self, setting, value):
         spec = dict(problems=["sphere"], algorithms=["famv-h"], out_dir="unused")
         spec[setting] = value
@@ -182,8 +184,12 @@ class TestRunExperiment:
     def test_compare_directory_round_trip(self, tmp_path):
         spec = self._spec(tmp_path, runs=3)
         direct = run_experiment(spec)
+        out = Path(spec.out_dir)
+        written = {name: (out / name).read_bytes() for name in ("results.csv", "counts.csv")}
         recomputed = compare_directory(spec.out_dir)
         assert direct == recomputed
+        for name, data in written.items():
+            assert (out / name).read_bytes() == data
 
     def test_compare_directory_missing_summary(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -243,7 +249,7 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value, setting", [
         ("--stride", "0", "stride"), ("--seed", "-1", "seed"),
-        ("--budget", "0", "budget")])
+        ("--budget", "0", "budget"), ("--problem", "sphere", "problems repeats 'sphere'")])
     def test_bad_flag_exits_2_before_any_output(self, tmp_path, capsys,
                                                 flag, value, setting):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from _stat_reference import DATASETS, reference_dunn, reference_kruskal
 from famv import compare, dunn_pairwise, holm_adjust, kruskal_wallis
-from famv.stats import chi2_sf, norm_sf_two_sided
+from famv.stats import _pooled_midranks, chi2_sf, norm_sf_two_sided
 
 
 class TestTailFunctions:
@@ -19,6 +21,18 @@ class TestTailFunctions:
         from scipy import stats as scipy_stats
         assert norm_sf_two_sided(z) == pytest.approx(
             2.0 * scipy_stats.norm.sf(abs(z)), abs=1e-12)
+
+
+@given(st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=10),
+                min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_midranks_match_scipy_rankdata(samples):
+    from scipy.stats import rankdata
+    groups = {f"g{k}": [float(v) for v in values] for k, values in enumerate(samples)}
+    ranks, tie_term = _pooled_midranks(groups)
+    pooled = np.concatenate(list(groups.values()))
+    assert np.concatenate(list(ranks.values())).tolist() == rankdata(pooled).tolist()
+    assert tie_term == sum(t ** 3 - t for t in Counter(pooled.tolist()).values())
 
 
 class TestKruskalWallis:
