@@ -276,28 +276,38 @@ class TestCli:
 
 GOLDEN_ALGORITHMS = ("fa", "famv-h", "famv-g", "famv-h-adaptive", "ga")
 GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
-# sha256 of every run's samples and final point; taken from famv 0.1.0's
-# per-component engines, so a change to the RNG stream or to the arithmetic
-# of a move on these spaces (no categorical dimension) shows here
-GOLDEN_DIGEST = "b219e970eb45bff930d7391414d7652f8c13c84f0f9f386870ea4571034ad421"
+# per algorithm, sha256 of every run's samples and final point; taken from
+# famv 0.1.0's per-component engines, so a change to an algorithm's RNG stream
+# or to the arithmetic of a move on these spaces (no categorical dimension)
+# shows here, under that algorithm's name
+GOLDEN_DIGEST = {
+    "fa": "1d182f55fa4131e582e5b79c69706fc59815a12dba4b8140f07f1d85602fb6a2",
+    "famv-h": "22700b6053318ed63578077909b5125bd819be02308efa4b8a0277d34acfedca",
+    "famv-g": "2fafcdda9c1ad75f0e0aca38b96a7be2bed152e264dc160982d49fb036f478b6",
+    "famv-h-adaptive": "18381bf29643d235240627e6f6a855cc0ce33243bf63a4622115ea6e5f6778e5",
+    "ga": "155002cbd387b4fd5d23b07f1a621d9fa2647e53258408e1779e54b6a5f5b4d4",
+}
 
 
-def _stream_digest(problems) -> str:
-    digest = hashlib.sha256()
-    for problem in problems:
-        for algo in GOLDEN_ALGORITHMS:
+def _stream_digests(problems) -> dict[str, str]:
+    """One digest per algorithm, so a stream change names its algorithm."""
+    digests = {}
+    for algo in GOLDEN_ALGORITHMS:
+        digest = hashlib.sha256()
+        for problem in problems:
             for seed in (0, 1):
                 trace = run_algorithm(algo, problem, 1000, seed)
                 sol = trace.final.solution
                 record = ([(fe, float(best)) for fe, best in trace.samples],
                           float(trace.final.fitness), sol.cont.tolist(), sol.disc)
                 digest.update(repr(record).encode())
-    return digest.hexdigest()
+        digests[algo] = digest.hexdigest()
+    return digests
 
 
 def test_golden_stream():
     problems = [get_problem(name, dim=10) for name in GOLDEN_PROBLEMS]
-    assert _stream_digest(problems) == GOLDEN_DIGEST
+    assert _stream_digests(problems) == GOLDEN_DIGEST
 
 
 class MixedCategorical:
@@ -314,13 +324,19 @@ class MixedCategorical:
                 + (sol.disc[1] != "c"))
 
 
-# the same digest on MixedCategorical; taken from the engines before the
+# the same digests on MixedCategorical; taken from the engines before the
 # firefly schedule moved into `firefly._sweep`
-CATEGORICAL_DIGEST = "b825a819e53a1fd5f74c4a6dad4aa0287381cf6261a16ba79daba58db9747dac"
+CATEGORICAL_DIGEST = {
+    "fa": "b7b76947cbaf7c174e8e9fd33dc4affee8ffead38582cc8a9c931889b3d4473a",
+    "famv-h": "37a94115b4c2dd6be7f733aa3086cde226b7a3f37d02d8d4e1cf98f5172e4a1b",
+    "famv-g": "7ed812a6b7299755769c674170a063e173ef6bad5700612e0c21eb72293b0137",
+    "famv-h-adaptive": "6d0138f5c95073ec7f059e75c59e1c6a50dc4561b3243eac576daea890ec87f5",
+    "ga": "e2619126fc3179ed2a82034c03cfd864c6630b6f477ee80b48fb64d2ca035aab",
+}
 
 
 def test_golden_stream_categorical():
-    assert _stream_digest([MixedCategorical()]) == CATEGORICAL_DIGEST
+    assert _stream_digests([MixedCategorical()]) == CATEGORICAL_DIGEST
 
 
 @pytest.mark.parametrize("algo", ["famv-h", "famv-g"])
