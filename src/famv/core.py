@@ -232,9 +232,19 @@ class Recorder:
         return RunTrace(self.samples, self.best, seed, algorithm)
 
 
+# Up to this many discrete dimensions, one scalar draw each (about 3 us) is
+# cheaper than one array-bound draw (about 14 us, even with no bounds); both
+# take the same values from the stream.
+_SCALAR_CODE_DRAWS = 4
+
+
 def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
     """Draw a uniform random solution from the space."""
     cont = space.cont_lo + rng.random(space.n_c) * space.cont_range
-    codes = rng.integers(space.disc_lo, space.disc_hi + 1)
+    if space.n_d > _SCALAR_CODE_DRAWS:
+        codes = rng.integers(space.disc_lo, space.disc_hi + 1)
+    else:
+        codes = np.array([rng.integers(lo, hi + 1) for lo, hi
+                          in zip(space.disc_lo.tolist(), space.disc_hi.tolist())], dtype=np.int64)
     return MixedSolution(cont, space.decode(codes))
 

@@ -30,12 +30,20 @@ class GaConfig:
     bits_per_continuous: int = 16
 
     def __post_init__(self):
+        if self.pop_size < 2:
+            raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         if self.pop_size % 2 != 0:
             raise ValueError("pop_size must be even for pairing")
         if not (0 <= self.p_crossover <= 1 and 0 <= self.p_mutation <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
+        if self.tournament_size < 1:
+            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
         if self.elitism_count < 0 or self.elitism_count > self.pop_size:
             raise ValueError("elitism_count out of range")
+        # a segment's place values must fit an int64
+        if not 1 <= self.bits_per_continuous <= 63:
+            raise ValueError("bits_per_continuous must lie in [1, 63], "
+                             f"got {self.bits_per_continuous}")
 
 
 class ChromosomeLayout:
@@ -57,89 +65,86 @@ class ChromosomeLayout:
         self.cont_levels = 2.0 ** widths[space.cont_pos] - 1
 
 
-def decode(layout: ChromosomeLayout, bits: np.ndarray) -> MixedSolution:
-    """Map a chromosome to a feasible mixed solution: continuous segments
-    linearly onto their interval, discrete ones modulo their size."""
-    if len(bits) != layout.length:
-        raise ValueError(f"chromosome length {len(bits)} != layout length {layout.length}")
+def decode(layout: ChromosomeLayout, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map an ``(n, L)`` chromosome matrix to its ``(n, n_c)`` continuous
+    values and ``(n, n_d)`` codes: continuous segments linearly onto their
+    interval, discrete ones modulo their size."""
+    if bits.ndim != 2 or bits.shape[1] != layout.length:
+        raise ValueError(f"chromosome shape {bits.shape} != (n, {layout.length})")
     space = layout.space
-    raw = np.add.reduceat(bits * layout.place, layout.starts)
-    cont = space.cont_lo + raw[space.cont_pos] / layout.cont_levels * space.cont_range
-    codes = space.disc_lo + raw[space.disc_pos] % layout.disc_sizes
-    return MixedSolution(cont, space.decode(codes))
+    raw = np.add.reduceat(bits * layout.place, layout.starts, axis=1)
+    cont = space.cont_lo + raw[:, space.cont_pos] / layout.cont_levels * space.cont_range
+    codes = space.disc_lo + raw[:, space.disc_pos] % layout.disc_sizes
+    return cont, codes
 
 
 def one_point_crossover(a: np.ndarray, b: np.ndarray,
-                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Swap suffixes at a uniform cut point in {1 .. L-1}."""
-    if len(a) != len(b):
+                        cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Swap the suffixes of each row pair of ``a`` and ``b`` from its cut in
+    {1 .. L}; a cut of L swaps nothing."""
+    if a.shape != b.shape:
         raise ValueError("chromosome lengths differ")
-    if len(a) < 2:
+    if a.shape[1] < 2:
         raise ValueError("chromosomes need at least two bits")
-    cut = int(rng.integers(1, len(a)))
-    child_a = np.concatenate([a[:cut], b[cut:]])
-    child_b = np.concatenate([b[:cut], a[cut:]])
-    return child_a, child_b
+    suffix = np.arange(a.shape[1]) >= cuts[:, None]
+    return np.where(suffix, b, a), np.where(suffix, a, b)
 
 
-def _tournament_index(fitnesses: list[float], rng: np.random.Generator,
-                      size: int) -> int:
-    picks = rng.integers(len(fitnesses), size=size)
-    return min(picks, key=lambda i: fitnesses[i])
-
-
-def _mutate(bits: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    if p <= 0:
-        return bits
-    flips = rng.random(len(bits)) < p
-    return np.where(flips, 1 - bits, bits)
+def _tournament(fitness: np.ndarray, rng: np.random.Generator, n: int,
+                size: int) -> np.ndarray:
+    """Indices of ``n`` tournament winners, each the first of ``size``
+    uniform picks (with replacement) with the lowest fitness."""
+    picks = rng.integers(len(fitness), size=(n, size))
+    return picks[np.arange(n), np.argmin(fitness[picks], axis=1)]
 
 
 def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
-    """Generational GA with elitism under a function-evaluation budget."""
+    """Generational GA with elitism under a function-evaluation budget.
+
+    Children never depend on each other's fitness, so each generation draws
+    its tournaments, crossovers and mutations as whole matrices and decodes
+    every child at once; only the evaluations run one child at a time.
+    """
     space = problem.space
     layout = ChromosomeLayout(space, config.bits_per_continuous)
     rng = np.random.default_rng(config.seed)
     budget = EvaluationBudget(config.max_fe)
     rec = Recorder(problem, budget)
 
-    genomes: list[np.ndarray] = []
-    fitnesses: list[float] = []
-    for _ in range(config.pop_size):
-        if not budget.consume():
-            break
-        bits = rng.integers(0, 2, size=layout.length, dtype=np.int8)
-        genomes.append(bits)
-        fitnesses.append(rec.evaluate(decode(layout, bits)))
-    if not genomes:
-        raise ValueError("budget too small to evaluate any individual")
+    def evaluate(bits: np.ndarray) -> np.ndarray | None:
+        """Fitness of each row in order, or None once the budget runs out."""
+        cont, codes = decode(layout, bits)
+        fitness = np.empty(len(bits))
+        for k in range(len(bits)):
+            if not budget.consume():
+                return None
+            fitness[k] = rec.evaluate(MixedSolution(cont[k], space.decode(codes[k])))
+        return fitness
 
+    genomes = rng.integers(0, 2, size=(min(config.pop_size, config.max_fe), layout.length),
+                           dtype=np.int8)
+    fitness = evaluate(genomes)   # never runs out: at most max_fe rows
     if config.elitism_count >= config.pop_size:
         return rec.build(config.seed, "ga")  # fully elitist: nothing evolves
 
+    n_child = config.pop_size - config.elitism_count
+    pairs = (n_child + 1) // 2
     while not budget.exhausted:
-        order = sorted(range(len(fitnesses)), key=fitnesses.__getitem__)
-        elite_idx = order[:config.elitism_count]
-        next_genomes = [genomes[i].copy() for i in elite_idx]
-        next_fitnesses = [fitnesses[i] for i in elite_idx]
-
-        while len(next_genomes) < config.pop_size:
-            pa = genomes[_tournament_index(fitnesses, rng, config.tournament_size)]
-            pb = genomes[_tournament_index(fitnesses, rng, config.tournament_size)]
-            # a one-bit chromosome has no cut point: its children are copies
-            if layout.length > 1 and rng.random() < config.p_crossover:
-                ca, cb = one_point_crossover(pa, pb, rng)
-            else:
-                ca, cb = pa.copy(), pb.copy()
-            for child in (ca, cb):
-                if len(next_genomes) >= config.pop_size:
-                    break
-                child = _mutate(child, config.p_mutation, rng)
-                if not budget.consume():
-                    return rec.build(config.seed, "ga")
-                next_genomes.append(child)
-                next_fitnesses.append(rec.evaluate(decode(layout, child)))
-
-        genomes, fitnesses = next_genomes, next_fitnesses
+        elite = np.argsort(fitness, kind="stable")[:config.elitism_count]
+        parents = genomes[_tournament(fitness, rng, 2 * pairs, config.tournament_size)]
+        pa, pb = parents[0::2], parents[1::2]
+        # a one-bit chromosome has no cut point: its children are copies
+        if layout.length > 1:
+            crossed = rng.random(pairs) < config.p_crossover
+            cuts = rng.integers(1, layout.length, size=pairs)
+            pa, pb = one_point_crossover(pa, pb, np.where(crossed, cuts, layout.length))
+        children = np.stack((pa, pb), axis=1).reshape(2 * pairs, layout.length)[:n_child]
+        if config.p_mutation > 0:
+            children ^= rng.random(children.shape) < config.p_mutation
+        child_fitness = evaluate(children)
+        if child_fitness is None:
+            break
+        genomes = np.concatenate((genomes[elite], children))
+        fitness = np.concatenate((fitness[elite], child_fitness))
 
     return rec.build(config.seed, "ga")

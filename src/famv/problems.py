@@ -44,7 +44,7 @@ class Problem:
         if len(g) == 0:
             return value
         violation = np.maximum(0.0, g)
-        value += PENALTY_M * float(np.sum(violation))
+        value += PENALTY_M * float(np.add.reduce(violation))
         if self.penalty_mode is PenaltyMode.MAGNITUDE_PLUS_COUNT:
             value += PENALTY_M * int(np.count_nonzero(violation))
         return value
@@ -222,33 +222,33 @@ class CsdProblem(Problem):
 # --- shifted synthetic family ----------------------------------------------
 
 def _sphere(z: np.ndarray) -> float:
-    return float(np.sum(z * z))
+    return float(np.add.reduce(z * z))
 
 
 def _elliptic(z: np.ndarray) -> float:
     d = len(z)
     exponents = np.arange(d) / max(d - 1, 1)
-    return float(np.sum(np.power(1e6, exponents) * z * z))
+    return float(np.add.reduce(np.power(1e6, exponents) * z * z))
 
 
 def _rosenbrock(z: np.ndarray) -> float:
     z = z + 1.0  # optimum moved to the origin
-    return float(np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2))
+    return float(np.add.reduce(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2))
 
 
 def _rastrigin(z: np.ndarray) -> float:
-    return float(np.sum(z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0))
+    return float(np.add.reduce(z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0))
 
 
 def _ackley(z: np.ndarray) -> float:
     d = len(z)
-    return float(-20.0 * math.exp(-0.2 * math.sqrt(np.sum(z * z) / d))
-                 - math.exp(np.sum(np.cos(2.0 * math.pi * z)) / d) + 20.0 + math.e)
+    return float(-20.0 * math.exp(-0.2 * math.sqrt(np.add.reduce(z * z) / d))
+                 - math.exp(np.add.reduce(np.cos(2.0 * math.pi * z)) / d) + 20.0 + math.e)
 
 
 def _griewank(z: np.ndarray) -> float:
     idx = np.sqrt(np.arange(1, len(z) + 1))
-    return float(np.sum(z * z) / 4000.0 - np.prod(np.cos(z / idx)) + 1.0)
+    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / idx)) + 1.0)
 
 
 _SCHWEFEL_SHIFT = 420.968746
@@ -256,7 +256,7 @@ _SCHWEFEL_SHIFT = 420.968746
 
 def _schwefel(z: np.ndarray) -> float:
     z = z + _SCHWEFEL_SHIFT
-    return float(418.9829 * len(z) - np.sum(z * np.sin(np.sqrt(np.abs(z)))))
+    return float(418.9829 * len(z) - np.add.reduce(z * np.sin(np.sqrt(np.abs(z)))))
 
 
 _SYNTHETIC = {

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from famv import (Categorical, Continuous, EvaluationBudget, Firefly,
                   IntegerRange, MixedSolution, RunTrace, SearchSpace,
                   random_solution)
+from famv import core
 from famv.core import Recorder
 
 
@@ -125,6 +126,23 @@ class TestRandomSolution:
         space = _hypothesis_space()
         sol = random_solution(space, np.random.default_rng(seed))
         assert sol.conforms(space)
+
+
+    @pytest.mark.parametrize("n_d", [0, 1, 4, 5, 7])
+    def test_scalar_code_draws_match_one_array_draw(self, monkeypatch, n_d):
+        # small spaces draw one scalar per code; the array-bound draw is the
+        # reference, and both must leave the stream in the same place
+        dims = [Continuous(-1.0, 1.0)] + [IntegerRange(-k, 3 * k) for k in range(n_d - 1)]
+        if n_d:
+            dims.append(Categorical(("a", "b", "c")))
+        space = SearchSpace(dims)
+        drawn = []
+        for scalar_up_to in (core._SCALAR_CODE_DRAWS, -1):
+            monkeypatch.setattr(core, "_SCALAR_CODE_DRAWS", scalar_up_to)
+            rng = np.random.default_rng(11)
+            sols = [random_solution(space, rng) for _ in range(20)]
+            drawn.append((sols, rng.random()))
+        assert drawn[0] == drawn[1]
 
 
 class TestRunTrace:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from famv import (Categorical, Continuous, GaConfig, IntegerRange, SearchSpace,
-                  run_ga)
-from famv.ga import (ChromosomeLayout, _tournament_index, decode,
-                     one_point_crossover)
+from famv import (Categorical, Continuous, GaConfig, IntegerRange, MixedSolution,
+                  SearchSpace, run_ga)
+from famv import ga
+from famv.ga import ChromosomeLayout, _tournament, decode, one_point_crossover
 
 
 class TestLayout:
@@ -25,82 +25,116 @@ class TestDecode:
     def test_continuous_extremes(self):
         layout = ChromosomeLayout(SearchSpace([Continuous(0.0, 1.0)]),
                                   bits_per_continuous=8)
-        assert decode(layout, np.zeros(8, dtype=np.int8)).cont[0] == 0.0
-        assert decode(layout, np.ones(8, dtype=np.int8)).cont[0] == 1.0
+        bits = np.array([[0] * 8, [1] * 8], dtype=np.int8)
+        cont, codes = decode(layout, bits)
+        assert cont.tolist() == [[0.0], [1.0]]
+        assert codes.shape == (2, 0)
 
     def test_modulo_mapping(self):
         # 5 symbols and 5 integers each take 3 bits, so raw 5..7 wrap around
         space = SearchSpace([Categorical(("a", "b", "c", "d", "e")), IntegerRange(2, 6)])
         layout = ChromosomeLayout(space)
         assert layout.length == 6
-        # raw 6 mod 5 = 1 -> "b"; raw 7 mod 5 = 2 -> 2 + 2
-        assert decode(layout, np.array([1, 1, 0, 1, 1, 1], dtype=np.int8)).disc == ("b", 4)
+        # raw 6 mod 5 = 1 -> "b"; raw 7 mod 5 = 2 -> 2 + 2; raw 0 -> "a", 2
+        bits = np.array([[1, 1, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0]], dtype=np.int8)
+        _, codes = decode(layout, bits)
+        assert [space.decode(row) for row in codes] == [("b", 4), ("a", 2)]
 
     def test_always_feasible(self, mixed_space, rng):
         layout = ChromosomeLayout(mixed_space)
-        for _ in range(200):
-            bits = rng.integers(0, 2, size=layout.length, dtype=np.int8)
-            assert decode(layout, bits).conforms(mixed_space)
+        bits = rng.integers(0, 2, size=(200, layout.length), dtype=np.int8)
+        for cont, codes in zip(*decode(layout, bits)):
+            assert MixedSolution(cont, mixed_space.decode(codes)).conforms(mixed_space)
 
-    def test_length_check(self, mixed_space):
-        layout = ChromosomeLayout(mixed_space)
-        with pytest.raises(ValueError):
-            decode(layout, np.zeros(3, dtype=np.int8))
+    def test_matches_per_segment_reference(self, mixed_space, rng):
+        layout = ChromosomeLayout(mixed_space)   # segments of 16, 16, 4 and 2 bits
+        bits = rng.integers(0, 2, size=(50, layout.length), dtype=np.int8)
+        cont, codes = decode(layout, bits)
+        for row, x, c in zip(bits.tolist(), cont, codes):
+            raw = [int("".join(map(str, row[a:b])), 2)
+                   for a, b in ((0, 16), (16, 32), (32, 36), (36, 38))]
+            assert x.tolist() == [-5.0 + raw[0] / 65535 * 10.0, 0.0 + raw[1] / 65535 * 10.0]
+            assert c.tolist() == [raw[2] % 10, raw[3] % 3]
+
+    @pytest.mark.parametrize("shape", [(1, 3), (38,), (2, 39)])
+    def test_length_check(self, mixed_space, shape):
+        layout = ChromosomeLayout(mixed_space)   # 38 bits
+        with pytest.raises(ValueError, match="chromosome shape"):
+            decode(layout, np.zeros(shape, dtype=np.int8))
 
 
 class TestCrossover:
     def test_identical_parents(self, rng):
-        a = np.array([0, 1, 0, 1], dtype=np.int8)
-        ca, cb = one_point_crossover(a, a.copy(), rng)
+        a = rng.integers(0, 2, size=(5, 4), dtype=np.int8)
+        ca, cb = one_point_crossover(a, a.copy(), rng.integers(1, 5, size=5))
         np.testing.assert_array_equal(ca, a)
         np.testing.assert_array_equal(cb, a)
 
     def test_forced_cut(self):
-        class FixedCut:
-            def integers(self, lo, hi):
-                return 2
-
-        a = np.array([0, 0, 0, 0], dtype=np.int8)
-        b = np.array([1, 1, 1, 1], dtype=np.int8)
-        ca, cb = one_point_crossover(a, b, FixedCut())
-        np.testing.assert_array_equal(ca, [0, 0, 1, 1])
-        np.testing.assert_array_equal(cb, [1, 1, 0, 0])
+        a = np.zeros((3, 4), dtype=np.int8)
+        b = np.ones((3, 4), dtype=np.int8)
+        # cut 2 swaps the last two bits, cut 1 the last three, cut L nothing
+        ca, cb = one_point_crossover(a, b, np.array([2, 1, 4]))
+        np.testing.assert_array_equal(ca, [[0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 0, 0]])
+        np.testing.assert_array_equal(cb, 1 - ca)
 
     def test_per_position_multiset_preserved(self, rng):
-        a = rng.integers(0, 2, size=20, dtype=np.int8)
-        b = rng.integers(0, 2, size=20, dtype=np.int8)
-        ca, cb = one_point_crossover(a, b, rng)
-        assert len(ca) == len(cb) == 20
-        for k in range(20):
-            assert {ca[k], cb[k]} == {a[k], b[k]}
+        a = rng.integers(0, 2, size=(8, 20), dtype=np.int8)
+        b = rng.integers(0, 2, size=(8, 20), dtype=np.int8)
+        ca, cb = one_point_crossover(a, b, rng.integers(1, 20, size=8))
+        assert ca.shape == cb.shape == (8, 20)
+        np.testing.assert_array_equal(np.minimum(ca, cb), np.minimum(a, b))
+        np.testing.assert_array_equal(np.maximum(ca, cb), np.maximum(a, b))
 
-    def test_too_short(self, rng):
-        with pytest.raises(ValueError):
-            one_point_crossover(np.zeros(1, dtype=np.int8),
-                                np.zeros(1, dtype=np.int8), rng)
+    def test_too_short(self):
+        with pytest.raises(ValueError, match="two bits"):
+            one_point_crossover(np.zeros((2, 1), dtype=np.int8),
+                                np.zeros((2, 1), dtype=np.int8), np.ones(2, dtype=int))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="lengths differ"):
+            one_point_crossover(np.zeros((2, 4), dtype=np.int8),
+                                np.zeros((2, 5), dtype=np.int8), np.ones(2, dtype=int))
+
+
+class FixedPicks:
+    """A generator stand-in whose ``integers`` returns the given picks."""
+
+    def __init__(self, picks):
+        self.picks = np.array(picks)
+
+    def integers(self, high, size):
+        assert self.picks.shape == size and self.picks.max() < high
+        return self.picks
 
 
 class TestTournament:
     def test_population_of_one(self, rng):
-        assert _tournament_index([5.0], rng, 3) == 0
+        assert _tournament(np.array([5.0]), rng, 4, 3).tolist() == [0, 0, 0, 0]
 
     def test_best_selection_frequency(self, rng):
-        fitnesses = [float(f) for f in range(10)]
+        fitness = np.arange(10, dtype=float)
         trials = 10_000
-        wins = sum(_tournament_index(fitnesses, rng, 3) == 0 for _ in range(trials))
+        wins = np.mean(_tournament(fitness, rng, trials, 3) == 0)
         # with replacement: P(best in sample) = 1 - (9/10)^3 = 0.271
-        assert abs(wins / trials - 0.271) < 0.02
+        assert abs(wins - 0.271) < 0.02
 
     def test_worst_selection_frequency(self, rng):
-        fitnesses = [float(f) for f in range(10)]
+        fitness = np.arange(10, dtype=float)
         trials = 10_000
-        losses = sum(_tournament_index(fitnesses, rng, 3) == 9 for _ in range(trials))
+        losses = np.mean(_tournament(fitness, rng, trials, 3) == 9)
         # only an all-worst sample selects it: (1/10)^3 = 0.001
-        assert abs(losses / trials - 0.001) < 0.002
+        assert abs(losses - 0.001) < 0.002
 
     def test_empty_population(self, rng):
         with pytest.raises(ValueError):
-            _tournament_index([], rng, 3)
+            _tournament(np.array([]), rng, 2, 3)
+
+    def test_first_minimal_pick_wins_a_tie(self):
+        fitness = np.array([3.0, 1.0, 1.0, np.inf])
+        picks = [[2, 1, 0], [1, 2, 3], [3, 0, 3], [3, 3, 3]]
+        winners = _tournament(fitness, FixedPicks(picks), 4, 3)
+        assert winners.tolist() == [2, 1, 0, 3]
 
 
 class TestGaConfig:
@@ -111,6 +145,21 @@ class TestGaConfig:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
             GaConfig(max_fe=100, p_crossover=1.5)
+
+    @pytest.mark.parametrize("setting", [
+        {"tournament_size": 0}, {"tournament_size": -1},
+        {"bits_per_continuous": 0}, {"bits_per_continuous": 64},
+        {"pop_size": 0}, {"pop_size": -2}])
+    def test_rejects_degenerate_setting_by_name(self, setting):
+        (name, _), = setting.items()
+        with pytest.raises(ValueError, match=name):
+            GaConfig(max_fe=100, **setting)
+
+    @pytest.mark.parametrize("setting", [
+        {"tournament_size": 1}, {"bits_per_continuous": 1}, {"pop_size": 2}])
+    def test_smallest_settings_run(self, toy_problem, setting):
+        trace = run_ga(toy_problem, GaConfig(max_fe=60, seed=0, **setting))
+        assert trace.final.solution.conforms(toy_problem.space)
 
 
 class TestRunGa:
@@ -151,6 +200,67 @@ class TestRunGa:
         trace = run_ga(problem, GaConfig(max_fe=300, seed=1))
         assert problem.calls == 300
         assert trace.final.solution.conforms(problem.space)
+
+    def test_elites_carried_bit_for_bit(self, toy_problem, monkeypatch):
+        # no crossover or mutation, and every tournament picks rows 0 and 1
+        # in turn, so the second generation's children copy its two elites;
+        # 56 FE are the initial 20 and two generations of 18 children
+        decoded, tournament_fitness = [], []
+        real_decode = ga.decode
+
+        def recording_decode(layout, bits):
+            decoded.append(bits.copy())
+            return real_decode(layout, bits)
+
+        def first_two(fitness, rng, n, size):
+            tournament_fitness.append(fitness.copy())
+            return np.arange(n) % 2
+
+        monkeypatch.setattr(ga, "decode", recording_decode)
+        monkeypatch.setattr(ga, "_tournament", first_two)
+        config = GaConfig(max_fe=56, seed=3, pop_size=20, p_crossover=0.0,
+                          p_mutation=0.0, elitism_count=2)
+        run_ga(toy_problem, config)
+        initial, _, second = decoded
+        first_fitness, next_fitness = tournament_fitness
+        elite = np.argsort(first_fitness, kind="stable")[:2]
+        np.testing.assert_array_equal(next_fitness[:2], first_fitness[elite])
+        np.testing.assert_array_equal(second, initial[elite][np.arange(18) % 2])
+
+    def test_budget_ending_mid_generation(self):
+        calls = []
+
+        class Counting:
+            name = "counting"
+            reference_optimum = 0.0
+            space = SearchSpace([Continuous(-1.0, 1.0), IntegerRange(0, 5)])
+
+            def __call__(self, sol):
+                calls.append(sol)
+                return float(sol.cont[0] ** 2 + sol.disc[0])
+
+        # 20 initial, two generations of 19 children, then 7 of the third
+        trace = run_ga(Counting(), GaConfig(max_fe=65, seed=4, pop_size=20))
+        assert len(calls) == 65
+        assert trace.samples[-1][0] <= 65
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_child_conforms(self, mixed_space, seed):
+        solutions = []
+
+        class Recording:
+            name = "recording"
+            reference_optimum = 0.0
+            space = mixed_space
+
+            def __call__(self, sol):
+                solutions.append(sol)
+                return float(np.sum(sol.cont ** 2)) + sol.disc[0]
+
+        run_ga(Recording(), GaConfig(max_fe=500, seed=seed, pop_size=10,
+                                     p_mutation=0.2))
+        assert len(solutions) == 500
+        assert all(sol.conforms(mixed_space) for sol in solutions)
 
     def test_finds_toy_optimum_region(self, toy_problem):
         trace = run_ga(toy_problem, GaConfig(max_fe=5000, seed=0))
