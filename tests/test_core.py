@@ -127,7 +127,6 @@ class TestRandomSolution:
         sol = random_solution(space, np.random.default_rng(seed))
         assert sol.conforms(space)
 
-
     @pytest.mark.parametrize("n_d", [0, 1, 4, 5, 7])
     def test_scalar_code_draws_match_one_array_draw(self, monkeypatch, n_d):
         # small spaces draw one scalar per code; the array-bound draw is the
