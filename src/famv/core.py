@@ -5,11 +5,12 @@ numpy vector and its discrete components (integers or category symbols) in a
 tuple.  Continuous components come first, discrete second; both follow the
 order in which their dimensions appear in the search space.
 
-The engines hold the discrete part as an int64 *code* vector instead: an
-integer's value, or a category's index in ``values``.  Only `SearchSpace`
-knows that layout (`encode`, `decode`, index and bound arrays).  The
-objective always gets a `MixedSolution` of values and symbols, through
-`Recorder`, the evaluation path every engine shares.
+The engines hold only arrays: a continuous vector and an int64 *code*
+vector, whose codes are an integer's value or a category's index in
+``values``.  Only `SearchSpace` knows that layout (`encode`, `decode`, index
+and bound arrays).  `Recorder` is the evaluation path every engine shares:
+it charges one function evaluation (FE) of the run's budget, decodes the
+codes and calls the objective with a `MixedSolution` of values and symbols.
 """
 
 from __future__ import annotations
@@ -130,7 +131,8 @@ class MixedSolution:
         return np.array_equal(self.cont, other.cont) and self.disc == other.disc
 
     def __hash__(self):
-        return hash((self.cont.tobytes(), self.disc))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ already counts as equal
+        return hash(((self.cont + 0.0).tobytes(), self.disc))
 
     def conforms(self, space: SearchSpace) -> bool:
         """True when every component lies inside its dimension's domain."""
@@ -160,13 +162,11 @@ class EvaluationBudget:
         self.max_fe = int(max_fe)
         self.consumed = 0
 
-    def consume(self, n: int = 1) -> bool:
-        """Charge ``n`` evaluations; False means exhausted (nothing charged)."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if self.consumed + n > self.max_fe:
+    def consume(self) -> bool:
+        """Charge one evaluation; False means exhausted (nothing charged)."""
+        if self.consumed >= self.max_fe:
             return False
-        self.consumed += n
+        self.consumed += 1
         return True
 
     @property
@@ -204,20 +204,25 @@ class RunTrace:
 
 
 class Recorder:
-    """Evaluates solutions for one run and keeps its best-so-far samples.
+    """The one evaluation path of a run: charges its budget of ``max_fe``
+    FE, calls the objective and keeps the best-so-far samples.
 
     A non-finite objective value is stored as +inf, so it never becomes the
     best while a finite value exists and never wins a comparison.
     """
 
-    def __init__(self, problem: ObjectiveFunction, budget: EvaluationBudget):
+    def __init__(self, problem: ObjectiveFunction, max_fe: int):
         self.problem = problem
-        self.budget = budget
+        self.space = problem.space
+        self.budget = EvaluationBudget(max_fe)
         self.best: Firefly | None = None
         self.samples: list[tuple[int, float]] = []
 
-    def evaluate(self, solution: MixedSolution) -> float:
-        """Objective value of an evaluation the budget has already charged."""
+    def evaluate(self, cont: np.ndarray, codes: np.ndarray) -> float:
+        """Charge one FE and return the objective value of the point."""
+        if not self.budget.consume():
+            raise RuntimeError(f"evaluation past the budget of {self.budget.max_fe} FE")
+        solution = MixedSolution(cont, self.space.decode(codes))
         fitness = self.problem(solution)
         if not math.isfinite(fitness):
             fitness = math.inf
@@ -238,13 +243,17 @@ class Recorder:
 _SCALAR_CODE_DRAWS = 4
 
 
-def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
-    """Draw a uniform random solution from the space."""
+def random_point(space: SearchSpace,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a uniform random continuous vector and code vector."""
     cont = space.cont_lo + rng.random(space.n_c) * space.cont_range
     if space.n_d > _SCALAR_CODE_DRAWS:
-        codes = rng.integers(space.disc_lo, space.disc_hi + 1)
-    else:
-        codes = np.array([rng.integers(lo, hi + 1) for lo, hi
-                          in zip(space.disc_lo.tolist(), space.disc_hi.tolist())], dtype=np.int64)
-    return MixedSolution(cont, space.decode(codes))
+        return cont, rng.integers(space.disc_lo, space.disc_hi + 1)
+    return cont, np.array([rng.integers(lo, hi + 1) for lo, hi
+                           in zip(space.disc_lo.tolist(), space.disc_hi.tolist())], dtype=np.int64)
 
+
+def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
+    """Draw a uniform random solution from the space."""
+    cont, codes = random_point(space, rng)
+    return MixedSolution(cont, space.decode(codes))

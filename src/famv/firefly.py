@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvaluationBudget, MixedSolution, ObjectiveFunction, Recorder,
-                   RunTrace, SearchSpace, random_solution)
+from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace,
+                   SearchSpace, random_point)
 from .distances import CODE_DISTANCES, DistanceKind, euclidean
 
 
@@ -114,9 +114,11 @@ def alpha_step_categorical(codes: np.ndarray, sizes: np.ndarray, p_alpha: float,
 def replacement_prob(alpha: float, alpha_init: float, k: float, adaptive: bool) -> float:
     """Sigmoid mapping from the exploration parameter to a replacement
     probability; midpoint at alpha_init / 2 in the adaptive form."""
-    if adaptive:
-        return 1.0 / (1.0 + math.exp(-k * (alpha - alpha_init / 2.0)))
-    return 1.0 / (1.0 + math.exp(-k * alpha / 2.0))
+    z = k * (alpha - alpha_init / 2.0) if adaptive else k * alpha / 2.0
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:   # exp(-z) is past the largest double: the sigmoid is 0
+        return 0.0
 
 
 def adapt_parameters(alpha_init: float, gamma_init: float,
@@ -148,8 +150,8 @@ def _alpha_step_all(space: SearchSpace, codes: np.ndarray, alpha: float,
 def _sweep(fitness: list[float], budget: EvaluationBudget):
     """One pass of the firefly schedule (Yang 2009): yields ``(i, j)`` for a
     move of firefly i toward the brighter j, and ``(i, None)`` for the idle
-    walk of a firefly with no brighter one, charging one evaluation before
-    each and stopping when the budget is spent.  The caller stores i's new
+    walk of a firefly with no brighter one, and stops once the budget is
+    spent.  The caller evaluates, which charges one FE, and stores i's new
     value in ``fitness[i]``, which is re-read after every yield, so each
     firefly moves from its updated position."""
     for i in range(len(fitness)):
@@ -157,12 +159,12 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
         for j in range(len(fitness)):
             if i == j or not fitness[j] < fitness[i]:
                 continue
-            if not budget.consume():
+            if budget.exhausted:
                 return
             yield i, j
             moved = True
         if not moved:
-            if not budget.consume():
+            if budget.exhausted:
                 return
             yield i, None
 
@@ -171,34 +173,32 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     """Mixed-variable firefly run under a function-evaluation budget.
 
     The population is kept as continuous vectors, code vectors and a fitness
-    list; a `MixedSolution` is built only to call the objective.
+    list; the `Recorder` charges each evaluation and decodes the codes for
+    the objective.
     """
     space = problem.space
     rng = np.random.default_rng(config.seed)
-    budget = EvaluationBudget(config.max_fe)
-    rec = Recorder(problem, budget)
+    rec = Recorder(problem, config.max_fe)
     distance = CODE_DISTANCES[config.distance]
 
     conts, codes, fitness = [], [], []
-    for _ in range(config.pop_size):
-        if not budget.consume():
-            break
-        sol = random_solution(space, rng)
-        conts.append(sol.cont)
-        codes.append(space.encode(sol.disc))
-        fitness.append(rec.evaluate(sol))
+    for _ in range(min(config.pop_size, config.max_fe)):
+        cont, code = random_point(space, rng)
+        conts.append(cont)
+        codes.append(code)
+        fitness.append(rec.evaluate(cont, code))
 
     alpha, gamma = config.alpha, config.gamma
-    while not budget.exhausted:
+    while not rec.budget.exhausted:
         if config.adapt_alpha or config.adapt_gamma:
-            a, g = adapt_parameters(config.alpha, config.gamma, budget)
+            a, g = adapt_parameters(config.alpha, config.gamma, rec.budget)
             if config.adapt_alpha:
                 alpha = a
             if config.adapt_gamma:
                 gamma = g
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
 
-        for i, j in _sweep(fitness, budget):
+        for i, j in _sweep(fitness, rec.budget):
             if j is None:
                 cont = conts[i] + alpha * (rng.random(space.n_c) - 0.5)
                 disc = codes[i]
@@ -210,19 +210,19 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
                                  discrete_attraction_prob(gamma, r), rng)
             codes[i] = _alpha_step_all(space, disc, alpha, p_alpha, rng)
             conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
-            fitness[i] = rec.evaluate(MixedSolution(conts[i], space.decode(codes[i])))
+            fitness[i] = rec.evaluate(conts[i], codes[i])
 
     return rec.build(config.seed, "famv")
 
 
-def relaxed_decode(space: SearchSpace, position: np.ndarray) -> MixedSolution:
-    """Map a relaxed real vector back to a feasible mixed solution: every
-    component is clipped to ``space.lo``/``space.hi``, and discrete ones
-    round half away from zero to an integer value or category index."""
+def relaxed_decode(space: SearchSpace, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map a relaxed real vector back to a feasible continuous vector and
+    code vector: every component is clipped to ``space.lo``/``space.hi``,
+    and discrete ones round half away from zero to an integer code."""
     if len(position) != space.dim:
         raise ValueError("relaxed vector length does not match the space")
     x = _clip(position, space.lo, space.hi)
-    return MixedSolution(x[space.cont_pos], space.decode(_round_codes(x[space.disc_pos])))
+    return x[space.cont_pos], _round_codes(x[space.disc_pos])
 
 
 def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
@@ -235,19 +235,14 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     """
     space = problem.space
     rng = np.random.default_rng(config.seed)
-    budget = EvaluationBudget(config.max_fe)
-    rec = Recorder(problem, budget)
+    rec = Recorder(problem, config.max_fe)
     lo, hi = space.lo, space.hi
 
     positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
-    fitness = []
-    for pos in positions:
-        if not budget.consume():
-            break
-        fitness.append(rec.evaluate(relaxed_decode(space, pos)))
+    fitness = [rec.evaluate(*relaxed_decode(space, pos)) for pos in positions[:config.max_fe]]
 
-    while not budget.exhausted:
-        for i, j in _sweep(fitness, budget):
+    while not rec.budget.exhausted:
+        for i, j in _sweep(fitness, rec.budget):
             if j is None:
                 position = positions[i] + config.alpha * (rng.random(space.dim) - 0.5)
             else:
@@ -256,6 +251,6 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
                 position = continuous_move(positions[i], positions[j], beta,
                                            config.alpha, rng)
             positions[i] = _clip(position, lo, hi)
-            fitness[i] = rec.evaluate(relaxed_decode(space, positions[i]))
+            fitness[i] = rec.evaluate(*relaxed_decode(space, positions[i]))
 
     return rec.build(config.seed, "fa")

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EvaluationBudget, MixedSolution, ObjectiveFunction, Recorder,
-                   RunTrace, SearchSpace)
+from .core import ObjectiveFunction, Recorder, RunTrace, SearchSpace
 
 
 @dataclass(frozen=True)
@@ -105,21 +104,17 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
     its tournaments, crossovers and mutations as whole matrices and decodes
     every child at once; only the evaluations run one child at a time.
     """
-    space = problem.space
-    layout = ChromosomeLayout(space, config.bits_per_continuous)
+    layout = ChromosomeLayout(problem.space, config.bits_per_continuous)
     rng = np.random.default_rng(config.seed)
-    budget = EvaluationBudget(config.max_fe)
-    rec = Recorder(problem, budget)
+    rec = Recorder(problem, config.max_fe)
 
     def evaluate(bits: np.ndarray) -> np.ndarray | None:
-        """Fitness of each row in order, or None once the budget runs out."""
+        """Fitness of each row in order, or None when the budget runs out
+        before the last row."""
         cont, codes = decode(layout, bits)
-        fitness = np.empty(len(bits))
-        for k in range(len(bits)):
-            if not budget.consume():
-                return None
-            fitness[k] = rec.evaluate(MixedSolution(cont[k], space.decode(codes[k])))
-        return fitness
+        n = min(len(bits), rec.budget.max_fe - rec.budget.consumed)
+        fitness = np.array([rec.evaluate(cont[k], codes[k]) for k in range(n)])
+        return fitness if n == len(bits) else None
 
     genomes = rng.integers(0, 2, size=(min(config.pop_size, config.max_fe), layout.length),
                            dtype=np.int8)
@@ -129,7 +124,7 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
 
     n_child = config.pop_size - config.elitism_count
     pairs = (n_child + 1) // 2
-    while not budget.exhausted:
+    while not rec.budget.exhausted:
         elite = np.argsort(fitness, kind="stable")[:config.elitism_count]
         parents = genomes[_tournament(fitness, rng, 2 * pairs, config.tournament_size)]
         pa, pb = parents[0::2], parents[1::2]

@@ -83,6 +83,9 @@ class TestMixedSolution:
         c = MixedSolution(np.array([1.0, 2.5]), (3, "x"))
         assert a == b and hash(a) == hash(b)
         assert a != c
+        zero, negative_zero = (MixedSolution(np.array([z]), (1,)) for z in (0.0, -0.0))
+        assert zero == negative_zero and hash(zero) == hash(negative_zero)
+        assert len({zero, negative_zero}) == 1
 
     def test_conforms(self, mixed_space):
         good = MixedSolution(np.array([0.0, 5.0]), (3, "b"))
@@ -154,11 +157,21 @@ class TestRunTrace:
 
 
 class TestRecorder:
-    def _recorder(self, values):
-        """A recorder whose objective returns ``values`` in turn."""
-        values = iter(values)
-        budget = EvaluationBudget(10)
-        return Recorder(lambda sol: next(values), budget), budget
+    SPACE = SearchSpace([Continuous(0.0, 1.0), Categorical(("a", "b"))])
+
+    def _recorder(self, values, max_fe=10):
+        """A recorder whose objective returns ``values`` in turn, and the
+        list of solutions the objective was called with."""
+        values, calls = iter(values), []
+
+        class Objective:
+            space = self.SPACE
+
+            def __call__(self, sol):
+                calls.append(sol)
+                return next(values)
+
+        return Recorder(Objective(), max_fe), calls
 
     def test_no_evaluation_is_an_error(self):
         recorder, _ = self._recorder([])
@@ -166,16 +179,28 @@ class TestRecorder:
             recorder.build(0, "x")
 
     def test_non_finite_values_are_inf_and_never_best(self):
-        recorder, budget = self._recorder([math.nan, 3.0, -math.inf, math.nan, 2.0])
-        sol = MixedSolution(np.zeros(1), ())
-        stored = []
-        for _ in range(5):
-            budget.consume()
-            stored.append(recorder.evaluate(sol))
+        recorder, _ = self._recorder([math.nan, 3.0, -math.inf, math.nan, 2.0])
+        stored = [recorder.evaluate(np.zeros(1), np.array([0])) for _ in range(5)]
         assert stored == [math.inf, 3.0, math.inf, math.inf, 2.0]
+        assert recorder.budget.consumed == 5
         trace = recorder.build(0, "x")
         assert trace.samples == [(1, math.inf), (2, 3.0), (5, 2.0)]
         assert trace.final.fitness == 2.0
+
+    def test_objective_gets_decoded_symbols(self):
+        recorder, calls = self._recorder([1.0])
+        recorder.evaluate(np.array([0.25]), np.array([1]))
+        assert calls == [MixedSolution(np.array([0.25]), ("b",))]
+        assert recorder.best.solution == calls[0]
+
+    def test_evaluation_past_budget_raises(self):
+        recorder, calls = self._recorder([1.0, 2.0, 3.0], max_fe=2)
+        for _ in range(2):
+            recorder.evaluate(np.zeros(1), np.array([0]))
+        assert recorder.budget.exhausted
+        with pytest.raises(RuntimeError, match="past the budget"):
+            recorder.evaluate(np.zeros(1), np.array([0]))
+        assert len(calls) == 2 and recorder.budget.consumed == 2
 
 
 class TestEvaluationBudget:
@@ -202,11 +227,10 @@ class TestEvaluationBudget:
 
     def test_progress(self):
         budget = EvaluationBudget(4)
-        budget.consume(2)
+        budget.consume()
+        budget.consume()
         assert budget.progress == 0.5
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             EvaluationBudget(0)
-        with pytest.raises(ValueError):
-            EvaluationBudget(5).consume(0)

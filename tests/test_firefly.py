@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
-                  IntegerRange, MixedSolution, SearchSpace, run_classical_fa,
-                  run_famv)
+                  IntegerRange, MixedSolution, SearchSpace, get_problem,
+                  run_classical_fa, run_famv)
 from famv.firefly import (_sweep, adapt_parameters, alpha_step_categorical,
                           alpha_step_integer, attractiveness, beta_step,
                           continuous_move, discrete_attraction_prob,
@@ -145,6 +145,14 @@ class TestReplacementProb:
             values = [replacement_prob(a, 2.0, 1.0, adaptive) for a in alphas]
             assert all(x < y for x, y in zip(values, values[1:]))
 
+    def test_steep_sigmoid_saturates_to_zero(self):
+        # -k (alpha - alpha_init / 2) is far past exp's overflow point (~709.8)
+        assert replacement_prob(0.01, 1.5, 5000.0, adaptive=True) == 0.0
+        assert replacement_prob(1.5, 1.5, 5000.0, adaptive=True) == 1.0
+        trace = run_famv(get_problem("vessel"),
+                         FireflyConfig(max_fe=3000, k=5000.0, adapt_alpha=True))
+        assert trace.samples[-1][0] <= 3000 and math.isfinite(trace.final.fitness)
+
 
 class TestAdaptParameters:
     def test_start_of_run(self):
@@ -153,13 +161,15 @@ class TestAdaptParameters:
 
     def test_three_quarters(self):
         budget = EvaluationBudget(100)
-        budget.consume(75)
+        for _ in range(75):
+            budget.consume()
         alpha, _ = adapt_parameters(2.0, 0.05, budget)
         assert alpha == pytest.approx(0.5)
 
     def test_floor_at_end(self):
         budget = EvaluationBudget(100)
-        budget.consume(100)
+        while budget.consume():
+            pass
         assert adapt_parameters(2.0, 0.05, budget) == (0.01, 0.01)
 
     def test_non_increasing(self):
@@ -187,8 +197,9 @@ class TestSweep:
         seen = []
         for _ in range(2):
             for i, j in _sweep(fitness, budget):
+                assert budget.consumed == len(seen)  # the sweep charges nothing
                 seen.append((i, j))
-                assert budget.consumed == len(seen)  # one charge per yield
+                budget.consume()  # the caller's evaluation
                 if (i, j) == (0, 1):
                     fitness[0] = 0.5  # now the brightest: no move toward 2 or 3
         assert seen == [(0, 1), (1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
@@ -260,20 +271,26 @@ class TestRelaxation:
         np.testing.assert_allclose(mixed_space.hi, [5.0, 10.0, 9.0, 2.0])
 
     def test_decode_nearest_index(self, mixed_space):
-        sol = relaxed_decode(mixed_space, np.array([0.0, 5.0, 3.2, 1.4]))
-        assert sol.disc == (3, "b")
-        assert sol.conforms(mixed_space)
+        cont, codes = relaxed_decode(mixed_space, np.array([0.0, 5.0, 3.2, 1.4]))
+        np.testing.assert_array_equal(codes, [3, 1])
+        assert codes.dtype == np.int64
+        assert mixed_space.decode(codes) == (3, "b")
+        assert MixedSolution(cont, mixed_space.decode(codes)).conforms(mixed_space)
 
     def test_decode_rounds_and_clamps(self, mixed_space):
-        sol = relaxed_decode(mixed_space, np.array([7.0, -1.0, 12.6, 9.0]))
-        assert sol.cont[0] == 5.0 and sol.cont[1] == 0.0
-        assert sol.disc == (9, "c")
+        cont, codes = relaxed_decode(mixed_space, np.array([7.0, -1.0, 12.6, 9.0]))
+        np.testing.assert_array_equal(cont, [5.0, 0.0])
+        np.testing.assert_array_equal(codes, [9, 2])
+        assert mixed_space.decode(codes) == (9, "c")
 
     def test_decode_rounds_half_away_from_zero(self):
         space = SearchSpace([IntegerRange(-5, 5)] * 4)
-        sol = relaxed_decode(space, np.array([-1.5, -0.4, 0.5, 2.5]))
-        assert sol.disc == (-2, 0, 1, 3)
-        assert all(type(v) is int for v in sol.disc)
+        cont, codes = relaxed_decode(space, np.array([-1.5, -0.4, 0.5, 2.5]))
+        assert len(cont) == 0
+        np.testing.assert_array_equal(codes, [-2, 0, 1, 3])
+        disc = space.decode(codes)
+        assert disc == (-2, 0, 1, 3)
+        assert all(type(v) is int for v in disc)
 
     def test_decode_length_check(self, mixed_space):
         with pytest.raises(ValueError):
