@@ -44,6 +44,8 @@ class IntegerRange:
     hi: int
 
     def __post_init__(self):
+        if not all(math.isfinite(b) and b == math.floor(b) for b in (self.lo, self.hi)):
+            raise ValueError(f"integer bounds must be whole numbers, got [{self.lo}, {self.hi}]")
         if self.lo > self.hi:
             raise ValueError(f"integer dimension needs lo <= hi, got [{self.lo}, {self.hi}]")
 

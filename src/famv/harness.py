@@ -8,8 +8,6 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .core import ObjectiveFunction, RunTrace
 from .distances import DistanceKind
 from .firefly import FireflyConfig, run_classical_fa, run_famv
@@ -206,8 +204,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def compare_directory(out_dir: str | Path) -> list[ResultRow]:
-    """Rank every cell of summary.csv and write results.csv and counts.csv:
-    the one source of the result tables, for `run_experiment` too."""
+    """Rank every problem of summary.csv with `stats.compare` and write
+    results.csv and counts.csv: the one source of the result tables, for
+    `run_experiment` too."""
     out = Path(out_dir)
     summary = out / "summary.csv"
     if not summary.exists():
@@ -219,17 +218,10 @@ def compare_directory(out_dir: str | Path) -> list[ResultRow]:
             groups.setdefault(record["algorithm"], []).append(float(record["ae"]))
     rows = []
     for problem_name, groups in ae_by_problem.items():
-        if len(groups) >= 2 and sum(len(v) for v in groups.values()) >= 3:
-            report = compare(groups)
-            for algo in groups:
-                rows.append(ResultRow(problem_name, algo, report.means[algo],
-                                      report.stds[algo], algo == report.best_group,
-                                      algo in report.similar_to_best))
-        else:
-            # a single cell cannot be compared; it is trivially best
-            for algo, values in groups.items():
-                mean = float(np.mean(values))
-                std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-                rows.append(ResultRow(problem_name, algo, mean, std, True, True))
+        report = compare(groups)
+        for algo in groups:
+            rows.append(ResultRow(problem_name, algo, report.means[algo],
+                                  report.stds[algo], algo == report.best_group,
+                                  algo in report.similar_to_best))
     emit_results_table(rows, out / "results.csv", out / "counts.csv")
     return rows

@@ -2,9 +2,10 @@
 pairwise post-hoc z tests, Holm step-down correction, and the best /
 statistically-similar classification used in the result tables.
 
-Tail probabilities are computed in-module: the chi-square survival function
-via the regularized incomplete gamma function (series / continued fraction,
-Numerical Recipes style) and the normal tail via erfc.
+Tail probabilities are computed in-module and in closed form: the
+chi-square survival function as a finite sum for integer degrees of
+freedom, and the normal tail via erfc.  `compare` is the one place a
+problem's cells are ranked.
 """
 
 from __future__ import annotations
@@ -21,51 +22,22 @@ SampleSet = Mapping[str, Sequence[float]]
 SIGNIFICANCE_LEVEL = 0.05
 
 
-def _upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x)."""
-    if a <= 0 or x < 0:
-        raise ValueError("need a > 0 and x >= 0")
+def chi2_sf(x: float, df: int) -> float:
+    """P(X >= x) for a chi-square variable with a positive integer df, the
+    only kind Kruskal-Wallis has.  With y = x/2 the tail is a finite sum:
+    sum_{i<m} e^-y y^i / i! for df = 2m, and
+    erfc(sqrt y) + sum_{i<m} e^-y y^(i+1/2) / Gamma(i+3/2) for df = 2m+1."""
+    if not x >= 0 or df < 1 or df != int(df):
+        raise ValueError(f"need x >= 0 and an integer df >= 1, got x={x}, df={df}")
     if x == 0.0:
         return 1.0
-    if x < a + 1.0:
-        # series expansion of P(a, x)
-        term = 1.0 / a
-        total = term
-        ap = a
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return 1.0 - p
-    # Lentz continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def chi2_sf(x: float, df: int) -> float:
-    """P(X >= x) for a chi-square variable with df degrees of freedom."""
-    return _upper_gamma(df / 2.0, x / 2.0)
+    y = x / 2.0
+    m, odd = divmod(int(df), 2)
+    a = 0.5 * odd
+    head = math.erfc(math.sqrt(y)) if odd else 0.0
+    # rounding can put the sum of positive terms a few ulps above 1
+    return min(1.0, head + sum(math.exp((i + a) * math.log(y) - y - math.lgamma(i + a + 1.0))
+                               for i in range(m)))
 
 
 def norm_sf_two_sided(z: float) -> float:
@@ -90,9 +62,9 @@ def _pooled_midranks(groups: SampleSet) -> tuple[dict[str, np.ndarray], float]:
     return out, tie_term
 
 
-def _validate(groups: SampleSet) -> None:
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
+def _validate(groups: SampleSet, least: int = 2) -> None:
+    if len(groups) < least:
+        raise ValueError(f"need {least} or more groups, got {len(groups)}")
     for name, values in groups.items():
         if len(values) == 0:
             raise ValueError(f"group {name!r} is empty")
@@ -136,7 +108,7 @@ def dunn_pairwise(groups: SampleSet) -> list[tuple[tuple[str, str], float, float
 
 def holm_adjust(raw_p: Sequence[float]) -> list[float]:
     """Step-down family-wise correction, returned in the input order."""
-    if any(p < 0 or p > 1 for p in raw_p):
+    if not all(0.0 <= p <= 1.0 for p in raw_p):
         raise ValueError("p-values must lie in [0, 1]")
     m = len(raw_p)
     order = sorted(range(m), key=lambda i: raw_p[i])
@@ -149,19 +121,9 @@ def holm_adjust(raw_p: Sequence[float]) -> list[float]:
 
 
 @dataclass
-class PairwiseRow:
-    pair: tuple[str, str]
-    z: float
-    raw_p: float
-    adjusted_p: float
-    significant: bool
-
-
-@dataclass
 class ComparisonReport:
     kw_statistic: float
     kw_p: float
-    pairwise: list[PairwiseRow]        # all pairs, Holm over the full family
     means: dict[str, float]
     stds: dict[str, float]
     best_group: str
@@ -169,28 +131,28 @@ class ComparisonReport:
 
 
 def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonReport:
-    """Full pipeline: omnibus gate, post-hoc pairs, Holm, classification.
+    """Rank one problem's groups: omnibus gate, post-hoc pairs, Holm,
+    classification.
 
     The best group has the lowest mean; the similar set is the best plus
     every group whose Holm-adjusted comparison against the best (adjusted
     within the best-vs-others family) is non-significant.  If the omnibus
     test is non-significant, no group is distinguishable from the best.
+    With one group, or fewer than three observations in all, the omnibus
+    test cannot run; the report then gives no evidence, H = 0 and p = 1.
     """
-    _validate(groups)
+    _validate(groups, least=1)
     means = {n: float(np.mean(np.asarray(v, dtype=float))) for n, v in groups.items()}
     stds = {n: float(np.std(np.asarray(v, dtype=float), ddof=1)) if len(v) > 1 else 0.0
             for n, v in groups.items()}
     best = min(means, key=lambda n: means[n])
-    h, p = kruskal_wallis(groups)
-
-    raw = dunn_pairwise(groups)
-    all_adjusted = holm_adjust([row[2] for row in raw])
-    pairwise = [PairwiseRow(pair, z, raw_p, adj, adj < level)
-                for (pair, z, raw_p), adj in zip(raw, all_adjusted)]
+    h, p = 0.0, 1.0
+    if len(groups) >= 2 and sum(len(v) for v in groups.values()) >= 3:
+        h, p = kruskal_wallis(groups)
 
     similar = set(groups)
     if p < level:
-        best_rows = [row for row in raw if best in row[0]]
+        best_rows = [row for row in dunn_pairwise(groups) if best in row[0]]
         best_adjusted = holm_adjust([row[2] for row in best_rows])
         similar = {best}
         for (pair, _, _), adj in zip(best_rows, best_adjusted):
@@ -198,4 +160,4 @@ def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonR
             if adj >= level:
                 similar.add(other)
 
-    return ComparisonReport(h, p, pairwise, means, stds, best, similar)
+    return ComparisonReport(h, p, means, stds, best, similar)

@@ -38,6 +38,13 @@ class TestDimensionSpecs:
         with pytest.raises(ValueError):
             IntegerRange(6, 5)
 
+    def test_integer_range_requires_whole_bounds(self):
+        for lo, hi in ((0.5, 3.5), (0, 3.5), (0, float("inf")), (float("nan"), 2)):
+            with pytest.raises(ValueError, match="whole numbers"):
+                IntegerRange(lo, hi)
+        assert IntegerRange(np.int64(1), 3).hi == 3
+        assert IntegerRange(1.0, 3.0).lo == 1
+
     def test_categorical_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
             Categorical(())

@@ -175,6 +175,19 @@ class TestRunExperiment:
             assert row.is_best == (row.algorithm == report.best_group)
             assert row.is_similar_to_best == (row.algorithm in report.similar_to_best)
 
+    def test_one_run_grid_has_one_best_per_problem(self, tmp_path):
+        # too few runs for the omnibus test: the lowest mean is the one best
+        spec = self._spec(tmp_path, problems=["sphere", "vessel"], runs=1, budget=300)
+        run_experiment(spec)
+        out = Path(spec.out_dir)
+        results = _read_csv(out / "results.csv")[1:]
+        for problem in spec.problems:
+            cells = [r for r in results if r[0] == problem]
+            best = [r[1] for r in cells if r[4] == "true"]
+            assert best == [min(cells, key=lambda r: float(r[2]))[1]]
+            assert all(r[5] == "true" for r in cells)
+        assert sum(int(r[1]) for r in _read_csv(out / "counts.csv")[1:]) == 2
+
     def test_unknown_names_fail_fast(self, tmp_path):
         with pytest.raises(KeyError):
             run_experiment(self._spec(tmp_path, problems=["nope"]))

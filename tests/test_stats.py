@@ -11,10 +11,16 @@ from famv.stats import _pooled_midranks, chi2_sf, norm_sf_two_sided
 
 
 class TestTailFunctions:
-    @pytest.mark.parametrize("x,df", [(0.5, 1), (2.0, 2), (7.3, 3), (25.0, 9)])
+    @pytest.mark.parametrize("df", range(1, 41))
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 2.0, 7.3, 25.0, 100.0, 400.0, 1e5])
     def test_chi2_against_scipy(self, x, df):
         from scipy import stats as scipy_stats
         assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), abs=1e-12)
+
+    @pytest.mark.parametrize("x,df", [(1.0, 0), (1.0, 2.5), (-1.0, 2)])
+    def test_chi2_rejects_bad_arguments(self, x, df):
+        with pytest.raises(ValueError):
+            chi2_sf(x, df)
 
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.96, -2.5, 4.0])
     def test_normal_against_scipy(self, z):
@@ -99,6 +105,8 @@ class TestHolm:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             holm_adjust([0.5, 1.2])
+        with pytest.raises(ValueError):
+            holm_adjust([0.01, float("nan"), 0.2])
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     @settings(max_examples=200, deadline=None)
@@ -137,3 +145,18 @@ class TestCompare:
         assert report.means["a"] == 2.0
         assert report.stds["a"] == pytest.approx(np.std([1.0, 3.0], ddof=1))
         assert report.stds["b"] == 0.0
+
+    @pytest.mark.parametrize("groups", [{"only": [4.0, 2.0, 9.0]},
+                                        {"a": [5.0], "b": [1.0]}])
+    def test_no_omnibus_test_means_no_evidence(self, groups):
+        # one group, or fewer than three observations in all
+        report = compare(groups)
+        assert (report.kw_statistic, report.kw_p) == (0.0, 1.0)
+        assert report.best_group == min(groups, key=lambda n: np.mean(groups[n]))
+        assert report.similar_to_best == set(groups)
+
+    def test_rejects_no_groups_and_empty_groups(self):
+        with pytest.raises(ValueError):
+            compare({})
+        with pytest.raises(ValueError):
+            compare({"a": [1.0], "b": []})
