@@ -72,7 +72,7 @@ class SearchSpace:
     Dimension order is stable and defines the solution layout: the k-th
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
     ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
-    ``dims``; ``int_idx``/``cat_idx`` pick the integer/categorical codes,
+    ``dims``; ``cat_idx`` picks the categorical codes.  Every code is
     bounded by ``disc_lo``/``disc_hi`` (0 and ``cat_sizes`` - 1 for a
     categorical).  ``lo``/``hi`` bound every dimension in ``dims`` order.
     """
@@ -98,7 +98,7 @@ class SearchSpace:
         self.disc_lo = np.array([lo[k] for k in self.disc_pos], dtype=np.int64)
         self.disc_hi = np.array([hi[k] for k in self.disc_pos], dtype=np.int64)
         is_cat = np.array([isinstance(d, Categorical) for d in self.discrete], dtype=bool)
-        self.int_idx, self.cat_idx = np.flatnonzero(~is_cat), np.flatnonzero(is_cat)
+        self.cat_idx = np.flatnonzero(is_cat)
         self.cat_sizes = self.disc_hi[self.cat_idx] + 1
         self._symbols = [(int(k), self.discrete[k].values) for k in self.cat_idx]
         self._index = [{v: i for i, v in enumerate(d.values)}

@@ -20,6 +20,35 @@ from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace,
                    SearchSpace, random_point)
 from .distances import CODE_DISTANCES, DistanceKind, euclidean
 
+_BLOCK = 4096   # doubles drawn ahead by _Uniforms
+
+
+class _Uniforms:
+    """The uniform stream of ``rng``, served from blocks drawn ahead.
+
+    Each double of ``Generator.random`` comes from one 64-bit draw, so
+    ``random(n)`` calls give exactly the doubles one ``rng.random(total)``
+    call would, however they are chunked, at a slice's cost instead of a
+    ``Generator`` call's.  Blocks are read-only, so no stage can write into
+    its uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block, self._pos = np.empty(0), 0
+        self._block.flags.writeable = False
+
+    def random(self, n: int) -> np.ndarray:
+        """The next ``n`` doubles in [0, 1), as a read-only array."""
+        end = self._pos + n
+        if end > len(self._block):
+            block = np.concatenate((self._block[self._pos:], self._rng.random(max(_BLOCK, n))))
+            block.flags.writeable = False
+            self._block, self._pos, end = block, 0, n
+        out = self._block[self._pos:end]
+        self._pos = end
+        return out
+
 
 @dataclass(frozen=True)
 class FireflyConfig:
@@ -104,10 +133,12 @@ def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 def alpha_step_categorical(codes: np.ndarray, sizes: np.ndarray, p_alpha: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Each categorical code is redrawn uniformly over its ``sizes`` symbols
-    with probability ``p_alpha`` (the current one may be redrawn)."""
+    with probability ``p_alpha`` (the current one may be redrawn).  The
+    redraw truncates u * size for a fresh u in [0, 1), which stays below
+    ``size`` for every u < 1."""
     out = codes.copy()
     hit = rng.random(len(codes)) < p_alpha
-    out[hit] = rng.integers(sizes[hit])
+    out[hit] = (rng.random(np.count_nonzero(hit)) * sizes[hit]).astype(np.int64)
     return out
 
 
@@ -132,18 +163,15 @@ def adapt_parameters(alpha_init: float, gamma_init: float,
 # Kept name: bench/run.py spans it as the alpha-step layer.
 def _alpha_step_all(space: SearchSpace, codes: np.ndarray, alpha: float,
                     p_alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """The exploration step on a whole code vector: integer codes first, then
-    categorical codes, each drawing its uniforms in dimension order."""
-    ints, cats = space.int_idx, space.cat_idx
-    if not len(cats):   # integers only: no gather and scatter
-        if not len(ints):
-            return codes
-        return alpha_step_integer(codes, space.disc_lo, space.disc_hi, alpha, rng)
-    out = codes.copy()
-    if len(ints):
-        out[ints] = alpha_step_integer(codes[ints], space.disc_lo[ints],
-                                       space.disc_hi[ints], alpha, rng)
-    out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
+    """The exploration step on a whole code vector: the integer step on every
+    code (a categorical code's bounds are 0 and size - 1, so it stays in
+    range), then the categorical step replaces the categorical codes."""
+    if not space.n_d:
+        return codes
+    out = alpha_step_integer(codes, space.disc_lo, space.disc_hi, alpha, rng)
+    cats = space.cat_idx
+    if len(cats):
+        out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
     return out
 
 
@@ -188,6 +216,7 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
         codes.append(code)
         fitness.append(rec.evaluate(cont, code))
 
+    rng = _Uniforms(rng)   # after random_point, which draws integers
     alpha, gamma = config.alpha, config.gamma
     while not rec.budget.exhausted:
         if config.adapt_alpha or config.adapt_gamma:
@@ -234,7 +263,7 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     flat objective still spends the whole budget.
     """
     space = problem.space
-    rng = np.random.default_rng(config.seed)
+    rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
     lo, hi = space.lo, space.hi
 

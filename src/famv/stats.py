@@ -120,6 +120,14 @@ def holm_adjust(raw_p: Sequence[float]) -> list[float]:
     return adjusted
 
 
+def _std(values: np.ndarray) -> float:
+    """+inf when any value is infinite (numpy would give NaN and warn),
+    else the sample std, 0 for one value."""
+    if np.isinf(values).any():
+        return math.inf
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
 @dataclass
 class ComparisonReport:
     kw_statistic: float
@@ -134,18 +142,21 @@ def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonR
     """Rank one problem's groups: omnibus gate, post-hoc pairs, Holm,
     classification.
 
-    The best group has the lowest mean; the similar set is the best plus
-    every group whose Holm-adjusted comparison against the best (adjusted
-    within the best-vs-others family) is non-significant.  If the omnibus
+    The best group has the lowest mean, and among equal means (two +inf
+    means, say) the lowest mean pooled rank, the ranks Kruskal-Wallis uses.
+    A group that holds an infinite value has std +inf.  The similar set is
+    the best plus every group whose Holm-adjusted comparison against the
+    best (adjusted within the best-vs-others family) is non-significant.  If the omnibus
     test is non-significant, no group is distinguishable from the best.
     With one group, or fewer than three observations in all, the omnibus
     test cannot run; the report then gives no evidence, H = 0 and p = 1.
     """
     _validate(groups, least=1)
-    means = {n: float(np.mean(np.asarray(v, dtype=float))) for n, v in groups.items()}
-    stds = {n: float(np.std(np.asarray(v, dtype=float), ddof=1)) if len(v) > 1 else 0.0
-            for n, v in groups.items()}
-    best = min(means, key=lambda n: means[n])
+    values = {n: np.asarray(v, dtype=float) for n, v in groups.items()}
+    means = {n: float(np.mean(v)) for n, v in values.items()}
+    stds = {n: _std(v) for n, v in values.items()}
+    ranks, _ = _pooled_midranks(groups)
+    best = min(means, key=lambda n: (means[n], float(np.mean(ranks[n]))))
     h, p = 0.0, 1.0
     if len(groups) >= 2 and sum(len(v) for v in groups.values()) >= 3:
         h, p = kruskal_wallis(groups)

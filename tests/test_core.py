@@ -69,7 +69,6 @@ class TestSearchSpace:
                              Categorical(("x", "y", "z")), IntegerRange(7, 7)])
         np.testing.assert_array_equal(space.cont_pos, [1])
         np.testing.assert_array_equal(space.disc_pos, [0, 2, 3])
-        np.testing.assert_array_equal(space.int_idx, [0, 2])
         np.testing.assert_array_equal(space.cat_idx, [1])
         np.testing.assert_array_equal(space.disc_lo, [-2, 0, 7])
         np.testing.assert_array_equal(space.disc_hi, [4, 2, 7])

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
                   IntegerRange, MixedSolution, SearchSpace, get_problem,
                   run_classical_fa, run_famv)
-from famv.firefly import (_sweep, adapt_parameters, alpha_step_categorical,
+from famv.firefly import (_BLOCK, _Uniforms, _alpha_step_all, _sweep,
+                          adapt_parameters, alpha_step_categorical,
                           alpha_step_integer, attractiveness, beta_step,
                           continuous_move, discrete_attraction_prob,
                           relaxed_decode, replacement_prob)
@@ -95,6 +98,31 @@ class TestBetaStep:
             assert all(o in (a, b) for o, a, b in zip(out, xi, xj))
 
 
+class TestUniforms:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.lists(st.one_of(st.integers(0, 40), st.integers(_BLOCK - 3, 2 * _BLOCK + 3)),
+                    max_size=12))
+    def test_chunks_are_one_read_only_stream(self, seed, sizes):
+        uniforms = _Uniforms(np.random.default_rng(seed))
+        chunks = [uniforms.random(n) for n in sizes]
+        assert [len(c) for c in chunks] == sizes
+        assert not any(c.flags.writeable for c in chunks)
+        np.testing.assert_array_equal(np.concatenate([np.empty(0), *chunks]),
+                                      np.random.default_rng(seed).random(sum(sizes)))
+
+    def test_writing_into_uniforms_raises(self):
+        with pytest.raises(ValueError):
+            _Uniforms(np.random.default_rng(0)).random(3)[0] = 0.5
+
+
+class _LargestUniform:
+    """A stand-in generator whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
+
+
 class TestAlphaStepInteger:
     def test_zero_alpha_keeps_value(self, rng):
         codes = np.array([0, 5, 10])
@@ -126,6 +154,26 @@ class TestAlphaStepCategorical:
     def test_singleton_forced(self, rng):
         out = alpha_step_categorical(np.array([0]), np.array([1]), 1.0, rng)
         np.testing.assert_array_equal(out, [0])
+
+    def test_largest_uniform_redraws_the_last_symbol(self):
+        sizes = np.array([1, 2, 3, 201, 1201, 2 ** 22 - 1, 2 ** 53 - 1, 2 ** 53])
+        out = alpha_step_categorical(np.zeros(len(sizes), dtype=np.int64), sizes, 1.0,
+                                     _LargestUniform())
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, sizes - 1)
+
+
+class TestAlphaStepAll:
+    def test_no_replacement_keeps_categories_and_bounds(self, rng):
+        space = SearchSpace([IntegerRange(-2, 4), Continuous(0.0, 1.0),
+                             Categorical(("x", "y", "z")), IntegerRange(7, 7),
+                             Categorical(tuple(range(9)))])
+        codes = np.array([0, 2, 7, 5])
+        for _ in range(200):
+            out = _alpha_step_all(space, codes, 1e6, 0.0, rng)
+            np.testing.assert_array_equal(out[space.cat_idx], codes[space.cat_idx])
+            assert MixedSolution(np.zeros(1), space.decode(out)).conforms(space)
+        assert set(out[[0, 2]]) <= {-2, 4, 7}
 
 
 class TestReplacementProb:

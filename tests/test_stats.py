@@ -1,3 +1,5 @@
+import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -154,6 +156,19 @@ class TestCompare:
         assert (report.kw_statistic, report.kw_p) == (0.0, 1.0)
         assert report.best_group == min(groups, key=lambda n: np.mean(groups[n]))
         assert report.similar_to_best == set(groups)
+
+    def test_infinite_values_have_infinite_std(self):
+        inf = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare({"a": [inf, inf], "b": [1.0, 2.0]})
+        assert report.stds["a"] == inf and report.means["a"] == inf
+        assert report.best_group == "b"
+
+    def test_equal_means_go_to_the_lower_mean_rank(self):
+        inf = math.inf
+        assert compare({"a": [inf, 1.0], "b": [inf, 2.0]}).best_group == "a"
+        assert compare({"a": [inf, 2.0], "b": [inf, 1.0]}).best_group == "b"
 
     def test_rejects_no_groups_and_empty_groups(self):
         with pytest.raises(ValueError):
