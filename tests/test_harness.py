@@ -342,9 +342,9 @@ class MixedCategorical:
 # firefly schedule moved into `firefly._sweep`
 CATEGORICAL_DIGEST = {
     "fa": "b7b76947cbaf7c174e8e9fd33dc4affee8ffead38582cc8a9c931889b3d4473a",
-    "famv-h": "37a94115b4c2dd6be7f733aa3086cde226b7a3f37d02d8d4e1cf98f5172e4a1b",
-    "famv-g": "7ed812a6b7299755769c674170a063e173ef6bad5700612e0c21eb72293b0137",
-    "famv-h-adaptive": "6d0138f5c95073ec7f059e75c59e1c6a50dc4561b3243eac576daea890ec87f5",
+    "famv-h": "917c3c00949332851c369f8d5904b9a9c713b74c249803fd6f573dff3b87d1a0",
+    "famv-g": "8a606756f9a0e020a80258ba5679e2765e060a3e071a0754fcaed77d0fa2e933",
+    "famv-h-adaptive": "afc3734507f493ff1a8d9a561f76877315d50373c370a120563c60e6b238ba2e",
     "ga": "9755a3ee944a081aa7305279a96f726b0b8b2887e6c53402c397e34a93b871e2",
 }
 
