@@ -146,10 +146,11 @@ def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonR
     means, say) the lowest mean pooled rank, the ranks Kruskal-Wallis uses.
     A group that holds an infinite value has std +inf.  The similar set is
     the best plus every group whose Holm-adjusted comparison against the
-    best (adjusted within the best-vs-others family) is non-significant.  If the omnibus
-    test is non-significant, no group is distinguishable from the best.
-    With one group, or fewer than three observations in all, the omnibus
-    test cannot run; the report then gives no evidence, H = 0 and p = 1.
+    best (adjusted within the best-vs-others family) is non-significant.
+    If the omnibus test is non-significant, no group is distinguishable
+    from the best.  With one group, or fewer than three observations in
+    all, the omnibus test cannot run; the report then gives no evidence,
+    H = 0 and p = 1.
     """
     _validate(groups, least=1)
     values = {n: np.asarray(v, dtype=float) for n, v in groups.items()}

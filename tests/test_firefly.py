@@ -116,13 +116,6 @@ class TestUniforms:
             _Uniforms(np.random.default_rng(0)).random(3)[0] = 0.5
 
 
-class _LargestUniform:
-    """A stand-in generator whose every uniform is the largest double below 1."""
-
-    def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
-
-
 class TestAlphaStepInteger:
     def test_zero_alpha_keeps_value(self, rng):
         codes = np.array([0, 5, 10])
@@ -136,6 +129,13 @@ class TestAlphaStepInteger:
         assert samples.dtype == np.int64
         assert set(np.unique(samples)) <= {3, 4, 5, 6, 7}
         assert abs(samples.mean() - 5.0) < 0.05
+
+
+class _LargestUniform:
+    """A stand-in generator whose every uniform is the largest double below 1."""
+
+    def random(self, n):
+        return np.full(n, np.nextafter(1.0, 0.0))
 
 
 class TestAlphaStepCategorical:
