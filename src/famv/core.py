@@ -1,9 +1,9 @@
 """Search-space and solution primitives shared by every algorithm.
 
 A solution over a mixed search space keeps its continuous components in a
-numpy vector and its discrete components (integers or category symbols) in a
-tuple.  Continuous components come first, discrete second; both follow the
-order in which their dimensions appear in the search space.
+numpy vector and its discrete components (integer values or category
+symbols) in a tuple.  Continuous components come first, discrete second;
+both follow the order in which their dimensions appear in the search space.
 
 The engines hold only arrays: a continuous vector and an int64 *code*
 vector, whose codes are an integer's value or a category's index in
@@ -73,8 +73,10 @@ class SearchSpace:
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
     ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
     ``dims``; ``cat_idx`` picks the categorical codes.  Every code is
-    bounded by ``disc_lo``/``disc_hi`` (0 and ``cat_sizes`` - 1 for a
-    categorical).  ``lo``/``hi`` bound every dimension in ``dims`` order.
+    bounded by ``disc_lo``/``disc_hi`` (0 and size - 1 for a categorical),
+    and ``disc_sizes`` counts each discrete dimension's codes (``cat_sizes``
+    are the categorical ones).  ``lo``/``hi`` bound every dimension in
+    ``dims`` order.
     """
 
     def __init__(self, dims: Iterable[DimensionSpec]):
@@ -99,7 +101,8 @@ class SearchSpace:
         self.disc_hi = np.array([hi[k] for k in self.disc_pos], dtype=np.int64)
         is_cat = np.array([isinstance(d, Categorical) for d in self.discrete], dtype=bool)
         self.cat_idx = np.flatnonzero(is_cat)
-        self.cat_sizes = self.disc_hi[self.cat_idx] + 1
+        self.disc_sizes = self.disc_hi - self.disc_lo + 1
+        self.cat_sizes = self.disc_sizes[self.cat_idx]
         self._symbols = [(int(k), self.discrete[k].values) for k in self.cat_idx]
         self._index = [{v: i for i, v in enumerate(d.values)}
                        if isinstance(d, Categorical) else None for d in self.discrete]
@@ -149,7 +152,7 @@ class MixedSolution:
 
 @dataclass
 class Firefly:
-    """A population member: a solution with its cached objective value."""
+    """A run's best point: a solution with its objective value."""
 
     solution: MixedSolution
     fitness: float
@@ -239,20 +242,15 @@ class Recorder:
         return RunTrace(self.samples, self.best, seed, algorithm)
 
 
-# Up to this many discrete dimensions, one scalar draw each (about 3 us) is
-# cheaper than one array-bound draw (about 14 us, even with no bounds); both
-# take the same values from the stream.
-_SCALAR_CODE_DRAWS = 4
-
-
 def random_point(space: SearchSpace,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a uniform random continuous vector and code vector."""
-    cont = space.cont_lo + rng.random(space.n_c) * space.cont_range
-    if space.n_d > _SCALAR_CODE_DRAWS:
-        return cont, rng.integers(space.disc_lo, space.disc_hi + 1)
-    return cont, np.array([rng.integers(lo, hi + 1) for lo, hi
-                           in zip(space.disc_lo.tolist(), space.disc_hi.tolist())], dtype=np.int64)
+    """Draw a uniform random continuous vector and code vector from
+    ``space.dim`` doubles of ``rng.random``, the continuous part first.  A
+    code is ``disc_lo + floor(u * disc_sizes)``, which stays below
+    ``disc_lo + disc_sizes`` for every u < 1."""
+    u = rng.random(space.dim)
+    cont = space.cont_lo + u[:space.n_c] * space.cont_range
+    return cont, space.disc_lo + (u[space.n_c:] * space.disc_sizes).astype(np.int64)
 
 
 def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:

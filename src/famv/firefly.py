@@ -30,7 +30,10 @@ class _Uniforms:
     ``random(n)`` calls give exactly the doubles one ``rng.random(total)``
     call would, however they are chunked, at a slice's cost instead of a
     ``Generator`` call's.  Blocks are read-only, so no stage can write into
-    its uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
+    its uniforms.  Both engines wrap their generator before their first
+    draw, and every stage, the first population's codes included, draws
+    only doubles, so a firefly run takes nothing else from its generator.
+    Once wrapped, ``rng`` must not be drawn from directly.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -205,7 +208,7 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     the objective.
     """
     space = problem.space
-    rng = np.random.default_rng(config.seed)
+    rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
     distance = CODE_DISTANCES[config.distance]
 
@@ -216,7 +219,6 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
         codes.append(code)
         fitness.append(rec.evaluate(cont, code))
 
-    rng = _Uniforms(rng)   # after random_point, which draws integers
     alpha, gamma = config.alpha, config.gamma
     while not rec.budget.exhausted:
         if config.adapt_alpha or config.adapt_gamma:

@@ -9,7 +9,6 @@ non-power-of-two sizes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +54,9 @@ class ChromosomeLayout:
 
     def __init__(self, space: SearchSpace, bits_per_continuous: int = 16):
         self.space = space
-        self.disc_sizes = space.disc_hi - space.disc_lo + 1
         widths = np.full(space.dim, bits_per_continuous)
-        widths[space.disc_pos] = [max(1, math.ceil(math.log2(n))) for n in self.disc_sizes.tolist()]
+        # ceil(log2(n)) in exact integer arithmetic, at least one bit
+        widths[space.disc_pos] = [max(1, (n - 1).bit_length()) for n in space.disc_sizes.tolist()]
         self.starts = np.cumsum(widths) - widths
         self.length = int(widths.sum())
         self.place = np.concatenate([2 ** np.arange(w - 1, -1, -1) for w in widths.tolist()])
@@ -73,7 +72,7 @@ def decode(layout: ChromosomeLayout, bits: np.ndarray) -> tuple[np.ndarray, np.n
     space = layout.space
     raw = np.add.reduceat(bits * layout.place, layout.starts, axis=1)
     cont = space.cont_lo + raw[:, space.cont_pos] / layout.cont_levels * space.cont_range
-    codes = space.disc_lo + raw[:, space.disc_pos] % layout.disc_sizes
+    codes = space.disc_lo + raw[:, space.disc_pos] % space.disc_sizes
     return cont, codes
 
 

@@ -72,6 +72,7 @@ class TestSearchSpace:
         np.testing.assert_array_equal(space.cat_idx, [1])
         np.testing.assert_array_equal(space.disc_lo, [-2, 0, 7])
         np.testing.assert_array_equal(space.disc_hi, [4, 2, 7])
+        np.testing.assert_array_equal(space.disc_sizes, [7, 3, 1])
         np.testing.assert_array_equal(space.cat_sizes, [3])
 
     def test_codes_round_trip(self, mixed_space):
@@ -136,21 +137,35 @@ class TestRandomSolution:
         sol = random_solution(space, np.random.default_rng(seed))
         assert sol.conforms(space)
 
-    @pytest.mark.parametrize("n_d", [0, 1, 4, 5, 7])
-    def test_scalar_code_draws_match_one_array_draw(self, monkeypatch, n_d):
-        # small spaces draw one scalar per code; the array-bound draw is the
-        # reference, and both must leave the stream in the same place
-        dims = [Continuous(-1.0, 1.0)] + [IntegerRange(-k, 3 * k) for k in range(n_d - 1)]
-        if n_d:
-            dims.append(Categorical(("a", "b", "c")))
-        space = SearchSpace(dims)
-        drawn = []
-        for scalar_up_to in (core._SCALAR_CODE_DRAWS, -1):
-            monkeypatch.setattr(core, "_SCALAR_CODE_DRAWS", scalar_up_to)
-            rng = np.random.default_rng(11)
-            sols = [random_solution(space, rng) for _ in range(20)]
-            drawn.append((sols, rng.random()))
-        assert drawn[0] == drawn[1]
+    @pytest.mark.parametrize("lo, hi", [(5, 5), (-3, 3), (-2 ** 52, 2 ** 52 - 1)])
+    def test_stream_endpoints_give_the_bounds(self, lo, hi):
+        # sizes 1, 7 and 2**53, the largest size whose every code a double
+        # u = k / 2**53 reaches
+        space = SearchSpace([Continuous(-1.0, 1.0), IntegerRange(lo, hi),
+                             Categorical(tuple("abcdefg"))])
+        cont, codes = core.random_point(space, _Constant(0.0))
+        assert cont[0] == -1.0
+        np.testing.assert_array_equal(codes, space.disc_lo)
+        cont, codes = core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, space.disc_hi)
+
+    def test_stream_endpoints_on_the_widest_integer_range(self):
+        # 2**54 + 1 codes: floor(u * size) takes only even offsets there,
+        # so the largest u lands two codes below the upper bound
+        space = SearchSpace([IntegerRange(-2 ** 53, 2 ** 53)])
+        assert core.random_point(space, _Constant(0.0))[1][0] == -2 ** 53
+        assert core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))[1][0] == 2 ** 53 - 2
+
+
+class _Constant:
+    """A stand-in stream whose every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
 
 
 class TestRunTrace:

@@ -10,7 +10,7 @@ from famv import (ALGORITHMS, Categorical, Continuous, ExperimentSpec,
                   IntegerRange, SearchSpace, compare, run_algorithm,
                   run_experiment)
 from famv.cli import main as cli_main
-from famv.firefly import FireflyConfig, run_famv
+from famv.firefly import FireflyConfig, run_classical_fa, run_famv
 from famv.harness import (DEFAULT_ENGINEERING_BUDGET, DEFAULT_SYNTHETIC_BUDGET,
                           ResultRow, compare_directory, emit_results_table,
                           emit_trace)
@@ -293,12 +293,13 @@ GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
 # famv 0.1.0's per-component engines, so a change to an algorithm's RNG stream
 # or to the arithmetic of a move on these spaces (no categorical dimension)
 # shows here, under that algorithm's name.  ga's digests were re-taken when
-# its operators moved to one batch per generation, a deliberate stream change
+# its operators moved to one batch per generation, and famv's when its first
+# population's codes came from the uniform stream: deliberate stream changes
 GOLDEN_DIGEST = {
     "fa": "1d182f55fa4131e582e5b79c69706fc59815a12dba4b8140f07f1d85602fb6a2",
-    "famv-h": "22700b6053318ed63578077909b5125bd819be02308efa4b8a0277d34acfedca",
-    "famv-g": "2fafcdda9c1ad75f0e0aca38b96a7be2bed152e264dc160982d49fb036f478b6",
-    "famv-h-adaptive": "18381bf29643d235240627e6f6a855cc0ce33243bf63a4622115ea6e5f6778e5",
+    "famv-h": "4b7dba62912122a00dd9f7e6f0507f5b4d73458c93ed20fed0fcfa1cfb1d4aaa",
+    "famv-g": "185b87fde6314e74cd17f1f528cb27c046eb5c9a0c6ca954009ead6e7b66e189",
+    "famv-h-adaptive": "11832ae19078320799d0e02daa1e1cd6587a647d3e04733f6393155be170200b",
     "ga": "96f352e64a9be8a88ef83f7326e7469769849ab1605e55869ebe74f94bf09a88",
 }
 
@@ -339,12 +340,13 @@ class MixedCategorical:
 
 
 # the same digests on MixedCategorical; taken from the engines before the
-# firefly schedule moved into `firefly._sweep`
+# firefly schedule moved into `firefly._sweep`, and famv's re-taken when the
+# categorical redraw, then the first population, came from the uniform stream
 CATEGORICAL_DIGEST = {
     "fa": "b7b76947cbaf7c174e8e9fd33dc4affee8ffead38582cc8a9c931889b3d4473a",
-    "famv-h": "917c3c00949332851c369f8d5904b9a9c713b74c249803fd6f573dff3b87d1a0",
-    "famv-g": "8a606756f9a0e020a80258ba5679e2765e060a3e071a0754fcaed77d0fa2e933",
-    "famv-h-adaptive": "afc3734507f493ff1a8d9a561f76877315d50373c370a120563c60e6b238ba2e",
+    "famv-h": "a0e679396a935089ae869766fa2bc248badf17fc9709c1ff6d1f7cc3d73dcad8",
+    "famv-g": "35cbf767144a8682d8b95e4f4ed093e532260920973fe7609e8a10213a1ea5a0",
+    "famv-h-adaptive": "8540d809966dd46ae38f206585665f1ef11ac2389e2c434964b4372546c5d9f7",
     "ga": "9755a3ee944a081aa7305279a96f726b0b8b2887e6c53402c397e34a93b871e2",
 }
 
@@ -362,6 +364,35 @@ def test_categorical_runs_deterministic_and_conforming(algo):
     assert first.final.solution == again.final.solution
     assert first.final.solution.conforms(problem.space)
     assert problem(first.final.solution) == first.final.fitness
+
+
+class _DoublesOnly:
+    """A generator stand-in that has ``random`` and nothing else."""
+
+    _default_rng = np.random.default_rng
+
+    def __init__(self, seed):
+        self.random = _DoublesOnly._default_rng(seed).random
+
+
+class _OnMixedSpace:
+    name = "on-mixed-space"
+    reference_optimum = 0.0
+
+    def __init__(self, space):
+        self.space = space
+
+    def __call__(self, sol):
+        return float(sol.cont.sum()) + sol.disc[0] + (sol.disc[1] != "b")
+
+
+@pytest.mark.parametrize("engine", [run_famv, run_classical_fa])
+def test_firefly_runs_draw_only_doubles(monkeypatch, mixed_space, engine):
+    problems = [_OnMixedSpace(mixed_space), MixedCategorical()]
+    monkeypatch.setattr(np.random, "default_rng", _DoublesOnly)
+    for problem in problems:
+        trace = engine(problem, FireflyConfig(max_fe=300, seed=3))
+        assert trace.final.solution.conforms(problem.space)
 
 
 class FirstEvaluationNaN:
