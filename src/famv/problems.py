@@ -275,8 +275,10 @@ class SyntheticProblem(Problem):
     """Canonical function evaluated on x - shift; the first half of the
     dimensions stays continuous, the second half is restricted to integers.
 
-    The shift vector is drawn once from the inner 80% of the domain using a
-    fixed seed, with its integer half pre-rounded so the optimum is feasible.
+    The shift vector is drawn once from the inner 80% of the domain, with
+    its integer half pre-rounded so the optimum is feasible.  Its stream is
+    ``shift_seed``'s with spawn key 1, which no run seed's
+    ``default_rng(seed)`` gives, so no run starts from the optimum's doubles.
     """
 
     def __init__(self, name: str, dim: int = 50, shift_seed: int = 0):
@@ -291,7 +293,7 @@ class SyntheticProblem(Problem):
         int_lo, int_hi = math.ceil(lo), math.floor(hi)
         self.space = SearchSpace(
             [Continuous(lo, hi)] * half + [IntegerRange(int_lo, int_hi)] * half)
-        rng = np.random.default_rng(shift_seed)
+        rng = np.random.default_rng(np.random.SeedSequence(shift_seed, spawn_key=(1,)))
         shift = rng.uniform(0.8 * lo, 0.8 * hi, size=dim)
         shift[half:] = np.clip(np.round(shift[half:]), int_lo, int_hi)
         self.shift = shift

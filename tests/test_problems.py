@@ -115,6 +115,15 @@ class TestSynthetic:
         b = synthetic("ackley", dim=10, shift_seed=3)
         np.testing.assert_array_equal(a.shift, b.shift)
 
+    @pytest.mark.parametrize("shift_seed", [0, 1, 7])
+    def test_shift_is_not_a_run_seeds_stream(self, shift_seed):
+        # a run with seed shift_seed draws default_rng(shift_seed).random;
+        # the continuous half of the shift must not be an affine image of it
+        problem = synthetic("sphere", dim=50, shift_seed=shift_seed)
+        half = problem.space.n_c
+        u = np.random.default_rng(shift_seed).random(50)[:half]
+        assert abs(np.corrcoef(problem.shift[:half], u)[0, 1]) < 0.9
+
     def test_optimum_is_feasible(self):
         problem = synthetic("griewank", dim=10)
         assert problem.optimum_solution().conforms(problem.space)
