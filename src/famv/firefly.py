@@ -68,9 +68,11 @@ class FireflyConfig:
 
     def __post_init__(self):
         if self.pop_size < 2:
-            raise ValueError("pop_size must be >= 2")
-        if self.beta0 <= 0 or self.alpha <= 0 or self.gamma <= 0 or self.k <= 0:
-            raise ValueError("beta0, alpha, gamma and k must be positive")
+            raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
+        for name in ("beta0", "alpha", "gamma", "k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 # Kept name: bench/run.py counts its calls and the share with beta > 1e-3.

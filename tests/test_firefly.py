@@ -237,6 +237,12 @@ class TestFireflyConfig:
         with pytest.raises(ValueError):
             FireflyConfig(max_fe=100, beta0=0.0)
 
+    @pytest.mark.parametrize("name", ["beta0", "alpha", "gamma", "k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_setting(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            FireflyConfig(max_fe=100, **{name: value})
+
 
 class TestSweep:
     def test_schedule_and_charges(self):
