@@ -38,7 +38,7 @@ class Continuous:
 
 @dataclass(frozen=True)
 class IntegerRange:
-    """A compact (consecutive) integer dimension, lo <= hi."""
+    """A compact (consecutive) integer dimension, -2**53 <= lo <= hi <= 2**53."""
 
     lo: int
     hi: int
@@ -46,8 +46,10 @@ class IntegerRange:
     def __post_init__(self):
         if not all(math.isfinite(b) and b == math.floor(b) for b in (self.lo, self.hi)):
             raise ValueError(f"integer bounds must be whole numbers, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"integer dimension needs lo <= hi, got [{self.lo}, {self.hi}]")
+        # the largest integers a float64 holds exactly: steps and draws use float64
+        if not -2 ** 53 <= self.lo <= self.hi <= 2 ** 53:
+            raise ValueError(f"integer dimension needs -2**53 <= lo <= hi <= 2**53, "
+                             f"got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,12 @@ class TestDimensionSpecs:
         assert IntegerRange(np.int64(1), 3).hi == 3
         assert IntegerRange(1.0, 3.0).lo == 1
 
+    def test_integer_range_bounds_fit_a_float64(self):
+        for lo, hi in ((0, 2 ** 63 - 1), (-2 ** 53 - 1, 0), (2 ** 53 + 1, 2 ** 53 + 2)):
+            with pytest.raises(ValueError, match=rf"2\*\*53.*\[{lo}, {hi}\]"):
+                IntegerRange(lo, hi)
+        assert IntegerRange(-2 ** 53, 2 ** 53).hi == 2 ** 53
+
     def test_categorical_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
             Categorical(())

@@ -396,6 +396,21 @@ def test_firefly_runs_draw_only_doubles(monkeypatch, mixed_space, engine):
         assert trace.final.solution.conforms(problem.space)
 
 
+class WidestIntegerRange:
+    name = "widest-integer-range"
+    reference_optimum = 0.0
+    space = SearchSpace([Continuous(0.0, 1.0), IntegerRange(-2 ** 53, 2 ** 53)])
+
+    def __call__(self, sol):
+        return float(sol.cont[0]) + abs(sol.disc[0]) / 2.0 ** 53
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "ga"])
+def test_widest_integer_range_gives_a_conforming_solution(algo):
+    trace = run_algorithm(algo, WidestIntegerRange(), 300, 0)
+    assert trace.final.solution.conforms(WidestIntegerRange.space)
+
+
 class FirstEvaluationNaN:
     """Returns NaN on its first call, a finite value afterwards; with
     ``always``, NaN on every call."""
