@@ -74,11 +74,10 @@ class SearchSpace:
     Dimension order is stable and defines the solution layout: the k-th
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
     ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
-    ``dims``; ``cat_idx`` picks the categorical codes.  Every code is
-    bounded by ``disc_lo``/``disc_hi`` (0 and size - 1 for a categorical),
-    and ``disc_sizes`` counts each discrete dimension's codes (``cat_sizes``
-    are the categorical ones).  ``lo``/``hi`` bound every dimension in
-    ``dims`` order.
+    ``dims``; ``cat_idx`` picks the categorical codes.  Code k lies in
+    [``disc_lo[k]``, ``disc_hi[k]``] and takes ``disc_sizes[k]`` values
+    (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
+    dimension in ``dims`` order.
     """
 
     def __init__(self, dims: Iterable[DimensionSpec]):
@@ -247,9 +246,8 @@ class Recorder:
 def random_point(space: SearchSpace,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw a uniform random continuous vector and code vector from
-    ``space.dim`` doubles of ``rng.random``, the continuous part first.  A
-    code is ``disc_lo + floor(u * disc_sizes)``, which stays below
-    ``disc_lo + disc_sizes`` for every u < 1."""
+    ``space.dim`` doubles of ``rng.random``, continuous first; a code is
+    ``disc_lo + floor(u * disc_sizes)``, below its bound for every u < 1."""
     u = rng.random(space.dim)
     cont = space.cont_lo + u[:space.n_c] * space.cont_range
     return cont, space.disc_lo + (u[space.n_c:] * space.disc_sizes).astype(np.int64)

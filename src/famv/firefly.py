@@ -31,8 +31,7 @@ class _Uniforms:
     call would, however they are chunked, at a slice's cost instead of a
     ``Generator`` call's.  Blocks are read-only, so no stage can write into
     its uniforms.  Both engines wrap their generator before their first
-    draw, and every stage, the first population's codes included, draws
-    only doubles, so a firefly run takes nothing else from its generator.
+    draw, so a firefly run takes only doubles from it, codes included.
     Once wrapped, ``rng`` must not be drawn from directly.
     """
 
@@ -70,9 +69,8 @@ class FireflyConfig:
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
         for name in ("beta0", "alpha", "gamma", "k"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if not 0 < getattr(self, name) < math.inf:   # false for NaN too
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 # Kept name: bench/run.py counts its calls and the share with beta > 1e-3.

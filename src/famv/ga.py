@@ -55,7 +55,6 @@ class ChromosomeLayout:
     def __init__(self, space: SearchSpace, bits_per_continuous: int = 16):
         self.space = space
         widths = np.full(space.dim, bits_per_continuous)
-        # ceil(log2(n)) in exact integer arithmetic, at least one bit
         widths[space.disc_pos] = [max(1, (n - 1).bit_length()) for n in space.disc_sizes.tolist()]
         self.starts = np.cumsum(widths) - widths
         self.length = int(widths.sum())

@@ -276,9 +276,8 @@ class SyntheticProblem(Problem):
     dimensions stays continuous, the second half is restricted to integers.
 
     The shift vector is drawn once from the inner 80% of the domain, with
-    its integer half pre-rounded so the optimum is feasible.  Its stream is
-    ``shift_seed``'s with spawn key 1, which no run seed's
-    ``default_rng(seed)`` gives, so no run starts from the optimum's doubles.
+    its integer half pre-rounded so the optimum is feasible, from
+    ``shift_seed`` with spawn key 1: a stream that no run seed gives.
     """
 
     def __init__(self, name: str, dim: int = 50, shift_seed: int = 0):
