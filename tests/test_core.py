@@ -108,6 +108,16 @@ class TestMixedSolution:
         assert not MixedSolution(np.array([0.0]), (3, "b")).conforms(mixed_space)
 
 
+class _Constant:
+    """A stand-in stream whose every uniform is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
 class TestRandomSolution:
     def test_continuous_within_bounds(self, rng):
         space = SearchSpace([Continuous(0.0, 1.0)])
@@ -162,16 +172,6 @@ class TestRandomSolution:
         space = SearchSpace([IntegerRange(-2 ** 53, 2 ** 53)])
         assert core.random_point(space, _Constant(0.0))[1][0] == -2 ** 53
         assert core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))[1][0] == 2 ** 53 - 2
-
-
-class _Constant:
-    """A stand-in stream whose every uniform is ``u``."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self, n):
-        return np.full(n, self.u)
 
 
 class TestRunTrace:
