@@ -38,7 +38,8 @@ class Continuous:
 
 @dataclass(frozen=True)
 class IntegerRange:
-    """A compact (consecutive) integer dimension, -2**53 <= lo <= hi <= 2**53."""
+    """A compact (consecutive) integer dimension of at most 2**53 values:
+    -2**53 <= lo <= hi <= 2**53 and hi - lo < 2**53."""
 
     lo: int
     hi: int
@@ -46,10 +47,11 @@ class IntegerRange:
     def __post_init__(self):
         if not all(math.isfinite(b) and b == math.floor(b) for b in (self.lo, self.hi)):
             raise ValueError(f"integer bounds must be whole numbers, got [{self.lo}, {self.hi}]")
-        # the largest integers a float64 holds exactly: steps and draws use float64
-        if not -2 ** 53 <= self.lo <= self.hi <= 2 ** 53:
-            raise ValueError(f"integer dimension needs -2**53 <= lo <= hi <= 2**53, "
-                             f"got [{self.lo}, {self.hi}]")
+        # steps use float64, which holds every integer up to 2**53 exactly, and
+        # a draw floor(u * size) reaches every code only while size <= 2**53
+        if not (-2 ** 53 <= self.lo <= self.hi <= 2 ** 53 and self.hi - self.lo < 2 ** 53):
+            raise ValueError(f"integer dimension needs -2**53 <= lo <= hi <= 2**53 "
+                             f"and hi - lo < 2**53, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,11 @@ class SearchSpace:
         self.dims: tuple[DimensionSpec, ...] = tuple(dims)
         if not self.dims:
             raise ValueError("search space needs at least one dimension")
-        self.continuous: tuple[Continuous, ...] = tuple(
-            d for d in self.dims if isinstance(d, Continuous))
         self.discrete: tuple[Union[IntegerRange, Categorical], ...] = tuple(
             d for d in self.dims if not isinstance(d, Continuous))
-        self.n_c = len(self.continuous)
+        self.dim = len(self.dims)
         self.n_d = len(self.discrete)
-        self.dim = self.n_c + self.n_d
+        self.n_c = self.dim - self.n_d
         lo = [0 if isinstance(d, Categorical) else d.lo for d in self.dims]
         hi = [len(d.values) - 1 if isinstance(d, Categorical) else d.hi for d in self.dims]
         is_cont = np.array([isinstance(d, Continuous) for d in self.dims])
@@ -200,8 +200,6 @@ class RunTrace:
 
     samples: list[tuple[int, float]]
     final: Firefly
-    seed: int
-    algorithm: str
 
     def __post_init__(self):
         fes = [fe for fe, _ in self.samples]
@@ -237,10 +235,10 @@ class Recorder:
             self.samples.append((self.budget.consumed, fitness))
         return fitness
 
-    def build(self, seed: int, algorithm: str) -> RunTrace:
+    def build(self) -> RunTrace:
         if self.best is None:
             raise RuntimeError("run produced no evaluations")
-        return RunTrace(self.samples, self.best, seed, algorithm)
+        return RunTrace(self.samples, self.best)
 
 
 def random_point(space: SearchSpace,

@@ -1,6 +1,6 @@
 """Distance measures feeding the attractiveness computation.  `mixed_eh` and
-`gower` wrap array kernels on continuous and code vectors (`CODE_DISTANCES`),
-which the firefly engine calls directly."""
+`gower` take solutions; `CODE_DISTANCES` holds the same two measures as array
+kernels on continuous and code vectors, which the firefly engine calls."""
 
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ def mixed_eh(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
     """Euclidean over the continuous part plus Hamming over the discrete
     part, averaged over the total dimension count."""
     _check(space, x, y)
-    return mixed_eh_codes(space, x.cont, space.encode(x.disc), y.cont, space.encode(y.disc))
+    return (euclidean(x.cont, y.cont) + hamming(x.disc, y.disc)) / space.dim
 
 
 def gower(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
@@ -63,7 +63,8 @@ def gower(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
     mismatch indicator, so the result lies in [0, 1].
     """
     _check(space, x, y)
-    return gower_codes(space, x.cont, space.encode(x.disc), y.cont, space.encode(y.disc))
+    total = float((np.abs(x.cont - y.cont) / space.cont_range).sum())
+    return (total + hamming(x.disc, y.disc)) / space.dim
 
 
 def _check(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> None:

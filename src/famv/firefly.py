@@ -12,7 +12,7 @@ rounding at evaluation time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -243,7 +243,7 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
             conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
             fitness[i] = rec.evaluate(conts[i], codes[i])
 
-    return rec.build(config.seed, "famv")
+    return rec.build()
 
 
 def relaxed_decode(space: SearchSpace, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,14 +256,23 @@ def relaxed_decode(space: SearchSpace, position: np.ndarray) -> tuple[np.ndarray
     return x[space.cont_pos], _round_codes(x[space.disc_pos])
 
 
+# the settings fa reads; the others belong to famv's discrete step and schedule
+_FA_SETTINGS = ("max_fe", "seed", "pop_size", "beta0", "alpha", "gamma")
+
+
 def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     """Continuous firefly baseline on the relaxed space.
 
     Positions stay continuous for the whole run; discrete dimensions are only
     decoded when the objective is evaluated.  A firefly with no brighter one
     takes a uniform random step of alpha * (U - 1/2), as in Yang's FA, so a
-    flat objective still spends the whole budget.
+    flat objective still spends the whole budget.  A setting outside
+    ``_FA_SETTINGS`` that is not at its default is a ValueError naming it.
     """
+    own = FireflyConfig(**{name: getattr(config, name) for name in _FA_SETTINGS})
+    for f in fields(FireflyConfig):
+        if getattr(config, f.name) != getattr(own, f.name):
+            raise ValueError(f"fa has no setting {f.name}, got {getattr(config, f.name)!r}")
     space = problem.space
     rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
@@ -284,4 +293,4 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
             positions[i] = _clip(position, lo, hi)
             fitness[i] = rec.evaluate(*relaxed_decode(space, positions[i]))
 
-    return rec.build(config.seed, "fa")
+    return rec.build()

@@ -52,7 +52,7 @@ class ChromosomeLayout:
     ``starts`` gives every segment's unsigned integer at once.
     """
 
-    def __init__(self, space: SearchSpace, bits_per_continuous: int = 16):
+    def __init__(self, space: SearchSpace, bits_per_continuous: int):
         self.space = space
         widths = np.full(space.dim, bits_per_continuous)
         widths[space.disc_pos] = [max(1, (n - 1).bit_length()) for n in space.disc_sizes.tolist()]
@@ -118,7 +118,7 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
                            dtype=np.int8)
     fitness = evaluate(genomes)   # never runs out: at most max_fe rows
     if config.elitism_count >= config.pop_size:
-        return rec.build(config.seed, "ga")  # fully elitist: nothing evolves
+        return rec.build()  # fully elitist: nothing evolves
 
     n_child = config.pop_size - config.elitism_count
     pairs = (n_child + 1) // 2
@@ -140,4 +140,4 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
         genomes = np.concatenate((genomes[elite], children))
         fitness = np.concatenate((fitness[elite], child_fitness))
 
-    return rec.build(config.seed, "ga")
+    return rec.build()

@@ -12,48 +12,37 @@ from .core import ObjectiveFunction, RunTrace
 from .distances import DistanceKind
 from .firefly import FireflyConfig, run_classical_fa, run_famv
 from .ga import GaConfig, run_ga
-from .problems import ENGINEERING_NAMES, get_problem
+from .problems import ENGINEERING_NAMES, SYNTHETIC_DIM, get_problem
 from .stats import compare
 
 DEFAULT_SYNTHETIC_BUDGET = 100_000
 DEFAULT_ENGINEERING_BUDGET = 10_000
 
 
-def _firefly_runner(distance: DistanceKind | None, adapt_alpha: bool, adapt_gamma: bool):
+def _make_runner(engine: str, config_type: type, **decided):
+    """A registry entry: runs the engine named ``engine`` in this module,
+    looked up at call time so that a replaced engine is the one run, on a
+    ``config_type`` of the run's budget and seed, the settings the name
+    ``decided`` and the caller's ``overrides``, which win."""
     def run(problem: ObjectiveFunction, max_fe: int, seed: int,
             overrides: dict | None = None) -> RunTrace:
-        params = dict(
-            max_fe=max_fe,
-            seed=seed,
-            alpha=2.0 if adapt_alpha else 1.5,
-            gamma=0.05 if adapt_gamma else 0.1,
-            distance=distance or DistanceKind.MIXED_EH,
-            adapt_alpha=adapt_alpha,
-            adapt_gamma=adapt_gamma,
-        )
-        params.update(overrides or {})
-        config = FireflyConfig(**params)
-        if distance is None:
-            return run_classical_fa(problem, config)
-        return run_famv(problem, config)
+        config = config_type(max_fe=max_fe, seed=seed, **{**decided, **(overrides or {})})
+        return globals()[engine](problem, config)
     return run
 
 
-def _ga_runner(problem: ObjectiveFunction, max_fe: int, seed: int,
-               overrides: dict | None = None) -> RunTrace:
-    config = GaConfig(max_fe=max_fe, seed=seed, **(overrides or {}))
-    return run_ga(problem, config)
-
-
-# famv-{h,g}{,-adaptive,-alpha,-gamma}: distance x (adapt_alpha, adapt_gamma)
-_SCHEDULES = {"": (False, False), "-adaptive": (True, True),
-              "-alpha": (True, False), "-gamma": (False, True)}
+# famv-{h,g}{,-adaptive,-alpha,-gamma}: distance x schedule; a decaying
+# alpha starts at 2.0 and a decaying gamma at 0.05
+_ADAPT_ALPHA = dict(adapt_alpha=True, alpha=2.0)
+_ADAPT_GAMMA = dict(adapt_gamma=True, gamma=0.05)
+_SCHEDULES = {"": {}, "-adaptive": {**_ADAPT_ALPHA, **_ADAPT_GAMMA},
+              "-alpha": _ADAPT_ALPHA, "-gamma": _ADAPT_GAMMA}
 ALGORITHMS = {
-    "fa": _firefly_runner(None, False, False),
-    **{f"famv-{tag}{suffix}": _firefly_runner(kind, *adapt)
+    "fa": _make_runner("run_classical_fa", FireflyConfig),
+    **{f"famv-{tag}{suffix}": _make_runner("run_famv", FireflyConfig, distance=kind, **schedule)
        for tag, kind in (("h", DistanceKind.MIXED_EH), ("g", DistanceKind.GOWER))
-       for suffix, adapt in _SCHEDULES.items()},
-    "ga": _ga_runner,
+       for suffix, schedule in _SCHEDULES.items()},
+    "ga": _make_runner("run_ga", GaConfig),
 }
 
 
@@ -82,7 +71,7 @@ class ExperimentSpec:
     budget: int | None = None       # None: per-problem default
     base_seed: int = 0
     stride: int = 250
-    dim: int = 50                   # synthetic problems only
+    dim: int = SYNTHETIC_DIM        # synthetic problems only
 
     def __post_init__(self):
         for name in ("problems", "algorithms", "out_dir"):
@@ -114,7 +103,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def emit_trace(trace: RunTrace, path: str | Path, stride: int = 250) -> None:
+def emit_trace(trace: RunTrace, path: str | Path, stride: int) -> None:
     """Write a `fe,best` CSV: samples thinned to the stride plus the final point."""
     if stride < 1:
         raise ValueError("stride must be >= 1")

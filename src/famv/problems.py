@@ -8,28 +8,24 @@ overridden per instance; they only feed absolute-error reporting.
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
 from .core import Continuous, IntegerRange, MixedSolution, SearchSpace
 
 PENALTY_M = 1.0e6
-
-
-class PenaltyMode(Enum):
-    MAGNITUDE_ONLY = "magnitude"
-    MAGNITUDE_PLUS_COUNT = "magnitude+count"
+SYNTHETIC_DIM = 50      # the default dimension of a synthetic problem
 
 
 class Problem:
     """Minimization objective over a mixed space, penalty-wrapped when
-    constrained."""
+    constrained: PENALTY_M times the summed violation, plus PENALTY_M per
+    violated constraint when ``count_violations`` is set."""
 
     name: str
     space: SearchSpace
     reference_optimum: float
-    penalty_mode = PenaltyMode.MAGNITUDE_ONLY
+    count_violations = False
 
     def raw(self, sol: MixedSolution) -> float:
         raise NotImplementedError
@@ -45,7 +41,7 @@ class Problem:
             return value
         violation = np.maximum(0.0, g)
         value += PENALTY_M * float(np.add.reduce(violation))
-        if self.penalty_mode is PenaltyMode.MAGNITUDE_PLUS_COUNT:
+        if self.count_violations:
             value += PENALTY_M * int(np.count_nonzero(violation))
         return value
 
@@ -79,7 +75,6 @@ class VesselProblem(Problem):
     multiplier counts so the grid is feasible by construction."""
 
     name = "vessel"
-    penalty_mode = PenaltyMode.MAGNITUDE_ONLY
 
     def __init__(self, reference_optimum: float = 6059.714335):
         self.space = SearchSpace([
@@ -144,7 +139,7 @@ def beam_constraints(x1: float, x2: float, x3: float, x4: float) -> np.ndarray:
 
 class BeamProblem(Problem):
     name = "beam"
-    penalty_mode = PenaltyMode.MAGNITUDE_PLUS_COUNT
+    count_violations = True
 
     def __init__(self, reference_optimum: float = 1.724852):
         self.space = SearchSpace([
@@ -202,7 +197,6 @@ def csd_constraints(d: float, d_coil: float, n: int) -> np.ndarray:
 
 class CsdProblem(Problem):
     name = "csd"
-    penalty_mode = PenaltyMode.MAGNITUDE_ONLY
 
     def __init__(self, reference_optimum: float = 2.658559):
         self.space = SearchSpace([
@@ -280,7 +274,7 @@ class SyntheticProblem(Problem):
     ``shift_seed`` with spawn key 1: a stream that no run seed gives.
     """
 
-    def __init__(self, name: str, dim: int = 50, shift_seed: int = 0):
+    def __init__(self, name: str, dim: int = SYNTHETIC_DIM, shift_seed: int = 0):
         if name not in _SYNTHETIC:
             raise KeyError(f"unknown synthetic function {name!r}")
         if dim < 2 or dim % 2 != 0:
@@ -308,27 +302,20 @@ class SyntheticProblem(Problem):
         return self._fn(x - self.shift)
 
 
-ENGINEERING_NAMES = ("vessel", "beam", "csd")
-SYNTHETIC_NAMES = tuple(_SYNTHETIC)
+synthetic = SyntheticProblem
+
+_ENGINEERING = {"vessel": VesselProblem, "beam": BeamProblem, "csd": CsdProblem}
+ENGINEERING_NAMES = tuple(_ENGINEERING)
 
 
-def synthetic(name: str, dim: int = 50, shift_seed: int = 0) -> SyntheticProblem:
-    return SyntheticProblem(name, dim=dim, shift_seed=shift_seed)
-
-
-def get_problem(name: str, dim: int = 50, shift_seed: int = 0) -> Problem:
-    """Resolve a problem by registry name."""
-    if name == "vessel":
-        return VesselProblem()
-    if name == "beam":
-        return BeamProblem()
-    if name == "csd":
-        return CsdProblem()
+def get_problem(name: str, dim: int = SYNTHETIC_DIM) -> Problem:
+    """Resolve a problem by registry name; ``dim`` sizes a synthetic one."""
+    if name in _ENGINEERING:
+        return _ENGINEERING[name]()
     if name in _SYNTHETIC:
-        return SyntheticProblem(name, dim=dim, shift_seed=shift_seed)
-    raise KeyError(f"unknown problem {name!r}; known: "
-                   f"{', '.join(ENGINEERING_NAMES + SYNTHETIC_NAMES)}")
+        return SyntheticProblem(name, dim)
+    raise KeyError(f"unknown problem {name!r}; known: {', '.join(available_problems())}")
 
 
 def available_problems() -> tuple[str, ...]:
-    return ENGINEERING_NAMES + SYNTHETIC_NAMES
+    return ENGINEERING_NAMES + tuple(_SYNTHETIC)

@@ -138,12 +138,13 @@ class ComparisonReport:
     similar_to_best: set[str]
 
 
-def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonReport:
+def compare(groups: SampleSet) -> ComparisonReport:
     """Rank one problem's groups: omnibus gate, post-hoc pairs, Holm,
     classification.
 
-    The best group has the lowest mean, and among equal means (two +inf
-    means, say) the lowest mean pooled rank, the ranks Kruskal-Wallis uses.
+    Tests are significant below ``SIGNIFICANCE_LEVEL``.  The best group has
+    the lowest mean, and among equal means (two +inf means, say) the lowest
+    mean pooled rank, the ranks Kruskal-Wallis uses.
     A group that holds an infinite value has std +inf.  The similar set is
     the best plus every group whose Holm-adjusted comparison against the
     best (adjusted within the best-vs-others family) is non-significant.
@@ -163,13 +164,13 @@ def compare(groups: SampleSet, level: float = SIGNIFICANCE_LEVEL) -> ComparisonR
         h, p = kruskal_wallis(groups)
 
     similar = set(groups)
-    if p < level:
+    if p < SIGNIFICANCE_LEVEL:
         best_rows = [row for row in dunn_pairwise(groups) if best in row[0]]
         best_adjusted = holm_adjust([row[2] for row in best_rows])
         similar = {best}
         for (pair, _, _), adj in zip(best_rows, best_adjusted):
             other = pair[0] if pair[1] == best else pair[1]
-            if adj >= level:
+            if adj >= SIGNIFICANCE_LEVEL:
                 similar.add(other)
 
     return ComparisonReport(h, p, means, stds, best, similar)

@@ -46,10 +46,13 @@ class TestDimensionSpecs:
         assert IntegerRange(1.0, 3.0).lo == 1
 
     def test_integer_range_bounds_fit_a_float64(self):
-        for lo, hi in ((0, 2 ** 63 - 1), (-2 ** 53 - 1, 0), (2 ** 53 + 1, 2 ** 53 + 2)):
+        for lo, hi in ((0, 2 ** 63 - 1), (-2 ** 53 - 1, 0), (2 ** 53 + 1, 2 ** 53 + 2),
+                       (-2 ** 53, 2 ** 53), (0, 2 ** 53), (-2 ** 53, 0)):
             with pytest.raises(ValueError, match=rf"2\*\*53.*\[{lo}, {hi}\]"):
                 IntegerRange(lo, hi)
-        assert IntegerRange(-2 ** 53, 2 ** 53).hi == 2 ** 53
+        # the widest ranges: 2**53 values each
+        assert IntegerRange(1, 2 ** 53).hi == 2 ** 53
+        assert IntegerRange(-2 ** 53, -1).lo == -2 ** 53
 
     def test_categorical_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -167,20 +170,21 @@ class TestRandomSolution:
         np.testing.assert_array_equal(codes, space.disc_hi)
 
     def test_stream_endpoints_on_the_widest_integer_range(self):
-        # 2**54 + 1 codes: floor(u * size) takes only even offsets there,
-        # so the largest u lands two codes below the upper bound
-        space = SearchSpace([IntegerRange(-2 ** 53, 2 ** 53)])
-        assert core.random_point(space, _Constant(0.0))[1][0] == -2 ** 53
-        assert core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))[1][0] == 2 ** 53 - 2
+        # 2**53 codes at either end of the float64 integers: the smallest
+        # and largest u draw the two bounds
+        for lo, hi in ((1, 2 ** 53), (-2 ** 53, -1)):
+            space = SearchSpace([IntegerRange(lo, hi)])
+            assert core.random_point(space, _Constant(0.0))[1][0] == lo
+            assert core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))[1][0] == hi
 
 
 class TestRunTrace:
     def test_rejects_unordered_samples(self):
         final = Firefly(MixedSolution(np.zeros(1), ()), 0.5)
         with pytest.raises(ValueError):
-            RunTrace([(2, 1.0), (1, 0.5)], final, 0, "x")
+            RunTrace([(2, 1.0), (1, 0.5)], final)
         with pytest.raises(ValueError):
-            RunTrace([(1, 1.0), (1, 0.5)], final, 0, "x")
+            RunTrace([(1, 1.0), (1, 0.5)], final)
 
 
 class TestRecorder:
@@ -203,14 +207,14 @@ class TestRecorder:
     def test_no_evaluation_is_an_error(self):
         recorder, _ = self._recorder([])
         with pytest.raises(RuntimeError):
-            recorder.build(0, "x")
+            recorder.build()
 
     def test_non_finite_values_are_inf_and_never_best(self):
         recorder, _ = self._recorder([math.nan, 3.0, -math.inf, math.nan, 2.0])
         stored = [recorder.evaluate(np.zeros(1), np.array([0])) for _ in range(5)]
         assert stored == [math.inf, 3.0, math.inf, math.inf, 2.0]
         assert recorder.budget.consumed == 5
-        trace = recorder.build(0, "x")
+        trace = recorder.build()
         assert trace.samples == [(1, math.inf), (2, 3.0), (5, 2.0)]
         assert trace.final.fitness == 2.0
 

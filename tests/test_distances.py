@@ -101,12 +101,14 @@ class TestGower:
 class TestSolutionDistance:
     def test_dispatch(self, mixed_space, rng):
         # each kind's code kernel, fed the engine's arrays, gives the public value
-        x = random_solution(mixed_space, rng)
-        y = random_solution(mixed_space, rng)
-        for kind, public in ((DistanceKind.MIXED_EH, mixed_eh), (DistanceKind.GOWER, gower)):
-            kernel = CODE_DISTANCES[kind]
-            assert kernel(mixed_space, x.cont, mixed_space.encode(x.disc),
-                          y.cont, mixed_space.encode(y.disc)) == public(mixed_space, x, y)
+        for _ in range(50):
+            x = random_solution(mixed_space, rng)
+            for y in (x, random_solution(mixed_space, rng)):
+                for kind, public in ((DistanceKind.MIXED_EH, mixed_eh),
+                                     (DistanceKind.GOWER, gower)):
+                    kernel = CODE_DISTANCES[kind]
+                    assert kernel(mixed_space, x.cont, mixed_space.encode(x.disc),
+                                  y.cont, mixed_space.encode(y.disc)) == public(mixed_space, x, y)
 
     def test_nonconforming_rejected(self, mixed_space):
         bad = MixedSolution(np.array([0.0]), (3, "b"))

@@ -17,7 +17,7 @@ class TestLayout:
         assert layout.length == 38
 
     def test_singleton_discrete_still_one_bit(self):
-        layout = ChromosomeLayout(SearchSpace([IntegerRange(5, 5)]))
+        layout = ChromosomeLayout(SearchSpace([IntegerRange(5, 5)]), 16)
         assert layout.length == 1
 
 
@@ -33,7 +33,7 @@ class TestDecode:
     def test_modulo_mapping(self):
         # 5 symbols and 5 integers each take 3 bits, so raw 5..7 wrap around
         space = SearchSpace([Categorical(("a", "b", "c", "d", "e")), IntegerRange(2, 6)])
-        layout = ChromosomeLayout(space)
+        layout = ChromosomeLayout(space, 16)
         assert layout.length == 6
         # raw 6 mod 5 = 1 -> "b"; raw 7 mod 5 = 2 -> 2 + 2; raw 0 -> "a", 2
         bits = np.array([[1, 1, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0]], dtype=np.int8)
@@ -41,13 +41,13 @@ class TestDecode:
         assert [space.decode(row) for row in codes] == [("b", 4), ("a", 2)]
 
     def test_always_feasible(self, mixed_space, rng):
-        layout = ChromosomeLayout(mixed_space)
+        layout = ChromosomeLayout(mixed_space, 16)
         bits = rng.integers(0, 2, size=(200, layout.length), dtype=np.int8)
         for cont, codes in zip(*decode(layout, bits)):
             assert MixedSolution(cont, mixed_space.decode(codes)).conforms(mixed_space)
 
     def test_matches_per_segment_reference(self, mixed_space, rng):
-        layout = ChromosomeLayout(mixed_space)   # segments of 16, 16, 4 and 2 bits
+        layout = ChromosomeLayout(mixed_space, 16)   # segments of 16, 16, 4 and 2 bits
         bits = rng.integers(0, 2, size=(50, layout.length), dtype=np.int8)
         cont, codes = decode(layout, bits)
         for row, x, c in zip(bits.tolist(), cont, codes):
@@ -57,7 +57,7 @@ class TestDecode:
             assert c.tolist() == [raw[2] % 10, raw[3] % 3]
 
     def test_length_check(self, mixed_space):
-        layout = ChromosomeLayout(mixed_space)   # 38 bits
+        layout = ChromosomeLayout(mixed_space, 16)   # 38 bits
         for shape in [(1, 3), (38,), (2, 39)]:
             with pytest.raises(ValueError, match="chromosome shape"):
                 decode(layout, np.zeros(shape, dtype=np.int8))

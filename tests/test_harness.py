@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from famv import (ALGORITHMS, Categorical, Continuous, ExperimentSpec,
-                  IntegerRange, SearchSpace, compare, run_algorithm,
-                  run_experiment)
+from famv import (ALGORITHMS, Categorical, Continuous, DistanceKind, ExperimentSpec,
+                  GaConfig, IntegerRange, SearchSpace, compare, harness,
+                  run_algorithm, run_experiment)
 from famv.cli import main as cli_main
 from famv.firefly import FireflyConfig, run_classical_fa, run_famv
 from famv.harness import (DEFAULT_ENGINEERING_BUDGET, DEFAULT_SYNTHETIC_BUDGET,
@@ -38,6 +38,58 @@ class TestAlgorithmRegistry:
         trace = run_algorithm(name, toy_problem, 400, 0)
         assert trace.samples[-1][0] <= 400
         assert np.isfinite(trace.final.fitness)
+
+    H, G = DistanceKind.MIXED_EH, DistanceKind.GOWER
+    # name -> engine, and for a firefly engine the settings the run gets:
+    # alpha, gamma, distance, adapt_alpha, adapt_gamma
+    SETTINGS = {
+        "fa": ("run_classical_fa", 1.5, 0.1, H, False, False),
+        "famv-h": ("run_famv", 1.5, 0.1, H, False, False),
+        "famv-h-adaptive": ("run_famv", 2.0, 0.05, H, True, True),
+        "famv-h-alpha": ("run_famv", 2.0, 0.1, H, True, False),
+        "famv-h-gamma": ("run_famv", 1.5, 0.05, H, False, True),
+        "famv-g": ("run_famv", 1.5, 0.1, G, False, False),
+        "famv-g-adaptive": ("run_famv", 2.0, 0.05, G, True, True),
+        "famv-g-alpha": ("run_famv", 2.0, 0.1, G, True, False),
+        "famv-g-gamma": ("run_famv", 1.5, 0.05, G, False, True),
+        "ga": ("run_ga",),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETTINGS))
+    def test_config_each_name_runs(self, name, toy_problem, monkeypatch):
+        engine, *settings = self.SETTINGS[name]
+        seen = []
+        monkeypatch.setattr(harness, engine, lambda problem, config: seen.append(config))
+        run_algorithm(name, toy_problem, 300, 7)
+        if settings:
+            alpha, gamma, distance, adapt_alpha, adapt_gamma = settings
+            expected = FireflyConfig(max_fe=300, seed=7, pop_size=25, beta0=1.5, alpha=alpha,
+                                     gamma=gamma, k=1.0, distance=distance,
+                                     adapt_alpha=adapt_alpha, adapt_gamma=adapt_gamma)
+        else:
+            expected = GaConfig(max_fe=300, seed=7, pop_size=100, p_crossover=0.9,
+                                p_mutation=0.01, tournament_size=3, elitism_count=1,
+                                bits_per_continuous=16)
+        assert seen == [expected]
+
+    def test_overrides_win_over_the_name(self, toy_problem, monkeypatch):
+        seen = []
+        monkeypatch.setattr(harness, "run_famv", lambda problem, config: seen.append(config))
+        run_algorithm("famv-g-alpha", toy_problem, 300, 7, {"alpha": 0.5, "k": 3.0})
+        assert seen == [FireflyConfig(max_fe=300, seed=7, alpha=0.5, k=3.0,
+                                      distance=DistanceKind.GOWER, adapt_alpha=True)]
+
+    @pytest.mark.parametrize("setting, value", [
+        ("adapt_alpha", True), ("adapt_gamma", True), ("k", 50.0),
+        ("distance", DistanceKind.GOWER)])
+    def test_fa_rejects_famv_only_settings(self, setting, value, toy_problem):
+        with pytest.raises(ValueError, match=f"fa has no setting {setting}"):
+            run_algorithm("fa", toy_problem, 500, 0, {setting: value})
+
+    def test_fa_takes_its_own_settings(self, toy_problem):
+        overrides = {"pop_size": 10, "beta0": 1.0, "alpha": 0.5, "gamma": 0.2}
+        trace = run_algorithm("fa", toy_problem, 300, 0, overrides)
+        assert trace.samples != run_algorithm("fa", toy_problem, 300, 0).samples
 
 
 class TestBudgets:
@@ -98,7 +150,7 @@ class TestEmitTrace:
         trace = self._trace(toy_problem)
         bad = tmp_path / "missing-dir" / "trace.csv"
         with pytest.raises(OSError, match="missing-dir"):
-            emit_trace(trace, bad)
+            emit_trace(trace, bad, 1)
 
     def test_invalid_stride(self, toy_problem, tmp_path):
         with pytest.raises(ValueError):
@@ -399,10 +451,10 @@ def test_firefly_runs_draw_only_doubles(monkeypatch, mixed_space, engine):
 class WidestIntegerRange:
     name = "widest-integer-range"
     reference_optimum = 0.0
-    space = SearchSpace([Continuous(0.0, 1.0), IntegerRange(-2 ** 53, 2 ** 53)])
+    space = SearchSpace([Continuous(0.0, 1.0), IntegerRange(-2 ** 52, 2 ** 52 - 1)])
 
     def __call__(self, sol):
-        return float(sol.cont[0]) + abs(sol.disc[0]) / 2.0 ** 53
+        return float(sol.cont[0]) + abs(sol.disc[0]) / 2.0 ** 52
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "ga"])
