@@ -1,6 +1,8 @@
 """Distance measures feeding the attractiveness computation.  `mixed_eh` and
-`gower` take solutions; `CODE_DISTANCES` holds the same two measures as array
-kernels on continuous and code vectors, which the firefly engine calls."""
+`gower` take solutions; `CODE_DISTANCES` holds each measure as a kernel on the
+continuous difference ``d = y.cont - x.cont`` and the number of differing
+discrete components, which both the public measures and the firefly engine
+call."""
 
 from __future__ import annotations
 
@@ -32,28 +34,22 @@ def hamming(a: Sequence, b: Sequence) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
-def mixed_eh_codes(space: SearchSpace, x_cont: np.ndarray, x_codes: np.ndarray,
-                   y_cont: np.ndarray, y_codes: np.ndarray) -> float:
-    """`mixed_eh` on continuous vectors and code vectors."""
-    d = y_cont - x_cont
-    return (math.sqrt(d.dot(d)) + int(np.count_nonzero(x_codes != y_codes))) / space.dim
+def _mixed_eh(space: SearchSpace, d: np.ndarray, mismatches: int) -> float:
+    return (math.sqrt(d.dot(d)) + mismatches) / space.dim
 
 
-def gower_codes(space: SearchSpace, x_cont: np.ndarray, x_codes: np.ndarray,
-                y_cont: np.ndarray, y_codes: np.ndarray) -> float:
-    """`gower` on continuous vectors and code vectors."""
-    total = float((np.abs(x_cont - y_cont) / space.cont_range).sum())
-    return (total + int(np.count_nonzero(x_codes != y_codes))) / space.dim
+def _gower(space: SearchSpace, d: np.ndarray, mismatches: int) -> float:
+    return (float((np.abs(d) / space.cont_range).sum()) + mismatches) / space.dim
 
 
-CODE_DISTANCES = {DistanceKind.MIXED_EH: mixed_eh_codes, DistanceKind.GOWER: gower_codes}
+CODE_DISTANCES = {DistanceKind.MIXED_EH: _mixed_eh, DistanceKind.GOWER: _gower}
 
 
 def mixed_eh(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
     """Euclidean over the continuous part plus Hamming over the discrete
     part, averaged over the total dimension count."""
     _check(space, x, y)
-    return (euclidean(x.cont, y.cont) + hamming(x.disc, y.disc)) / space.dim
+    return _mixed_eh(space, y.cont - x.cont, hamming(x.disc, y.disc))
 
 
 def gower(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
@@ -63,8 +59,7 @@ def gower(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> float:
     mismatch indicator, so the result lies in [0, 1].
     """
     _check(space, x, y)
-    total = float((np.abs(x.cont - y.cont) / space.cont_range).sum())
-    return (total + hamming(x.disc, y.disc)) / space.dim
+    return _gower(space, y.cont - x.cont, hamming(x.disc, y.disc))
 
 
 def _check(space: SearchSpace, x: MixedSolution, y: MixedSolution) -> None:

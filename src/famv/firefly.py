@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace,
                    SearchSpace, random_point)
-from .distances import CODE_DISTANCES, DistanceKind, euclidean
+from .distances import CODE_DISTANCES, DistanceKind
 
 _BLOCK = 4096   # doubles drawn ahead by _Uniforms
 
@@ -73,7 +73,8 @@ class FireflyConfig:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
-# Kept name: bench/run.py counts its calls and the share with beta > 1e-3.
+# Kept name: bench/run.py counts its calls and the share with beta > 1e-3;
+# both engines take beta from it, looked up at call time.
 def attractiveness(beta0: float, gamma: float, r: float) -> float:
     """beta0 * exp(-gamma r^2): full attraction at r = 0, decaying with distance."""
     return beta0 * math.exp(-gamma * r * r)
@@ -84,13 +85,22 @@ def discrete_attraction_prob(gamma: float, r: float) -> float:
     return math.exp(-gamma * r * r)
 
 
+# The public stages below check their inputs and draw their own uniforms; the
+# engines call the same private cores on slices of one draw per move.
+
+def _attract(xi: np.ndarray, d: np.ndarray, beta: float, alpha: float,
+             u: np.ndarray) -> np.ndarray:
+    """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``alpha * (u - 1/2)``."""
+    return xi + beta * d + alpha * (u - 0.5)
+
+
 def continuous_move(xi: np.ndarray, xj: np.ndarray, beta: float, alpha: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Attraction toward the brighter position plus uniform noise in
     [-alpha/2, alpha/2], drawn fresh per component."""
     if len(xi) != len(xj):
         raise ValueError("continuous parts differ in length")
-    return xi + beta * (xj - xi) + alpha * (rng.random(len(xi)) - 0.5)
+    return _attract(xi, xj - xi, beta, alpha, rng.random(len(xi)))
 
 
 def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -104,6 +114,18 @@ def _round_codes(v: np.ndarray) -> np.ndarray:
     return (v + np.copysign(0.5, v)).astype(np.int64)
 
 
+def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarray,
+                    prob: float, u: np.ndarray) -> np.ndarray:
+    """Copy ``xj_codes[k]`` for each k of ``differ`` whose uniform is below
+    ``prob``; with no differing code, ``xi_codes`` itself comes back."""
+    if not len(differ):
+        return xi_codes
+    copied = differ[u < prob]
+    out = xi_codes.copy()
+    out[copied] = xj_codes[copied]
+    return out
+
+
 def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
               rng: np.random.Generator) -> np.ndarray:
     """Copy each differing discrete component from the brighter firefly with
@@ -114,25 +136,28 @@ def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
     if len(xi_codes) != space.n_d or len(xj_codes) != space.n_d:
         raise ValueError("discrete parts do not conform to the space")
     differ = (xi_codes != xj_codes).nonzero()[0]
-    if not len(differ):
-        return xi_codes
-    copied = differ[rng.random(len(differ)) < prob]
-    out = xi_codes.copy()
-    out[copied] = xj_codes[copied]
-    return out
+    return _copy_differing(xi_codes, xj_codes, differ, prob, rng.random(len(differ)))
 
 
-# Kept name: bench/run.py counts its calls; bench/tests asserts categorical ones on mixed-cat.
+def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float,
+                  u: np.ndarray) -> np.ndarray:
+    """round(codes + alpha * (2u - 1)), halves away from zero, clipped into [lo, hi]."""
+    return _clip(_round_codes(codes + alpha * (2.0 * u - 1.0)), lo, hi)
+
+
+# Public stage; bench/run.py counts its calls, which the engines no longer
+# make: they call _integer_step on their own uniforms.
 def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                        alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Bounded local perturbation of integer codes: round(x + alpha * eps)
     with eps ~ U[-1, 1] per component, rounding half away from zero, clipped
     into [lo, hi]."""
-    v = codes + alpha * (2.0 * rng.random(len(codes)) - 1.0)
-    return _clip(_round_codes(v), lo, hi)
+    return _integer_step(codes, lo, hi, alpha, rng.random(len(codes)))
 
 
-# Kept name: bench/run.py counts its calls; bench/tests asserts categorical ones on mixed-cat.
+# Kept name: bench/run.py counts its calls and bench/tests asserts them on
+# mixed-cat; _explore looks it up at call time, once per move on a space with
+# a categorical dimension.
 def alpha_step_categorical(codes: np.ndarray, sizes: np.ndarray, p_alpha: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Each categorical code is redrawn uniformly over its ``sizes`` symbols
@@ -163,15 +188,15 @@ def adapt_parameters(alpha_init: float, gamma_init: float,
     return max(0.01, alpha_init * remaining), max(0.01, gamma_init * remaining)
 
 
-# Kept name: bench/run.py spans it as the alpha-step layer.
-def _alpha_step_all(space: SearchSpace, codes: np.ndarray, alpha: float,
-                    p_alpha: float, rng: np.random.Generator) -> np.ndarray:
+def _explore(space: SearchSpace, codes: np.ndarray, alpha: float, p_alpha: float,
+             u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The exploration step on a whole code vector: the integer step on every
-    code (a categorical code's bounds are 0 and size - 1, so it stays in
-    range), then the categorical step replaces the categorical codes."""
+    code from the ``space.n_d`` uniforms ``u`` (a categorical code's bounds
+    are 0 and size - 1, so it stays in range), then `alpha_step_categorical`
+    redraws the categorical codes from ``rng``."""
     if not space.n_d:
         return codes
-    out = alpha_step_integer(codes, space.disc_lo, space.disc_hi, alpha, rng)
+    out = _integer_step(codes, space.disc_lo, space.disc_hi, alpha, u)
     cats = space.cat_idx
     if len(cats):
         out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
@@ -208,6 +233,7 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     the objective.
     """
     space = problem.space
+    n_c, n_d = space.n_c, space.n_d
     rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
     distance = CODE_DISTANCES[config.distance]
@@ -229,17 +255,23 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
                 gamma = g
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
 
+        # one draw per move: continuous noise, a copy uniform per differing
+        # code, then the integer step; the categorical redraw follows
         for i, j in _sweep(fitness, rec.budget):
+            xi, ci = conts[i], codes[i]
             if j is None:
-                cont = conts[i] + alpha * (rng.random(space.n_c) - 0.5)
-                disc = codes[i]
+                u = rng.random(n_c + n_d)
+                cont, disc = xi + alpha * (u[:n_c] - 0.5), ci
             else:
-                r = distance(space, conts[i], codes[i], conts[j], codes[j])
+                d, cj = conts[j] - xi, codes[j]
+                differ = (ci != cj).nonzero()[0]
+                r = distance(space, d, len(differ))
                 beta = attractiveness(config.beta0, gamma, r)
-                cont = continuous_move(conts[i], conts[j], beta, alpha, rng)
-                disc = beta_step(space, codes[i], codes[j],
-                                 discrete_attraction_prob(gamma, r), rng)
-            codes[i] = _alpha_step_all(space, disc, alpha, p_alpha, rng)
+                u = rng.random(n_c + len(differ) + n_d)
+                cont = _attract(xi, d, beta, alpha, u[:n_c])
+                disc = _copy_differing(ci, cj, differ, discrete_attraction_prob(gamma, r),
+                                       u[n_c:len(u) - n_d])
+            codes[i] = _explore(space, disc, alpha, p_alpha, u[len(u) - n_d:], rng)
             conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
             fitness[i] = rec.evaluate(conts[i], codes[i])
 
@@ -281,16 +313,18 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
     fitness = [rec.evaluate(*relaxed_decode(space, pos)) for pos in positions[:config.max_fe]]
 
+    cont_pos, disc_pos = space.cont_pos, space.disc_pos
     while not rec.budget.exhausted:
         for i, j in _sweep(fitness, rec.budget):
+            xi, u = positions[i], rng.random(space.dim)
             if j is None:
-                position = positions[i] + config.alpha * (rng.random(space.dim) - 0.5)
+                position = xi + config.alpha * (u - 0.5)
             else:
-                r = euclidean(positions[i], positions[j])
-                beta = attractiveness(config.beta0, config.gamma, r)
-                position = continuous_move(positions[i], positions[j], beta,
-                                           config.alpha, rng)
-            positions[i] = _clip(position, lo, hi)
-            fitness[i] = rec.evaluate(*relaxed_decode(space, positions[i]))
+                d = positions[j] - xi
+                beta = attractiveness(config.beta0, config.gamma, math.sqrt(d.dot(d)))
+                position = _attract(xi, d, beta, config.alpha, u)
+            # x is clipped, so rounding its discrete slots is relaxed_decode(x)
+            positions[i] = x = _clip(position, lo, hi)
+            fitness[i] = rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))
 
     return rec.build()

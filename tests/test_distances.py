@@ -100,15 +100,18 @@ class TestGower:
 
 class TestSolutionDistance:
     def test_dispatch(self, mixed_space, rng):
-        # each kind's code kernel, fed the engine's arrays, gives the public value
+        # each kind's kernel, fed the engine's difference and code mismatch
+        # count, gives the public value
         for _ in range(50):
             x = random_solution(mixed_space, rng)
             for y in (x, random_solution(mixed_space, rng)):
+                mismatches = int(np.count_nonzero(mixed_space.encode(x.disc)
+                                                  != mixed_space.encode(y.disc)))
                 for kind, public in ((DistanceKind.MIXED_EH, mixed_eh),
                                      (DistanceKind.GOWER, gower)):
                     kernel = CODE_DISTANCES[kind]
-                    assert kernel(mixed_space, x.cont, mixed_space.encode(x.disc),
-                                  y.cont, mixed_space.encode(y.disc)) == public(mixed_space, x, y)
+                    assert kernel(mixed_space, y.cont - x.cont, mismatches) == \
+                        public(mixed_space, x, y)
 
     def test_nonconforming_rejected(self, mixed_space):
         bad = MixedSolution(np.array([0.0]), (3, "b"))

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_engine_properties import Bowl, _dims
 
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
-                  IntegerRange, MixedSolution, SearchSpace, get_problem,
-                  run_classical_fa, run_famv)
-from famv.firefly import (_BLOCK, _Uniforms, _alpha_step_all, _sweep,
+                  IntegerRange, MixedSolution, SearchSpace, get_problem, harness,
+                  run_algorithm, run_classical_fa, run_famv)
+from famv.core import Recorder, random_point
+from famv.distances import DistanceKind, euclidean, gower, mixed_eh
+from famv.firefly import (_BLOCK, _Uniforms, _explore, _sweep,
                           adapt_parameters, alpha_step_categorical,
                           alpha_step_integer, attractiveness, beta_step,
                           continuous_move, discrete_attraction_prob,
@@ -170,7 +173,7 @@ class TestAlphaStepAll:
                              Categorical(tuple(range(9)))])
         codes = np.array([0, 2, 7, 5])
         for _ in range(200):
-            out = _alpha_step_all(space, codes, 1e6, 0.0, rng)
+            out = _explore(space, codes, 1e6, 0.0, rng.random(space.n_d), rng)
             np.testing.assert_array_equal(out[space.cat_idx], codes[space.cat_idx])
             assert MixedSolution(np.zeros(1), space.decode(out)).conforms(space)
         assert set(out[[0, 2]]) <= {-2, 4, 7}
@@ -392,3 +395,88 @@ class TestRunClassicalFa:
         assert calls == 500
         assert trace.final.fitness == 7.0
         assert len(trace.samples) == 1  # only the first evaluation improves
+
+
+def _staged_famv(problem, config: FireflyConfig):
+    """run_famv with every move made of the public stages, each drawing its
+    own uniforms: the distance on decoded solutions, `continuous_move`,
+    `beta_step`, `alpha_step_integer` on every code, then
+    `alpha_step_categorical` on the categorical ones."""
+    space = problem.space
+    rng = _Uniforms(np.random.default_rng(config.seed))
+    rec = Recorder(problem, config.max_fe)
+    measure = {DistanceKind.MIXED_EH: mixed_eh, DistanceKind.GOWER: gower}[config.distance]
+    conts, codes, fitness = [], [], []
+    for _ in range(min(config.pop_size, config.max_fe)):
+        cont, code = random_point(space, rng)
+        conts.append(cont)
+        codes.append(code)
+        fitness.append(rec.evaluate(cont, code))
+    alpha, gamma, cats = config.alpha, config.gamma, space.cat_idx
+    while not rec.budget.exhausted:
+        a, g = adapt_parameters(config.alpha, config.gamma, rec.budget)
+        alpha, gamma = (a if config.adapt_alpha else alpha), (g if config.adapt_gamma else gamma)
+        p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
+        for i, j in _sweep(fitness, rec.budget):
+            if j is None:
+                cont = conts[i] + alpha * (rng.random(space.n_c) - 0.5)
+                disc = codes[i]
+            else:
+                r = measure(space, MixedSolution(conts[i], space.decode(codes[i])),
+                            MixedSolution(conts[j], space.decode(codes[j])))
+                cont = continuous_move(conts[i], conts[j],
+                                       attractiveness(config.beta0, gamma, r), alpha, rng)
+                disc = beta_step(space, codes[i], codes[j],
+                                 discrete_attraction_prob(gamma, r), rng)
+            codes[i] = alpha_step_integer(disc, space.disc_lo, space.disc_hi, alpha, rng)
+            codes[i][cats] = alpha_step_categorical(disc[cats], space.cat_sizes, p_alpha, rng)
+            conts[i] = np.clip(cont, space.cont_lo, space.cont_hi)
+            fitness[i] = rec.evaluate(conts[i], codes[i])
+    return rec.build()
+
+
+def _staged_fa(problem, config: FireflyConfig):
+    """run_classical_fa with `euclidean`, `continuous_move` and
+    `relaxed_decode` on every move."""
+    space = problem.space
+    rng = _Uniforms(np.random.default_rng(config.seed))
+    rec = Recorder(problem, config.max_fe)
+    lo, hi = space.lo, space.hi
+    positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
+    fitness = [rec.evaluate(*relaxed_decode(space, pos)) for pos in positions[:config.max_fe]]
+    while not rec.budget.exhausted:
+        for i, j in _sweep(fitness, rec.budget):
+            if j is None:
+                position = positions[i] + config.alpha * (rng.random(space.dim) - 0.5)
+            else:
+                beta = attractiveness(config.beta0, config.gamma,
+                                      euclidean(positions[i], positions[j]))
+                position = continuous_move(positions[i], positions[j], beta, config.alpha, rng)
+            positions[i] = np.clip(position, lo, hi)
+            fitness[i] = rec.evaluate(*relaxed_decode(space, positions[i]))
+    return rec.build()
+
+
+def _bits(trace):
+    sol = trace.final
+    return ([(fe, best.hex()) for fe, best in trace.samples], sol.fitness.hex(),
+            sol.solution.cont.tobytes(), sol.solution.disc)
+
+
+@pytest.mark.parametrize("algo", [name for name in harness.ALGORITHMS if name != "ga"])
+@given(dims=st.lists(_dims, min_size=1, max_size=6),
+       budget=st.integers(1, 300), seed=st.integers(0, 2**16))
+@example(dims=[Continuous(-1.0, 2.0)] * 3, budget=300, seed=0)
+@example(dims=[IntegerRange(-3, 3), Categorical(("x", "y", "z"))], budget=300, seed=1)
+@example(dims=[IntegerRange(5, 5), Categorical(("x",)), Continuous(0.0, 1.0)],
+         budget=137, seed=2)
+@settings(max_examples=30, deadline=None)
+def test_fused_moves_equal_the_staged_stages(algo, dims, budget, seed):
+    # the registry looks engines up in famv.harness when it runs, so the
+    # staged references run under each name's own config
+    fused = run_algorithm(algo, Bowl(dims), budget, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_famv", _staged_famv)
+        mp.setattr(harness, "run_classical_fa", _staged_fa)
+        staged = run_algorithm(algo, Bowl(dims), budget, seed)
+    assert _bits(fused) == _bits(staged)
