@@ -29,27 +29,46 @@ class _Uniforms:
     Each double of ``Generator.random`` comes from one 64-bit draw, so
     ``random(n)`` calls give exactly the doubles one ``rng.random(total)``
     call would, however they are chunked, at a slice's cost instead of a
-    ``Generator`` call's.  Blocks are read-only, so no stage can write into
-    its uniforms.  Both engines wrap their generator before their first
-    draw, so a firefly run takes only doubles from it, codes included.
-    Once wrapped, ``rng`` must not be drawn from directly.
+    ``Generator`` call's; ``move`` serves them in the forms one firefly
+    move uses.  Blocks are read-only, so no stage can write into its
+    uniforms.  Both engines wrap their generator before their first draw,
+    so a firefly run takes only doubles from it, codes included.  Once
+    wrapped, ``rng`` must not be drawn from directly.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._block, self._pos = np.empty(0), 0
-        self._block.flags.writeable = False
+        self._rng, self._pos = rng, 0
+        self._set_block(np.empty(0))
+
+    def _set_block(self, block: np.ndarray) -> None:
+        # each double u is also kept as u - 1/2 and 2u - 1, the forms a move
+        # uses, computed once per block: the same doubles as per slice
+        self._block, self._half, self._sym = block, block - 0.5, 2.0 * block - 1.0
+        for b in (self._block, self._half, self._sym):
+            b.flags.writeable = False
+
+    def _take(self, n: int) -> int:
+        """Where the next ``n`` doubles start in the current block."""
+        end = self._pos + n
+        if end > len(self._block):
+            self._set_block(np.concatenate((self._block[self._pos:],
+                                            self._rng.random(max(_BLOCK, n)))))
+            self._pos, end = 0, n
+        start, self._pos = self._pos, end
+        return start
 
     def random(self, n: int) -> np.ndarray:
         """The next ``n`` doubles in [0, 1), as a read-only array."""
-        end = self._pos + n
-        if end > len(self._block):
-            block = np.concatenate((self._block[self._pos:], self._rng.random(max(_BLOCK, n))))
-            block.flags.writeable = False
-            self._block, self._pos, end = block, 0, n
-        out = self._block[self._pos:end]
-        self._pos = end
-        return out
+        start = self._take(n)
+        return self._block[start:start + n]
+
+    def move(self, n_c: int, m: int, n_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``n_c + m + n_d`` doubles u of one firefly move: u - 1/2
+        for the first ``n_c`` (continuous noise), u for the next ``m`` (copy
+        uniforms) and 2u - 1 for the last ``n_d`` (the integer step)."""
+        a = self._take(n_c + m + n_d)
+        b, c = a + n_c, a + n_c + m
+        return self._half[a:b], self._block[b:c], self._sym[c:c + n_d]
 
 
 @dataclass(frozen=True)
@@ -89,9 +108,10 @@ def discrete_attraction_prob(gamma: float, r: float) -> float:
 # engines call the same private cores on slices of one draw per move.
 
 def _attract(xi: np.ndarray, d: np.ndarray, beta: float, alpha: float,
-             u: np.ndarray) -> np.ndarray:
-    """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``alpha * (u - 1/2)``."""
-    return xi + beta * d + alpha * (u - 0.5)
+             noise: np.ndarray) -> np.ndarray:
+    """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``alpha * noise``,
+    with ``noise = u - 1/2``."""
+    return xi + beta * d + alpha * noise
 
 
 def continuous_move(xi: np.ndarray, xj: np.ndarray, beta: float, alpha: float,
@@ -100,7 +120,7 @@ def continuous_move(xi: np.ndarray, xj: np.ndarray, beta: float, alpha: float,
     [-alpha/2, alpha/2], drawn fresh per component."""
     if len(xi) != len(xj):
         raise ValueError("continuous parts differ in length")
-    return _attract(xi, xj - xi, beta, alpha, rng.random(len(xi)))
+    return _attract(xi, xj - xi, beta, alpha, rng.random(len(xi)) - 0.5)
 
 
 def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -140,9 +160,10 @@ def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
 
 
 def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float,
-                  u: np.ndarray) -> np.ndarray:
-    """round(codes + alpha * (2u - 1)), halves away from zero, clipped into [lo, hi]."""
-    return _clip(_round_codes(codes + alpha * (2.0 * u - 1.0)), lo, hi)
+                  eps: np.ndarray) -> np.ndarray:
+    """round(codes + alpha * eps) with ``eps = 2u - 1``, halves away from
+    zero, clipped into [lo, hi]."""
+    return _clip(_round_codes(codes + alpha * eps), lo, hi)
 
 
 # Public stage; bench/run.py counts its calls, which the engines no longer
@@ -152,7 +173,7 @@ def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     """Bounded local perturbation of integer codes: round(x + alpha * eps)
     with eps ~ U[-1, 1] per component, rounding half away from zero, clipped
     into [lo, hi]."""
-    return _integer_step(codes, lo, hi, alpha, rng.random(len(codes)))
+    return _integer_step(codes, lo, hi, alpha, 2.0 * rng.random(len(codes)) - 1.0)
 
 
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on
@@ -189,14 +210,14 @@ def adapt_parameters(alpha_init: float, gamma_init: float,
 
 
 def _explore(space: SearchSpace, codes: np.ndarray, alpha: float, p_alpha: float,
-             u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+             eps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """The exploration step on a whole code vector: the integer step on every
-    code from the ``space.n_d`` uniforms ``u`` (a categorical code's bounds
-    are 0 and size - 1, so it stays in range), then `alpha_step_categorical`
-    redraws the categorical codes from ``rng``."""
+    code with the ``space.n_d`` values ``eps = 2u - 1`` (a categorical code's
+    bounds are 0 and size - 1, so it stays in range), then
+    `alpha_step_categorical` redraws the categorical codes from ``rng``."""
     if not space.n_d:
         return codes
-    out = _integer_step(codes, space.disc_lo, space.disc_hi, alpha, u)
+    out = _integer_step(codes, space.disc_lo, space.disc_hi, alpha, eps)
     cats = space.cat_idx
     if len(cats):
         out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
@@ -260,18 +281,17 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
         for i, j in _sweep(fitness, rec.budget):
             xi, ci = conts[i], codes[i]
             if j is None:
-                u = rng.random(n_c + n_d)
-                cont, disc = xi + alpha * (u[:n_c] - 0.5), ci
+                noise, _, eps = rng.move(n_c, 0, n_d)
+                cont, disc = xi + alpha * noise, ci
             else:
                 d, cj = conts[j] - xi, codes[j]
                 differ = (ci != cj).nonzero()[0]
                 r = distance(space, d, len(differ))
                 beta = attractiveness(config.beta0, gamma, r)
-                u = rng.random(n_c + len(differ) + n_d)
-                cont = _attract(xi, d, beta, alpha, u[:n_c])
-                disc = _copy_differing(ci, cj, differ, discrete_attraction_prob(gamma, r),
-                                       u[n_c:len(u) - n_d])
-            codes[i] = _explore(space, disc, alpha, p_alpha, u[len(u) - n_d:], rng)
+                noise, u, eps = rng.move(n_c, len(differ), n_d)
+                cont = _attract(xi, d, beta, alpha, noise)
+                disc = _copy_differing(ci, cj, differ, discrete_attraction_prob(gamma, r), u)
+            codes[i] = _explore(space, disc, alpha, p_alpha, eps, rng)
             conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
             fitness[i] = rec.evaluate(conts[i], codes[i])
 
@@ -316,13 +336,13 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     cont_pos, disc_pos = space.cont_pos, space.disc_pos
     while not rec.budget.exhausted:
         for i, j in _sweep(fitness, rec.budget):
-            xi, u = positions[i], rng.random(space.dim)
+            (xi, (noise, _, _)) = positions[i], rng.move(space.dim, 0, 0)
             if j is None:
-                position = xi + config.alpha * (u - 0.5)
+                position = xi + config.alpha * noise
             else:
                 d = positions[j] - xi
                 beta = attractiveness(config.beta0, config.gamma, math.sqrt(d.dot(d)))
-                position = _attract(xi, d, beta, config.alpha, u)
+                position = _attract(xi, d, beta, config.alpha, noise)
             # x is clipped, so rounding its discrete slots is relaxed_decode(x)
             positions[i] = x = _clip(position, lo, hi)
             fitness[i] = rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))

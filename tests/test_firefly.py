@@ -114,6 +114,26 @@ class TestUniforms:
         np.testing.assert_array_equal(np.concatenate([np.empty(0), *chunks]),
                                       np.random.default_rng(seed).random(sum(sizes)))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.lists(st.tuples(st.integers(0, 5),
+                              st.one_of(st.integers(0, 40), st.integers(_BLOCK - 3, _BLOCK + 3)),
+                              st.integers(0, 40), st.integers(0, 40)), max_size=12))
+    def test_move_forms_come_from_the_same_stream(self, seed, calls):
+        # each call: random(k), then move(n_c, m, n_d)
+        uniforms = _Uniforms(np.random.default_rng(seed))
+        u = np.random.default_rng(seed).random(sum(map(sum, calls)))
+        pos = 0
+        for k, n_c, m, n_d in calls:
+            np.testing.assert_array_equal(uniforms.random(k), u[pos:pos + k])
+            a = pos + k
+            noise, copy, eps = uniforms.move(n_c, m, n_d)
+            assert not any(x.flags.writeable for x in (noise, copy, eps))
+            assert noise.tobytes() == (u[a:a + n_c] - 0.5).tobytes()
+            assert copy.tobytes() == u[a + n_c:a + n_c + m].tobytes()
+            assert eps.tobytes() == (2.0 * u[a + n_c + m:a + n_c + m + n_d] - 1.0).tobytes()
+            pos = a + n_c + m + n_d
+
     def test_writing_into_uniforms_raises(self):
         with pytest.raises(ValueError):
             _Uniforms(np.random.default_rng(0)).random(3)[0] = 0.5
@@ -173,7 +193,7 @@ class TestAlphaStepAll:
                              Categorical(tuple(range(9)))])
         codes = np.array([0, 2, 7, 5])
         for _ in range(200):
-            out = _explore(space, codes, 1e6, 0.0, rng.random(space.n_d), rng)
+            out = _explore(space, codes, 1e6, 0.0, 2.0 * rng.random(space.n_d) - 1.0, rng)
             np.testing.assert_array_equal(out[space.cat_idx], codes[space.cat_idx])
             assert MixedSolution(np.zeros(1), space.decode(out)).conforms(space)
         assert set(out[[0, 2]]) <= {-2, 4, 7}
