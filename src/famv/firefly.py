@@ -166,8 +166,8 @@ def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: floa
     return _clip(_round_codes(codes + alpha * eps), lo, hi)
 
 
-# Public stage; bench/run.py counts its calls, which the engines no longer
-# make: they call _integer_step on their own uniforms.
+# Public stage; bench/run.py counts its calls, but the engines call
+# _integer_step on their own uniforms instead.
 def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                        alpha: float, rng: np.random.Generator) -> np.ndarray:
     """Bounded local perturbation of integer codes: round(x + alpha * eps)
@@ -336,7 +336,8 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     cont_pos, disc_pos = space.cont_pos, space.disc_pos
     while not rec.budget.exhausted:
         for i, j in _sweep(fitness, rec.budget):
-            (xi, (noise, _, _)) = positions[i], rng.move(space.dim, 0, 0)
+            xi = positions[i]
+            noise, _, _ = rng.move(space.dim, 0, 0)
             if j is None:
                 position = xi + config.alpha * noise
             else:
