@@ -20,7 +20,8 @@ SYNTHETIC_DIM = 50      # the default dimension of a synthetic problem
 class Problem:
     """Minimization objective over a mixed space, penalty-wrapped when
     constrained: PENALTY_M times the summed violation, plus PENALTY_M per
-    violated constraint when ``count_violations`` is set."""
+    violated constraint when ``count_violations`` is set.  A subclass gives
+    its constraints through ``constraint_values``; NaN counts as violated."""
 
     name: str
     space: SearchSpace
@@ -30,19 +31,28 @@ class Problem:
     def raw(self, sol: MixedSolution) -> float:
         raise NotImplementedError
 
+    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
+        """g values as floats; feasible iff all g <= 0.  Empty for unconstrained."""
+        return ()
+
     def constraints(self, sol: MixedSolution) -> np.ndarray:
-        """g values; feasible iff all g <= 0.  Empty for unconstrained."""
-        return np.empty(0)
+        """The g values as an array."""
+        return np.array(self.constraint_values(sol), dtype=float)
 
     def __call__(self, sol: MixedSolution) -> float:
         value = self.raw(sol)
-        g = self.constraints(sol)
-        if len(g) == 0:
+        g = self.constraint_values(sol)
+        if not g:
             return value
-        violation = np.maximum(0.0, g)
-        value += PENALTY_M * float(np.add.reduce(violation))
+        # summed left to right, as numpy's reduction adds fewer than 8 terms
+        violation, violated = 0.0, 0
+        for v in g:
+            if not v <= 0.0:
+                violation += v
+                violated += 1
+        value += PENALTY_M * violation
         if self.count_violations:
-            value += PENALTY_M * int(np.count_nonzero(violation))
+            value += PENALTY_M * violated
         return value
 
     def absolute_error(self, achieved: float) -> float:
@@ -61,13 +71,11 @@ def vessel_cost(d_s: float, d_h: float, r: float, length: float) -> float:
             + 3.1661 * d_s * d_s * length + 19.84 * d_s * d_s * r)
 
 
-def vessel_constraints(d_s: float, d_h: float, r: float, length: float) -> np.ndarray:
-    return np.array([
-        -d_s + 0.0193 * r,
-        -d_h + 0.00954 * r,
-        -math.pi * r * r * length - (4.0 / 3.0) * math.pi * r ** 3 + 1296000.0,
-        length - 240.0,
-    ])
+def vessel_constraints(d_s: float, d_h: float, r: float, length: float) -> tuple[float, ...]:
+    return (-d_s + 0.0193 * r,
+            -d_h + 0.00954 * r,
+            -math.pi * r * r * length - (4.0 / 3.0) * math.pi * r ** 3 + 1296000.0,
+            length - 240.0)
 
 
 class VesselProblem(Problem):
@@ -90,12 +98,10 @@ class VesselProblem(Problem):
         return THICKNESS_STEP * sol.disc[0], THICKNESS_STEP * sol.disc[1]
 
     def raw(self, sol: MixedSolution) -> float:
-        d_s, d_h = self.thicknesses(sol)
-        return vessel_cost(d_s, d_h, sol.cont[0], sol.cont[1])
+        return vessel_cost(*self.thicknesses(sol), *sol.cont.tolist())
 
-    def constraints(self, sol: MixedSolution) -> np.ndarray:
-        d_s, d_h = self.thicknesses(sol)
-        return vessel_constraints(d_s, d_h, sol.cont[0], sol.cont[1])
+    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
+        return vessel_constraints(*self.thicknesses(sol), *sol.cont.tolist())
 
 
 # --- welded beam -----------------------------------------------------------
@@ -113,7 +119,7 @@ def beam_cost(x1: float, x2: float, x3: float, x4: float) -> float:
     return 1.10471 * x1 * x1 * x2 + 0.04811 * x3 * x4 * (14.0 + x2)
 
 
-def beam_constraints(x1: float, x2: float, x3: float, x4: float) -> np.ndarray:
+def beam_constraints(x1: float, x2: float, x3: float, x4: float) -> tuple[float, ...]:
     tau_p = BEAM_P / (math.sqrt(2.0) * x1 * x2)
     moment = BEAM_P * (BEAM_ARM + x2 / 2.0)
     radius = math.sqrt(x2 * x2 / 4.0 + ((x1 + x3) / 2.0) ** 2)
@@ -126,15 +132,13 @@ def beam_constraints(x1: float, x2: float, x3: float, x4: float) -> np.ndarray:
     delta = 4.0 * BEAM_P * BEAM_ARM ** 3 / (BEAM_E * x3 ** 3 * x4)
     p_c = (4.013 * BEAM_E * math.sqrt(x3 * x3 * x4 ** 6 / 36.0) / BEAM_ARM ** 2
            * (1.0 - x3 / (2.0 * BEAM_ARM) * math.sqrt(BEAM_E / (4.0 * BEAM_G))))
-    return np.array([
-        tau - BEAM_TAU_MAX,
-        sigma - BEAM_SIGMA_MAX,
-        x1 - x4,
-        0.10471 * x1 * x1 + 0.04811 * x3 * x4 * (14.0 + x2) - 5.0,
-        0.125 - x1,
-        delta - BEAM_DELTA_MAX,
-        BEAM_P - p_c,
-    ])
+    return (tau - BEAM_TAU_MAX,
+            sigma - BEAM_SIGMA_MAX,
+            x1 - x4,
+            0.10471 * x1 * x1 + 0.04811 * x3 * x4 * (14.0 + x2) - 5.0,
+            0.125 - x1,
+            delta - BEAM_DELTA_MAX,
+            BEAM_P - p_c)
 
 
 class BeamProblem(Problem):
@@ -151,10 +155,10 @@ class BeamProblem(Problem):
         ])
 
     def raw(self, sol: MixedSolution) -> float:
-        return beam_cost(*sol.cont)
+        return beam_cost(*sol.cont.tolist())
 
-    def constraints(self, sol: MixedSolution) -> np.ndarray:
-        return beam_constraints(*sol.cont)
+    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
+        return beam_constraints(*sol.cont.tolist())
 
 
 # --- coil spring -----------------------------------------------------------
@@ -174,25 +178,20 @@ def csd_weight(d: float, d_coil: float, n: int) -> float:
     return (n + 2) * d * d * d_coil
 
 
-def csd_constraints(d: float, d_coil: float, n: int) -> np.ndarray:
+def csd_constraints(d: float, d_coil: float, n: int) -> tuple[float, ...]:
     ratio = d_coil / d
     denom = 4.0 * ratio - 4.0
-    if abs(denom) < 1e-12:
-        c_f = math.inf
-    else:
-        c_f = (4.0 * ratio - 1.0) / denom + 0.615 / ratio
+    c_f = math.inf if abs(denom) < 1e-12 else (4.0 * ratio - 1.0) / denom + 0.615 / ratio
     spring_rate = CSD_G * d ** 4 / (8.0 * n * d_coil ** 3)
     delta_max = CSD_P_MAX / spring_rate
     delta_load = CSD_P_LOAD / spring_rate
-    return np.array([
-        8.0 * c_f * CSD_P_MAX * d_coil / (math.pi * d ** 3) - CSD_S,
-        delta_max + 1.05 * (n + 2) * d - CSD_L_FREE,
-        CSD_D_MIN - d,
-        (d + d_coil) - CSD_OUTER_MAX,
-        3.0 - ratio,
-        delta_max - CSD_DELTA_PM,
-        CSD_DELTA_W - delta_max + delta_load,
-    ])
+    return (8.0 * c_f * CSD_P_MAX * d_coil / (math.pi * d ** 3) - CSD_S,
+            delta_max + 1.05 * (n + 2) * d - CSD_L_FREE,
+            CSD_D_MIN - d,
+            (d + d_coil) - CSD_OUTER_MAX,
+            3.0 - ratio,
+            delta_max - CSD_DELTA_PM,
+            CSD_DELTA_W - delta_max + delta_load)
 
 
 class CsdProblem(Problem):
@@ -207,10 +206,10 @@ class CsdProblem(Problem):
         ])
 
     def raw(self, sol: MixedSolution) -> float:
-        return csd_weight(sol.cont[0], sol.cont[1], sol.disc[0])
+        return csd_weight(*sol.cont.tolist(), *sol.disc)
 
-    def constraints(self, sol: MixedSolution) -> np.ndarray:
-        return csd_constraints(sol.cont[0], sol.cont[1], sol.disc[0])
+    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
+        return csd_constraints(*sol.cont.tolist(), *sol.disc)
 
 
 # --- shifted synthetic family ----------------------------------------------

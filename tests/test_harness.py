@@ -14,7 +14,8 @@ from famv.firefly import FireflyConfig, run_classical_fa, run_famv
 from famv.harness import (DEFAULT_ENGINEERING_BUDGET, DEFAULT_SYNTHETIC_BUDGET,
                           ResultRow, compare_directory, emit_results_table,
                           emit_trace)
-from famv.problems import get_problem
+from famv.core import EvaluationBudget
+from famv.problems import Problem, get_problem
 
 
 def _read_csv(path):
@@ -337,6 +338,33 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg), "--budget", "10"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "ga"])
+def test_one_objective_call_and_one_charge_per_fe(algo, monkeypatch):
+    """Per run, `Problem.__call__` runs once per FE and `EvaluationBudget.consume`
+    charges once per FE, on the engineering designs and a synthetic problem:
+    the counts that bench/run.py's traced gate checks against runs x budget."""
+    counts = {"calls": 0, "charged": 0}
+    call, consume = Problem.__call__, EvaluationBudget.consume
+
+    def counted_call(self, sol):
+        counts["calls"] += 1
+        return call(self, sol)
+
+    def counted_consume(self):
+        charged = consume(self)
+        counts["charged"] += charged
+        return charged
+
+    monkeypatch.setattr(Problem, "__call__", counted_call)
+    monkeypatch.setattr(EvaluationBudget, "consume", counted_consume)
+    for problem in [get_problem(name) for name in ("vessel", "beam", "csd")] + [
+            get_problem("rastrigin", dim=10)]:
+        for budget in (1, 73, 300):
+            counts.update(calls=0, charged=0)
+            run_algorithm(algo, problem, budget, 5)
+            assert counts == {"calls": budget, "charged": budget}, (problem.name, budget)
 
 
 GOLDEN_ALGORITHMS = ("fa", "famv-h", "famv-g", "famv-h-adaptive", "ga")
