@@ -275,7 +275,6 @@ def _assert_matches_reference(problem, sol):
     expected = _reference_penalized(raw, g, problem.count_violations)
     assert _bits(problem.raw(sol)) == _bits(raw)
     assert _bits(problem(sol)) == _bits(expected)
-    assert problem(sol) == expected
     got = problem.constraints(sol)
     assert got.dtype == g.dtype and np.array_equal(got, g)
     assert got.tobytes() == g.tobytes()
@@ -365,6 +364,8 @@ class TestDegenerateConstraints:
         assert problem.constraints(self._sol).shape == (0,)
 
     def test_nan_is_violated_and_counted(self):
+        # the NaN joins the sum, so the value is NaN whether or not the count
+        # (which includes it, as np.count_nonzero did) is added
         for count_violations in (False, True):
             assert math.isnan(_Degenerate(1.0, (-1.0, math.nan), count_violations)(self._sol))
         # -inf and -0.0 are satisfied; only the NaN can add the count
