@@ -142,9 +142,10 @@ class MixedSolution:
 
     def conforms(self, space: SearchSpace) -> bool:
         """True when every component lies inside its dimension's domain."""
-        if len(self.cont) != space.n_c or len(self.disc) != space.n_d:
+        if self.cont.shape != (space.n_c,) or len(self.disc) != space.n_d:
             return False
-        if np.any(self.cont < space.cont_lo) or np.any(self.cont > space.cont_hi):
+        # written as "inside" so that a NaN component fails
+        if not np.all((self.cont >= space.cont_lo) & (self.cont <= space.cont_hi)):
             return False
         return all(isinstance(v, (int, np.integer)) and d.lo <= v <= d.hi
                    if isinstance(d, IntegerRange) else v in d.values

@@ -104,23 +104,11 @@ def discrete_attraction_prob(gamma: float, r: float) -> float:
     return math.exp(-gamma * r * r)
 
 
-# The public stages below check their inputs and draw their own uniforms; the
-# engines call the same private cores on slices of one draw per move.
-
 def _attract(xi: np.ndarray, d: np.ndarray, beta: float, alpha: float,
              noise: np.ndarray) -> np.ndarray:
     """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``alpha * noise``,
     with ``noise = u - 1/2``."""
     return xi + beta * d + alpha * noise
-
-
-def continuous_move(xi: np.ndarray, xj: np.ndarray, beta: float, alpha: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Attraction toward the brighter position plus uniform noise in
-    [-alpha/2, alpha/2], drawn fresh per component."""
-    if len(xi) != len(xj):
-        raise ValueError("continuous parts differ in length")
-    return _attract(xi, xj - xi, beta, alpha, rng.random(len(xi)) - 0.5)
 
 
 def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -146,6 +134,7 @@ def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarr
     return out
 
 
+# Draws its own uniforms because acceptance criterion 4 calls it with a Generator.
 def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
               rng: np.random.Generator) -> np.ndarray:
     """Copy each differing discrete component from the brighter firefly with
@@ -164,16 +153,6 @@ def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: floa
     """round(codes + alpha * eps) with ``eps = 2u - 1``, halves away from
     zero, clipped into [lo, hi]."""
     return _clip(_round_codes(codes + alpha * eps), lo, hi)
-
-
-# Public stage; bench/run.py counts its calls, but the engines call
-# _integer_step on their own uniforms instead.
-def alpha_step_integer(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                       alpha: float, rng: np.random.Generator) -> np.ndarray:
-    """Bounded local perturbation of integer codes: round(x + alpha * eps)
-    with eps ~ U[-1, 1] per component, rounding half away from zero, clipped
-    into [lo, hi]."""
-    return _integer_step(codes, lo, hi, alpha, 2.0 * rng.random(len(codes)) - 1.0)
 
 
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on

@@ -109,6 +109,18 @@ class TestMixedSolution:
         assert not MixedSolution(np.array([9.0, 5.0]), (3, "b")).conforms(mixed_space)
         assert not MixedSolution(np.array([0.0, 5.0]), (3, "z")).conforms(mixed_space)
         assert not MixedSolution(np.array([0.0]), (3, "b")).conforms(mixed_space)
+        for bad in (np.nan, np.inf, -np.inf):
+            for k in range(2):
+                cont = np.array([0.0, 5.0])
+                cont[k] = bad
+                assert not MixedSolution(cont, (3, "b")).conforms(mixed_space)
+        assert not MixedSolution(np.array([[0.0, 5.0]]), (3, "b")).conforms(mixed_space)
+        assert not MixedSolution(np.array([[0.0], [5.0]]), (3, "b")).conforms(mixed_space)
+        space = SearchSpace([Continuous(0.0, 1.0), IntegerRange(0, 1)])
+        assert MixedSolution(np.array([0.5]), (1,)).conforms(space)
+        assert not MixedSolution(np.array([np.nan]), (1,)).conforms(space)
+        assert not MixedSolution(np.array([[0.5]]), (1,)).conforms(space)
+        assert not MixedSolution(np.array(0.5), (1,)).conforms(space)
 
 
 class _Constant:

@@ -10,11 +10,10 @@ from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
                   IntegerRange, MixedSolution, SearchSpace, get_problem, harness,
                   run_algorithm, run_classical_fa, run_famv)
 from famv.core import Recorder, random_point
-from famv.distances import DistanceKind, euclidean, gower, mixed_eh
-from famv.firefly import (_BLOCK, _Uniforms, _explore, _sweep,
-                          adapt_parameters, alpha_step_categorical,
-                          alpha_step_integer, attractiveness, beta_step,
-                          continuous_move, discrete_attraction_prob,
+from famv.distances import DistanceKind
+from famv.firefly import (_BLOCK, _Uniforms, _attract, _explore, _integer_step,
+                          _sweep, adapt_parameters, alpha_step_categorical,
+                          attractiveness, beta_step, discrete_attraction_prob,
                           relaxed_decode, replacement_prob)
 
 
@@ -49,24 +48,33 @@ class TestDiscreteAttractionProb:
 
 
 class TestContinuousMove:
-    def test_full_attraction_no_noise(self, rng):
-        xi, xj = np.array([0.0, 1.0]), np.array([4.0, -2.0])
-        np.testing.assert_array_equal(continuous_move(xi, xj, 1.0, 0.0, rng), xj)
+    """`_attract(xi, xj - xi, beta, alpha, u - 1/2)` is
+    xi + beta (xj - xi) + alpha (u - 1/2)."""
 
-    def test_no_movement(self, rng):
-        xi, xj = np.array([0.0, 1.0]), np.array([4.0, -2.0])
-        np.testing.assert_array_equal(continuous_move(xi, xj, 0.0, 0.0, rng), xi)
+    xi, xj = np.array([0.0, 1.0, -3.0]), np.array([4.0, -2.0, 5.0])
 
-    def test_noise_law(self, rng):
-        # pure alpha * (u - 1/2) noise: mean 0, support within [-alpha/2, alpha/2]
-        samples = np.array([continuous_move(np.zeros(1), np.zeros(1), 0.0, 2.0, rng)[0]
-                            for _ in range(10_000)])
-        assert abs(samples.mean()) < 0.05
-        assert samples.min() >= -1.0 and samples.max() <= 1.0
+    def test_full_attraction_no_noise(self):
+        noise = np.array([0.0, 0.25, 0.5]) - 0.5
+        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 1.0, 0.0, noise),
+                                      self.xj)
 
-    def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            continuous_move(np.zeros(2), np.zeros(3), 1.0, 0.0, rng)
+    def test_no_movement(self):
+        noise = np.array([0.0, 0.25, 0.5]) - 0.5
+        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 0.0, 0.0, noise),
+                                      self.xi)
+
+    def test_exact_values(self):
+        # beta (xj - xi) = (2, -1.5, 4), alpha (u - 1/2) = (-1, -0.5, 0.5)
+        noise = np.array([0.0, 0.25, 0.75]) - 0.5
+        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 0.5, 2.0, noise),
+                                      [1.0, -1.0, 1.5])
+
+    def test_noise_law(self):
+        # pure alpha (u - 1/2) noise: -alpha/2 at u = 0, 0 at u = 1/2, and
+        # below alpha/2 at the largest u < 1, which is 1 - 2**-53
+        u = np.array([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)])
+        out = _attract(np.zeros(4), np.zeros(4), 0.0, 2.0, u - 0.5)
+        np.testing.assert_array_equal(out, [-1.0, -0.5, 0.0, 1.0 - 2.0 ** -52])
 
 
 class TestBetaStep:
@@ -140,18 +148,36 @@ class TestUniforms:
 
 
 class TestAlphaStepInteger:
-    def test_zero_alpha_keeps_value(self, rng):
+    """`_integer_step(codes, lo, hi, alpha, 2u - 1)` is round(codes + alpha
+    (2u - 1)), halves away from zero, clipped into [lo, hi]."""
+
+    def test_zero_alpha_keeps_value(self):
         codes = np.array([0, 5, 10])
-        np.testing.assert_array_equal(alpha_step_integer(codes, 0, 10, 0.0, rng), codes)
+        eps = 2.0 * np.array([0.0, 0.5, 0.75]) - 1.0
+        np.testing.assert_array_equal(_integer_step(codes, 0, 10, 0.0, eps), codes)
 
-    def test_lower_boundary_clamped(self, rng):
-        assert alpha_step_integer(np.full(500, 3), 3, 10, 0.9, rng).min() >= 3
+    def test_lower_boundary_clamped(self):
+        # 3 + 0.9 (2u - 1) at u = 0, 0.25, 0.5, 0.75: 2.1, 2.55, 3, 3.45
+        eps = 2.0 * np.array([0.0, 0.25, 0.5, 0.75]) - 1.0
+        out = _integer_step(np.full(4, 3), np.full(4, 3), np.full(4, 10), 0.9, eps)
+        np.testing.assert_array_equal(out, [3, 3, 3, 3])
+        out = _integer_step(np.full(2, 9), np.full(2, 3), np.full(2, 10), 1.75, np.ones(2))
+        np.testing.assert_array_equal(out, [10, 10])
 
-    def test_step_law(self, rng):
-        samples = alpha_step_integer(np.full(10_000, 5), 0, 10, 1.5, rng)
-        assert samples.dtype == np.int64
-        assert set(np.unique(samples)) <= {3, 4, 5, 6, 7}
-        assert abs(samples.mean() - 5.0) < 0.05
+    def test_step_law(self):
+        # 5 + 1.5 eps for eps = -1, -0.75, -0.25, 0, 0.25, 0.75, 1:
+        # 3.5, 3.875, 4.625, 5, 5.375, 6.125, 6.5
+        eps = np.array([-1.0, -0.75, -0.25, 0.0, 0.25, 0.75, 1.0])
+        out = _integer_step(np.full(7, 5), 0, 10, 1.5, eps)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, [4, 4, 5, 5, 5, 6, 7])
+
+    def test_halves_round_away_from_zero(self):
+        # codes + 2 eps = -4.5, -5.5, 5.5, 4.5, 0.5, -0.5, then -4.6 and 4.6
+        codes = np.array([-5, -5, 5, 5, 0, 0, -5, 5])
+        eps = np.array([0.25, -0.25, 0.25, -0.25, 0.25, -0.25, 0.2, -0.2])
+        out = _integer_step(codes, np.full(8, -10), np.full(8, 10), 2.0, eps)
+        np.testing.assert_array_equal(out, [-5, -6, 6, 5, 1, -1, -5, 5])
 
 
 class _LargestUniform:
@@ -417,15 +443,24 @@ class TestRunClassicalFa:
         assert len(trace.samples) == 1  # only the first evaluation improves
 
 
+def _round_half_away(v):
+    """sign(v) floor(|v| + 1/2): the nearest integer, halves away from zero."""
+    return np.sign(v) * np.floor(np.abs(v) + 0.5)
+
+
 def _staged_famv(problem, config: FireflyConfig):
-    """run_famv with every move made of the public stages, each drawing its
-    own uniforms: the distance on decoded solutions, `continuous_move`,
-    `beta_step`, `alpha_step_integer` on every code, then
-    `alpha_step_categorical` on the categorical ones."""
+    """run_famv written from the formulas, each stage drawing its own
+    uniforms from the stream in the engine's order.  With m the number of
+    differing codes: the distance (||d|| + m) / dim for mixed-EH or
+    (sum |d| / range + m) / dim for Gower, d = xj - xi; the move
+    xi + beta d + alpha (u - 1/2); one copy uniform per differing code, in
+    order, copying xj's code when it is below p; the integer step
+    round(c + alpha (2u - 1)) on every code, halves away from zero, then
+    np.clip; each categorical code then keeps its pre-step value or, for a
+    uniform below p_alpha, is redrawn as floor(u * size)."""
     space = problem.space
     rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
-    measure = {DistanceKind.MIXED_EH: mixed_eh, DistanceKind.GOWER: gower}[config.distance]
     conts, codes, fitness = [], [], []
     for _ in range(min(config.pop_size, config.max_fe)):
         cont, code = random_point(space, rng)
@@ -438,42 +473,64 @@ def _staged_famv(problem, config: FireflyConfig):
         alpha, gamma = (a if config.adapt_alpha else alpha), (g if config.adapt_gamma else gamma)
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
         for i, j in _sweep(fitness, rec.budget):
+            xi, ci = conts[i], codes[i]
+            disc = ci.copy()
             if j is None:
-                cont = conts[i] + alpha * (rng.random(space.n_c) - 0.5)
-                disc = codes[i]
+                cont = xi + alpha * (rng.random(space.n_c) - 0.5)
             else:
-                r = measure(space, MixedSolution(conts[i], space.decode(codes[i])),
-                            MixedSolution(conts[j], space.decode(codes[j])))
-                cont = continuous_move(conts[i], conts[j],
-                                       attractiveness(config.beta0, gamma, r), alpha, rng)
-                disc = beta_step(space, codes[i], codes[j],
-                                 discrete_attraction_prob(gamma, r), rng)
-            codes[i] = alpha_step_integer(disc, space.disc_lo, space.disc_hi, alpha, rng)
-            codes[i][cats] = alpha_step_categorical(disc[cats], space.cat_sizes, p_alpha, rng)
+                xj, cj = conts[j], codes[j]
+                d, m = xj - xi, int(np.count_nonzero(ci != cj))
+                if config.distance is DistanceKind.MIXED_EH:
+                    r = (math.sqrt(d.dot(d)) + m) / space.dim
+                else:
+                    span = space.cont_hi - space.cont_lo
+                    r = (float(np.sum(np.abs(d) / span)) + m) / space.dim
+                beta = attractiveness(config.beta0, gamma, r)
+                cont = xi + beta * d + alpha * (rng.random(space.n_c) - 0.5)
+                p = discrete_attraction_prob(gamma, r)
+                for k in range(space.n_d):
+                    if ci[k] != cj[k] and rng.random(1)[0] < p:
+                        disc[k] = cj[k]
+            stepped = _round_half_away(disc + alpha * (2.0 * rng.random(space.n_d) - 1.0))
+            new = np.clip(stepped, space.disc_lo, space.disc_hi).astype(np.int64)
+            hit = rng.random(len(cats)) < p_alpha   # every flag first, then the redraws
+            redraws = iter(rng.random(np.count_nonzero(hit)))
+            for k, size, redrawn in zip(cats, space.cat_sizes, hit):
+                new[k] = math.floor(next(redraws) * size) if redrawn else disc[k]
+            codes[i] = new
             conts[i] = np.clip(cont, space.cont_lo, space.cont_hi)
             fitness[i] = rec.evaluate(conts[i], codes[i])
     return rec.build()
 
 
 def _staged_fa(problem, config: FireflyConfig):
-    """run_classical_fa with `euclidean`, `continuous_move` and
-    `relaxed_decode` on every move."""
+    """run_classical_fa written from the formulas: the move
+    xi + beta d + alpha (u - 1/2) with beta from ||d||, d = xj - xi, then
+    np.clip into the bounds; a discrete slot of the clipped position rounds
+    half away from zero."""
     space = problem.space
     rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
     lo, hi = space.lo, space.hi
+
+    def evaluate(position):
+        x = np.clip(position, lo, hi)
+        codes = _round_half_away(x[space.disc_pos]).astype(np.int64)
+        return rec.evaluate(x[space.cont_pos], codes)
+
     positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
-    fitness = [rec.evaluate(*relaxed_decode(space, pos)) for pos in positions[:config.max_fe]]
+    fitness = [evaluate(pos) for pos in positions[:config.max_fe]]
     while not rec.budget.exhausted:
         for i, j in _sweep(fitness, rec.budget):
+            xi = positions[i]
             if j is None:
-                position = positions[i] + config.alpha * (rng.random(space.dim) - 0.5)
+                position = xi + config.alpha * (rng.random(space.dim) - 0.5)
             else:
-                beta = attractiveness(config.beta0, config.gamma,
-                                      euclidean(positions[i], positions[j]))
-                position = continuous_move(positions[i], positions[j], beta, config.alpha, rng)
+                d = positions[j] - xi
+                beta = attractiveness(config.beta0, config.gamma, math.sqrt(d.dot(d)))
+                position = xi + beta * d + config.alpha * (rng.random(space.dim) - 0.5)
             positions[i] = np.clip(position, lo, hi)
-            fitness[i] = rec.evaluate(*relaxed_decode(space, positions[i]))
+            fitness[i] = evaluate(positions[i])
     return rec.build()
 
 
