@@ -203,6 +203,8 @@ class RunTrace:
     final: Firefly
 
     def __post_init__(self):
+        if not self.samples:
+            raise ValueError("trace needs at least one sample")
         fes = [fe for fe, _ in self.samples]
         if fes != sorted(set(fes)):
             raise ValueError("trace fe values must be strictly increasing")

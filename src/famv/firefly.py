@@ -30,22 +30,30 @@ class _Uniforms:
     ``random(n)`` calls give exactly the doubles one ``rng.random(total)``
     call would, however they are chunked, at a slice's cost instead of a
     ``Generator`` call's; ``move`` serves them in the forms one firefly
-    move uses.  Blocks are read-only, so no stage can write into its
-    uniforms.  Both engines wrap their generator before their first draw,
-    so a firefly run takes only doubles from it, codes included.  Once
-    wrapped, ``rng`` must not be drawn from directly.
+    move uses, scaled by the alpha last given to ``scale``.  Blocks are
+    read-only, so no stage can write into its uniforms.  Both engines wrap
+    their generator before their first draw, so a firefly run takes only
+    doubles from it, codes included.  Once wrapped, ``rng`` must not be
+    drawn from directly.
     """
 
     def __init__(self, rng: np.random.Generator):
-        self._rng, self._pos = rng, 0
+        self._rng, self._pos, self._alpha = rng, 0, 1.0
         self._set_block(np.empty(0))
 
     def _set_block(self, block: np.ndarray) -> None:
-        # each double u is also kept as u - 1/2 and 2u - 1, the forms a move
-        # uses, computed once per block: the same doubles as per slice
-        self._block, self._half, self._sym = block, block - 0.5, 2.0 * block - 1.0
-        for b in (self._block, self._half, self._sym):
-            b.flags.writeable = False
+        self._block = block
+        block.flags.writeable = False
+        self.scale(self._alpha)
+
+    def scale(self, alpha: float) -> None:
+        """Keep each double u of the block also as alpha (u - 1/2) and
+        alpha (2u - 1), the forms a move uses, computed once per block and
+        alpha by the expressions a move would apply to its slice: the same
+        doubles."""
+        self._alpha = alpha
+        self._half, self._sym = alpha * (self._block - 0.5), alpha * (2.0 * self._block - 1.0)
+        self._half.flags.writeable = self._sym.flags.writeable = False
 
     def _take(self, n: int) -> int:
         """Where the next ``n`` doubles start in the current block."""
@@ -62,13 +70,15 @@ class _Uniforms:
         start = self._take(n)
         return self._block[start:start + n]
 
-    def move(self, n_c: int, m: int, n_d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``n_c + m + n_d`` doubles u of one firefly move: u - 1/2
-        for the first ``n_c`` (continuous noise), u for the next ``m`` (copy
-        uniforms) and 2u - 1 for the last ``n_d`` (the integer step)."""
-        a = self._take(n_c + m + n_d)
-        b, c = a + n_c, a + n_c + m
-        return self._half[a:b], self._block[b:c], self._sym[c:c + n_d]
+    def move(self, n_c: int, m: int, n_d: int,
+             n_cat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The next ``n_c + m + n_d + n_cat`` doubles u of one firefly move:
+        alpha (u - 1/2) for the first ``n_c`` (continuous noise), u for the
+        next ``m`` (copy uniforms), alpha (2u - 1) for the next ``n_d`` (the
+        integer step) and u for the last ``n_cat`` (categorical flags)."""
+        a = self._take(n_c + m + n_d + n_cat)
+        b, c, d = a + n_c, a + n_c + m, a + n_c + m + n_d
+        return self._half[a:b], self._block[b:c], self._sym[c:d], self._block[d:d + n_cat]
 
 
 @dataclass(frozen=True)
@@ -87,6 +97,8 @@ class FireflyConfig:
     def __post_init__(self):
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("beta0", "alpha", "gamma", "k"):
             if not 0 < getattr(self, name) < math.inf:   # false for NaN too
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
@@ -104,11 +116,10 @@ def discrete_attraction_prob(gamma: float, r: float) -> float:
     return math.exp(-gamma * r * r)
 
 
-def _attract(xi: np.ndarray, d: np.ndarray, beta: float, alpha: float,
-             noise: np.ndarray) -> np.ndarray:
-    """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``alpha * noise``,
-    with ``noise = u - 1/2``."""
-    return xi + beta * d + alpha * noise
+def _attract(xi: np.ndarray, d: np.ndarray, beta: float, noise: np.ndarray) -> np.ndarray:
+    """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``noise``, which
+    is alpha (u - 1/2)."""
+    return xi + beta * d + noise
 
 
 def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -125,10 +136,10 @@ def _round_codes(v: np.ndarray) -> np.ndarray:
 def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarray,
                     prob: float, u: np.ndarray) -> np.ndarray:
     """Copy ``xj_codes[k]`` for each k of ``differ`` whose uniform is below
-    ``prob``; with no differing code, ``xi_codes`` itself comes back."""
-    if not len(differ):
-        return xi_codes
+    ``prob``; with no code copied, ``xi_codes`` itself comes back."""
     copied = differ[u < prob]
+    if not len(copied):
+        return xi_codes
     out = xi_codes.copy()
     out[copied] = xj_codes[copied]
     return out
@@ -139,8 +150,8 @@ def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
               rng: np.random.Generator) -> np.ndarray:
     """Copy each differing discrete component from the brighter firefly with
     probability ``prob``; agreeing components never change.  One uniform is
-    drawn per differing component, in order; with none, ``xi_codes`` itself
-    comes back."""
+    drawn per differing component, in order; with none copied, ``xi_codes``
+    itself comes back."""
     xi_codes, xj_codes = np.asarray(xi_codes), np.asarray(xj_codes)
     if len(xi_codes) != space.n_d or len(xj_codes) != space.n_d:
         raise ValueError("discrete parts do not conform to the space")
@@ -148,26 +159,27 @@ def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
     return _copy_differing(xi_codes, xj_codes, differ, prob, rng.random(len(differ)))
 
 
-def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray, alpha: float,
-                  eps: np.ndarray) -> np.ndarray:
-    """round(codes + alpha * eps) with ``eps = 2u - 1``, halves away from
+def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  step: np.ndarray) -> np.ndarray:
+    """round(codes + step) with ``step = alpha (2u - 1)``, halves away from
     zero, clipped into [lo, hi]."""
-    return _clip(_round_codes(codes + alpha * eps), lo, hi)
+    return _clip(_round_codes(codes + step), lo, hi)
 
 
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on
-# mixed-cat; _explore looks it up at call time, once per move on a space with
+# mixed-cat; run_famv looks it up at call time, once per move on a space with
 # a categorical dimension.
-def alpha_step_categorical(codes: np.ndarray, sizes: np.ndarray, p_alpha: float,
+def alpha_step_categorical(codes: np.ndarray, cat_idx: np.ndarray, sizes: np.ndarray,
+                           flags: np.ndarray, p_alpha: float,
                            rng: np.random.Generator) -> np.ndarray:
-    """Each categorical code is redrawn uniformly over its ``sizes`` symbols
-    with probability ``p_alpha`` (the current one may be redrawn).  The
-    redraw truncates u * size for a fresh u in [0, 1), which stays below
-    ``size`` for every u < 1."""
-    out = codes.copy()
-    hit = rng.random(len(codes)) < p_alpha
-    out[hit] = (rng.random(np.count_nonzero(hit)) * sizes[hit]).astype(np.int64)
-    return out
+    """Redraw in place, and return, ``codes``: each categorical code
+    ``codes[cat_idx[k]]`` whose flag, a uniform, is below ``p_alpha`` is
+    redrawn uniformly over its ``sizes[k]`` symbols (the current one may be
+    redrawn).  The redraw truncates u * size for a fresh u in [0, 1) from
+    ``rng``, which stays below ``size`` for every u < 1."""
+    hit = (flags < p_alpha).nonzero()[0]
+    codes[cat_idx[hit]] = (rng.random(len(hit)) * sizes[hit]).astype(np.int64)
+    return codes
 
 
 def replacement_prob(alpha: float, alpha_init: float, k: float, adaptive: bool) -> float:
@@ -186,21 +198,6 @@ def adapt_parameters(alpha_init: float, gamma_init: float,
     minimum level of stochasticity."""
     remaining = 1.0 - budget.progress
     return max(0.01, alpha_init * remaining), max(0.01, gamma_init * remaining)
-
-
-def _explore(space: SearchSpace, codes: np.ndarray, alpha: float, p_alpha: float,
-             eps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """The exploration step on a whole code vector: the integer step on every
-    code with the ``space.n_d`` values ``eps = 2u - 1`` (a categorical code's
-    bounds are 0 and size - 1, so it stays in range), then
-    `alpha_step_categorical` redraws the categorical codes from ``rng``."""
-    if not space.n_d:
-        return codes
-    out = _integer_step(codes, space.disc_lo, space.disc_hi, alpha, eps)
-    cats = space.cat_idx
-    if len(cats):
-        out[cats] = alpha_step_categorical(codes[cats], space.cat_sizes, p_alpha, rng)
-    return out
 
 
 def _sweep(fitness: list[float], budget: EvaluationBudget):
@@ -233,7 +230,8 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     the objective.
     """
     space = problem.space
-    n_c, n_d = space.n_c, space.n_d
+    n_c, n_d, cat_idx, n_cat = space.n_c, space.n_d, space.cat_idx, len(space.cat_idx)
+    is_cat = np.isin(np.arange(n_d), cat_idx)
     rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
     distance = CODE_DISTANCES[config.distance]
@@ -254,23 +252,30 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
             if config.adapt_gamma:
                 gamma = g
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
+        rng.scale(alpha)
 
         # one draw per move: continuous noise, a copy uniform per differing
-        # code, then the integer step; the categorical redraw follows
+        # code, the integer step and the categorical flags; the redraws follow
         for i, j in _sweep(fitness, rec.budget):
             xi, ci = conts[i], codes[i]
             if j is None:
-                noise, _, eps = rng.move(n_c, 0, n_d)
-                cont, disc = xi + alpha * noise, ci
+                noise, _, step, flags = rng.move(n_c, 0, n_d, n_cat)
+                cont, disc = xi + noise, ci
             else:
                 d, cj = conts[j] - xi, codes[j]
                 differ = (ci != cj).nonzero()[0]
                 r = distance(space, d, len(differ))
                 beta = attractiveness(config.beta0, gamma, r)
-                noise, u, eps = rng.move(n_c, len(differ), n_d)
-                cont = _attract(xi, d, beta, alpha, noise)
+                noise, u, step, flags = rng.move(n_c, len(differ), n_d, n_cat)
+                cont = _attract(xi, d, beta, noise)
                 disc = _copy_differing(ci, cj, differ, discrete_attraction_prob(gamma, r), u)
-            codes[i] = _explore(space, disc, alpha, p_alpha, eps, rng)
+            if n_d:
+                stepped = _integer_step(disc, space.disc_lo, space.disc_hi, step)
+                if n_cat:   # a categorical code keeps its pre-step value unless redrawn
+                    stepped = alpha_step_categorical(np.where(is_cat, disc, stepped), cat_idx,
+                                                     space.cat_sizes, flags, p_alpha, rng)
+                disc = stepped
+            codes[i] = disc
             conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
             fitness[i] = rec.evaluate(conts[i], codes[i])
 
@@ -313,16 +318,17 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     fitness = [rec.evaluate(*relaxed_decode(space, pos)) for pos in positions[:config.max_fe]]
 
     cont_pos, disc_pos = space.cont_pos, space.disc_pos
+    rng.scale(config.alpha)
     while not rec.budget.exhausted:
         for i, j in _sweep(fitness, rec.budget):
             xi = positions[i]
-            noise, _, _ = rng.move(space.dim, 0, 0)
+            noise, _, _, _ = rng.move(space.dim, 0, 0, 0)
             if j is None:
-                position = xi + config.alpha * noise
+                position = xi + noise
             else:
                 d = positions[j] - xi
                 beta = attractiveness(config.beta0, config.gamma, math.sqrt(d.dot(d)))
-                position = _attract(xi, d, beta, config.alpha, noise)
+                position = _attract(xi, d, beta, noise)
             # x is clipped, so rounding its discrete slots is relaxed_decode(x)
             positions[i] = x = _clip(position, lo, hi)
             fitness[i] = rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))

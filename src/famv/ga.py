@@ -30,6 +30,8 @@ class GaConfig:
     def __post_init__(self):
         if self.pop_size < 2:
             raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.pop_size % 2 != 0:
             raise ValueError("pop_size must be even for pairing")
         if not (0 <= self.p_crossover <= 1 and 0 <= self.p_mutation <= 1):

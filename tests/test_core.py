@@ -198,6 +198,11 @@ class TestRunTrace:
         with pytest.raises(ValueError):
             RunTrace([(1, 1.0), (1, 0.5)], final)
 
+    def test_rejects_empty_samples(self):
+        final = Firefly(MixedSolution(np.zeros(1), ()), 0.5)
+        with pytest.raises(ValueError, match="at least one sample"):
+            RunTrace([], final)
+
 
 class TestRecorder:
     SPACE = SearchSpace([Continuous(0.0, 1.0), Categorical(("a", "b"))])

@@ -9,12 +9,13 @@ from test_engine_properties import Bowl, _dims
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
                   IntegerRange, MixedSolution, SearchSpace, get_problem, harness,
                   run_algorithm, run_classical_fa, run_famv)
+from famv import firefly
 from famv.core import Recorder, random_point
 from famv.distances import DistanceKind
-from famv.firefly import (_BLOCK, _Uniforms, _attract, _explore, _integer_step,
-                          _sweep, adapt_parameters, alpha_step_categorical,
-                          attractiveness, beta_step, discrete_attraction_prob,
-                          relaxed_decode, replacement_prob)
+from famv.firefly import (_BLOCK, _Uniforms, _attract, _integer_step, _sweep,
+                          adapt_parameters, alpha_step_categorical, attractiveness,
+                          beta_step, discrete_attraction_prob, relaxed_decode,
+                          replacement_prob)
 
 
 class TestAttractiveness:
@@ -48,32 +49,32 @@ class TestDiscreteAttractionProb:
 
 
 class TestContinuousMove:
-    """`_attract(xi, xj - xi, beta, alpha, u - 1/2)` is
+    """`_attract(xi, xj - xi, beta, alpha (u - 1/2))` is
     xi + beta (xj - xi) + alpha (u - 1/2)."""
 
     xi, xj = np.array([0.0, 1.0, -3.0]), np.array([4.0, -2.0, 5.0])
 
     def test_full_attraction_no_noise(self):
-        noise = np.array([0.0, 0.25, 0.5]) - 0.5
-        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 1.0, 0.0, noise),
+        noise = 0.0 * (np.array([0.0, 0.25, 0.5]) - 0.5)
+        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 1.0, noise),
                                       self.xj)
 
     def test_no_movement(self):
-        noise = np.array([0.0, 0.25, 0.5]) - 0.5
-        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 0.0, 0.0, noise),
+        noise = 0.0 * (np.array([0.0, 0.25, 0.5]) - 0.5)
+        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 0.0, noise),
                                       self.xi)
 
     def test_exact_values(self):
         # beta (xj - xi) = (2, -1.5, 4), alpha (u - 1/2) = (-1, -0.5, 0.5)
-        noise = np.array([0.0, 0.25, 0.75]) - 0.5
-        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 0.5, 2.0, noise),
+        noise = 2.0 * (np.array([0.0, 0.25, 0.75]) - 0.5)
+        np.testing.assert_array_equal(_attract(self.xi, self.xj - self.xi, 0.5, noise),
                                       [1.0, -1.0, 1.5])
 
     def test_noise_law(self):
         # pure alpha (u - 1/2) noise: -alpha/2 at u = 0, 0 at u = 1/2, and
         # below alpha/2 at the largest u < 1, which is 1 - 2**-53
         u = np.array([0.0, 0.25, 0.5, np.nextafter(1.0, 0.0)])
-        out = _attract(np.zeros(4), np.zeros(4), 0.0, 2.0, u - 0.5)
+        out = _attract(np.zeros(4), np.zeros(4), 0.0, 2.0 * (u - 0.5))
         np.testing.assert_array_equal(out, [-1.0, -0.5, 0.0, 1.0 - 2.0 ** -52])
 
 
@@ -124,23 +125,34 @@ class TestUniforms:
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32),
-           st.lists(st.tuples(st.integers(0, 5),
+           st.lists(st.tuples(st.one_of(st.none(), st.floats(1e-3, 1e3)), st.integers(0, 5),
                               st.one_of(st.integers(0, 40), st.integers(_BLOCK - 3, _BLOCK + 3)),
-                              st.integers(0, 40), st.integers(0, 40)), max_size=12))
+                              st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
+                    max_size=12))
+    # alpha changes mid-block, then a move crosses the block boundary under
+    # it, then alpha changes again in the new block
+    @example(seed=3, calls=[(None, 1, 10, 2, 5, 3), (0.25, 0, 7, 4, 6, 2),
+                            (None, 2, _BLOCK - 20, 3, 8, 4), (7.5, 3, 5, 1, 9, 2)])
     def test_move_forms_come_from_the_same_stream(self, seed, calls):
-        # each call: random(k), then move(n_c, m, n_d)
+        # each call: scale(alpha) unless alpha is None, random(k), then
+        # move(n_c, m, n_d, n_cat)
         uniforms = _Uniforms(np.random.default_rng(seed))
-        u = np.random.default_rng(seed).random(sum(map(sum, calls)))
-        pos = 0
-        for k, n_c, m, n_d in calls:
-            np.testing.assert_array_equal(uniforms.random(k), u[pos:pos + k])
+        u = np.random.default_rng(seed).random(sum(sum(c[1:]) for c in calls))
+        pos, alpha = 0, 1.0
+        for new_alpha, k, n_c, m, n_d, n_cat in calls:
+            if new_alpha is not None:
+                uniforms.scale(new_alpha)
+                alpha = new_alpha
+            assert uniforms.random(k).tobytes() == u[pos:pos + k].tobytes()
             a = pos + k
-            noise, copy, eps = uniforms.move(n_c, m, n_d)
-            assert not any(x.flags.writeable for x in (noise, copy, eps))
-            assert noise.tobytes() == (u[a:a + n_c] - 0.5).tobytes()
-            assert copy.tobytes() == u[a + n_c:a + n_c + m].tobytes()
-            assert eps.tobytes() == (2.0 * u[a + n_c + m:a + n_c + m + n_d] - 1.0).tobytes()
-            pos = a + n_c + m + n_d
+            b, c, d = a + n_c, a + n_c + m, a + n_c + m + n_d
+            noise, copy, step, flags = uniforms.move(n_c, m, n_d, n_cat)
+            assert not any(x.flags.writeable for x in (noise, copy, step, flags))
+            assert noise.tobytes() == (alpha * (u[a:b] - 0.5)).tobytes()
+            assert copy.tobytes() == u[b:c].tobytes()
+            assert step.tobytes() == (alpha * (2.0 * u[c:d] - 1.0)).tobytes()
+            assert flags.tobytes() == u[d:d + n_cat].tobytes()
+            pos = d + n_cat
 
     def test_writing_into_uniforms_raises(self):
         with pytest.raises(ValueError):
@@ -148,27 +160,27 @@ class TestUniforms:
 
 
 class TestAlphaStepInteger:
-    """`_integer_step(codes, lo, hi, alpha, 2u - 1)` is round(codes + alpha
+    """`_integer_step(codes, lo, hi, alpha (2u - 1))` is round(codes + alpha
     (2u - 1)), halves away from zero, clipped into [lo, hi]."""
 
     def test_zero_alpha_keeps_value(self):
         codes = np.array([0, 5, 10])
         eps = 2.0 * np.array([0.0, 0.5, 0.75]) - 1.0
-        np.testing.assert_array_equal(_integer_step(codes, 0, 10, 0.0, eps), codes)
+        np.testing.assert_array_equal(_integer_step(codes, 0, 10, 0.0 * eps), codes)
 
     def test_lower_boundary_clamped(self):
         # 3 + 0.9 (2u - 1) at u = 0, 0.25, 0.5, 0.75: 2.1, 2.55, 3, 3.45
         eps = 2.0 * np.array([0.0, 0.25, 0.5, 0.75]) - 1.0
-        out = _integer_step(np.full(4, 3), np.full(4, 3), np.full(4, 10), 0.9, eps)
+        out = _integer_step(np.full(4, 3), np.full(4, 3), np.full(4, 10), 0.9 * eps)
         np.testing.assert_array_equal(out, [3, 3, 3, 3])
-        out = _integer_step(np.full(2, 9), np.full(2, 3), np.full(2, 10), 1.75, np.ones(2))
+        out = _integer_step(np.full(2, 9), np.full(2, 3), np.full(2, 10), 1.75 * np.ones(2))
         np.testing.assert_array_equal(out, [10, 10])
 
     def test_step_law(self):
         # 5 + 1.5 eps for eps = -1, -0.75, -0.25, 0, 0.25, 0.75, 1:
         # 3.5, 3.875, 4.625, 5, 5.375, 6.125, 6.5
         eps = np.array([-1.0, -0.75, -0.25, 0.0, 0.25, 0.75, 1.0])
-        out = _integer_step(np.full(7, 5), 0, 10, 1.5, eps)
+        out = _integer_step(np.full(7, 5), 0, 10, 1.5 * eps)
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, [4, 4, 5, 5, 5, 6, 7])
 
@@ -176,7 +188,7 @@ class TestAlphaStepInteger:
         # codes + 2 eps = -4.5, -5.5, 5.5, 4.5, 0.5, -0.5, then -4.6 and 4.6
         codes = np.array([-5, -5, 5, 5, 0, 0, -5, 5])
         eps = np.array([0.25, -0.25, 0.25, -0.25, 0.25, -0.25, 0.2, -0.2])
-        out = _integer_step(codes, np.full(8, -10), np.full(8, 10), 2.0, eps)
+        out = _integer_step(codes, np.full(8, -10), np.full(8, 10), 2.0 * eps)
         np.testing.assert_array_equal(out, [-5, -6, 6, 5, 1, -1, -5, 5])
 
 
@@ -188,41 +200,85 @@ class _LargestUniform:
 
 
 class TestAlphaStepCategorical:
+    """`alpha_step_categorical(codes, cat_idx, sizes, flags, p, rng)` redraws
+    ``codes[cat_idx[k]]`` in place as floor(u * sizes[k]), u from ``rng``,
+    for each flag below p."""
+
     def test_zero_probability_keeps_value(self, rng):
         codes = np.array([0, 2, 1])
-        out = alpha_step_categorical(codes, np.array([3, 3, 3]), 0.0, rng)
+        out = alpha_step_categorical(codes.copy(), np.arange(3), np.array([3, 3, 3]),
+                                     rng.random(3), 0.0, rng)
         np.testing.assert_array_equal(out, codes)
 
     def test_uniform_replacement(self, rng):
         trials = 30_000
-        out = alpha_step_categorical(np.zeros(trials, dtype=np.int64),
-                                     np.full(trials, 3), 1.0, rng)
+        out = alpha_step_categorical(np.zeros(trials, dtype=np.int64), np.arange(trials),
+                                     np.full(trials, 3), np.zeros(trials), 1.0, rng)
         for share in np.bincount(out, minlength=3) / trials:
             assert abs(share - 1.0 / 3.0) < 0.02
 
     def test_singleton_forced(self, rng):
-        out = alpha_step_categorical(np.array([0]), np.array([1]), 1.0, rng)
+        out = alpha_step_categorical(np.array([0]), np.arange(1), np.array([1]),
+                                     np.zeros(1), 1.0, rng)
         np.testing.assert_array_equal(out, [0])
 
     def test_largest_uniform_redraws_the_last_symbol(self):
         sizes = np.array([1, 2, 3, 201, 1201, 2 ** 22 - 1, 2 ** 53 - 1, 2 ** 53])
-        out = alpha_step_categorical(np.zeros(len(sizes), dtype=np.int64), sizes, 1.0,
+        out = alpha_step_categorical(np.zeros(len(sizes), dtype=np.int64),
+                                     np.arange(len(sizes)), sizes, np.zeros(len(sizes)), 1.0,
                                      _LargestUniform())
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, sizes - 1)
 
+    def test_flags_pick_the_codes_redrawn_in_place(self):
+        # codes 1, 3 and 4 are categorical; only code 4's flag is below p
+        codes = np.array([5, 0, 7, 1, 0])
+        out = alpha_step_categorical(codes, np.array([1, 3, 4]), np.array([4, 2, 6]),
+                                     np.array([0.5, 0.25, 0.2]), 0.25, _LargestUniform())
+        assert out is codes
+        np.testing.assert_array_equal(out, [5, 0, 7, 1, 5])
+
 
 class TestAlphaStepAll:
+    """The exploration step as run_famv takes it on a whole code vector: the
+    integer step on every code, each categorical code back to its pre-step
+    value, then the redraws."""
+
     def test_no_replacement_keeps_categories_and_bounds(self, rng):
         space = SearchSpace([IntegerRange(-2, 4), Continuous(0.0, 1.0),
                              Categorical(("x", "y", "z")), IntegerRange(7, 7),
                              Categorical(tuple(range(9)))])
         codes = np.array([0, 2, 7, 5])
+        is_cat = np.isin(np.arange(space.n_d), space.cat_idx)
         for _ in range(200):
-            out = _explore(space, codes, 1e6, 0.0, 2.0 * rng.random(space.n_d) - 1.0, rng)
+            step = 1e6 * (2.0 * rng.random(space.n_d) - 1.0)
+            stepped = _integer_step(codes, space.disc_lo, space.disc_hi, step)
+            out = alpha_step_categorical(np.where(is_cat, codes, stepped), space.cat_idx,
+                                         space.cat_sizes, rng.random(2), 0.0, rng)
             np.testing.assert_array_equal(out[space.cat_idx], codes[space.cat_idx])
             assert MixedSolution(np.zeros(1), space.decode(out)).conforms(space)
         assert set(out[[0, 2]]) <= {-2, 4, 7}
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
+@pytest.mark.parametrize("categorical", [False, True])
+@pytest.mark.parametrize("budget", [1, 26, 300])
+def test_alpha_step_categorical_runs_once_per_move(algo, categorical, budget, monkeypatch):
+    # bench/run.py counts this name's calls; run_famv makes one per move on a
+    # space with a categorical dimension, and fa none
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return alpha_step_categorical(*args)
+
+    monkeypatch.setattr(firefly, "alpha_step_categorical", counting)
+    dims = [Continuous(-1.0, 2.0), IntegerRange(-3, 3)]
+    run_algorithm(algo, Bowl(dims + [Categorical(("x", "y", "z"))] * categorical), budget, 0)
+    pop_size = FireflyConfig(max_fe=budget).pop_size
+    moves = max(0, budget - pop_size) if categorical and algo != "fa" else 0
+    assert calls == moves
 
 
 class TestReplacementProb:

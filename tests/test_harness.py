@@ -87,6 +87,11 @@ class TestAlgorithmRegistry:
         with pytest.raises(ValueError, match=f"fa has no setting {setting}"):
             run_algorithm("fa", toy_problem, 500, 0, {setting: value})
 
+    @pytest.mark.parametrize("name", ["fa", "famv-h", "ga"])
+    def test_rejects_a_negative_seed_by_name(self, name):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            run_algorithm(name, get_problem("vessel"), 50, -1)
+
     def test_fa_takes_its_own_settings(self, toy_problem):
         overrides = {"pop_size": 10, "beta0": 1.0, "alpha": 0.5, "gamma": 0.2}
         trace = run_algorithm("fa", toy_problem, 300, 0, overrides)
