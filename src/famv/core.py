@@ -7,8 +7,8 @@ both follow the order in which their dimensions appear in the search space.
 
 The engines hold only arrays: a continuous vector and an int64 *code*
 vector, whose codes are an integer's value or a category's index in
-``values``.  Only `SearchSpace` knows that layout (`encode`, `decode`, index
-and bound arrays).  `Recorder` is the evaluation path every engine shares:
+``values``.  Only `SearchSpace` knows that layout (`decode`, index and bound
+arrays).  `Recorder` is the evaluation path every engine shares:
 it charges one function evaluation (FE) of the run's budget, decodes the
 codes and calls the objective with a `MixedSolution` of values and symbols.
 """
@@ -16,6 +16,7 @@ codes and calls the objective with a `MixedSolution` of values and symbols.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Protocol, Union
 
@@ -76,9 +77,9 @@ class SearchSpace:
     Dimension order is stable and defines the solution layout: the k-th
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
     ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
-    ``dims``; ``cat_idx`` picks the categorical codes.  Code k lies in
-    [``disc_lo[k]``, ``disc_hi[k]``] and takes ``disc_sizes[k]`` values
-    (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
+    ``dims``; ``cat_idx`` picks the categorical codes, and so does the mask
+    ``is_cat``.  Code k lies in [``disc_lo[k]``, ``disc_hi[k]``] and takes
+    ``disc_sizes[k]`` values (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
     dimension in ``dims`` order.
     """
 
@@ -100,18 +101,11 @@ class SearchSpace:
         self.cont_range = self.cont_hi - self.cont_lo
         self.disc_lo = np.array([lo[k] for k in self.disc_pos], dtype=np.int64)
         self.disc_hi = np.array([hi[k] for k in self.disc_pos], dtype=np.int64)
-        is_cat = np.array([isinstance(d, Categorical) for d in self.discrete], dtype=bool)
-        self.cat_idx = np.flatnonzero(is_cat)
+        self.is_cat = np.array([isinstance(d, Categorical) for d in self.discrete], dtype=bool)
+        self.cat_idx = np.flatnonzero(self.is_cat)
         self.disc_sizes = self.disc_hi - self.disc_lo + 1
         self.cat_sizes = self.disc_sizes[self.cat_idx]
         self._symbols = [(int(k), self.discrete[k].values) for k in self.cat_idx]
-        self._index = [{v: i for i, v in enumerate(d.values)}
-                       if isinstance(d, Categorical) else None for d in self.discrete]
-
-    def encode(self, disc) -> np.ndarray:
-        """Codes of a tuple of integer values and category symbols."""
-        return np.array([v if index is None else index[v]
-                         for v, index in zip(disc, self._index)], dtype=np.int64)
 
     def decode(self, codes: np.ndarray) -> tuple:
         """The tuple of integer values and category symbols of a code vector."""
@@ -160,13 +154,26 @@ class Firefly:
     fitness: float
 
 
+def check_integer(name: str, value, least: int) -> int:
+    """``value`` as an int: a bool or a value without ``__index__`` (a
+    float, a string, None) is a TypeError and one below ``least`` a
+    ValueError, each naming the setting ``name``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 class EvaluationBudget:
     """Monotone counter of objective evaluations, capped at ``max_fe``."""
 
     def __init__(self, max_fe: int):
-        if max_fe < 1:
-            raise ValueError("max_fe must be positive")
-        self.max_fe = int(max_fe)
+        self.max_fe = check_integer("max_fe", max_fe, 1)
         self.consumed = 0
 
     def consume(self) -> bool:

@@ -1,23 +1,28 @@
 """Firefly engines for mixed search spaces.
 
+Both engines are callers of one firefly loop, `_fly`, which moves
+positions in a box of real intervals and code vectors in a code layout.
 `run_famv` moves fireflies with type-aware operators: the classical
-attraction rule on the continuous part, and a two-phase discrete update (a
+attraction rule on the continuous box, and a two-phase discrete update (a
 probabilistic copy of differing components from the brighter firefly, then a
-random exploration step), both on the discrete code vectors of `famv.core`.
+random exploration step) on the code vectors of `famv.core`.
 `run_classical_fa` is the continuous baseline applied through relaxation:
-every dimension becomes a real interval and discrete values are decoded by
-rounding at evaluation time.
+the loop runs on the relaxed box, where every dimension is a real interval,
+with no code vector, and discrete values are decoded by rounding at
+evaluation time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace,
-                   SearchSpace, random_point)
+from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace, SearchSpace,
+                   check_integer)
 from .distances import CODE_DISTANCES, DistanceKind
 
 _BLOCK = 4096   # doubles drawn ahead by _Uniforms
@@ -31,8 +36,8 @@ class _Uniforms:
     call would, however they are chunked, at a slice's cost instead of a
     ``Generator`` call's; ``move`` serves them in the forms one firefly
     move uses, scaled by the alpha last given to ``scale``.  Blocks are
-    read-only, so no stage can write into its uniforms.  Both engines wrap
-    their generator before their first draw, so a firefly run takes only
+    read-only, so no stage can write into its uniforms.  The firefly loop
+    wraps its generator before its first draw, so a firefly run takes only
     doubles from it, codes included.  Once wrapped, ``rng`` must not be
     drawn from directly.
     """
@@ -95,17 +100,15 @@ class FireflyConfig:
     adapt_gamma: bool = False
 
     def __post_init__(self):
-        if self.pop_size < 2:
-            raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("max_fe", 1), ("seed", 0), ("pop_size", 2)):
+            check_integer(name, getattr(self, name), least)
         for name in ("beta0", "alpha", "gamma", "k"):
             if not 0 < getattr(self, name) < math.inf:   # false for NaN too
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
 
 # Kept name: bench/run.py counts its calls and the share with beta > 1e-3;
-# both engines take beta from it, looked up at call time.
+# the firefly loop takes beta from it, looked up at call time.
 def attractiveness(beta0: float, gamma: float, r: float) -> float:
     """beta0 * exp(-gamma r^2): full attraction at r = 0, decaying with distance."""
     return beta0 * math.exp(-gamma * r * r)
@@ -167,7 +170,7 @@ def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
 
 
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on
-# mixed-cat; run_famv looks it up at call time, once per move on a space with
+# mixed-cat; the firefly loop looks it up at call time, once per move on a space with
 # a categorical dimension.
 def alpha_step_categorical(codes: np.ndarray, cat_idx: np.ndarray, sizes: np.ndarray,
                            flags: np.ndarray, p_alpha: float,
@@ -222,74 +225,77 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
             yield i, None
 
 
-def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
-    """Mixed-variable firefly run under a function-evaluation budget.
+_EMPTY = np.empty(0, np.int64)
+# fa's code layout: a space's code attributes that the loop reads, all empty
+_NO_CODES = SimpleNamespace(**dict.fromkeys(
+    ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes", "is_cat"), _EMPTY))
 
-    The population is kept as continuous vectors, code vectors and a fitness
-    list; the `Recorder` charges each evaluation and decodes the codes for
-    the objective.
-    """
-    space = problem.space
-    n_c, n_d, cat_idx, n_cat = space.n_c, space.n_d, space.cat_idx, len(space.cat_idx)
-    is_cat = np.isin(np.arange(n_d), cat_idx)
+
+def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np.ndarray,
+         distance, evaluate, layout) -> None:
+    """The firefly loop of both engines, run until ``budget`` is spent:
+    positions move in the box [``lo``, ``hi``] and code vectors in the code
+    layout of ``layout``, a `SearchSpace` or `_NO_CODES`, with which the
+    loop does no code work.  ``distance(d, m)`` is r for ``d = xj - xi``
+    and m differing codes; ``evaluate(x, codes)`` charges one FE."""
+    n, n_d, cat_idx, is_cat = len(lo), len(layout.disc_lo), layout.cat_idx, layout.is_cat
+    n_cat, width = len(cat_idx), hi - lo
     rng = _Uniforms(np.random.default_rng(config.seed))
-    rec = Recorder(problem, config.max_fe)
-    distance = CODE_DISTANCES[config.distance]
 
-    conts, codes, fitness = [], [], []
+    # the first population: n + n_d doubles each, the position first; a code
+    # is disc_lo + floor(u * size), below its bound for every u < 1
+    xs, codes, fitness = [], [], []
     for _ in range(min(config.pop_size, config.max_fe)):
-        cont, code = random_point(space, rng)
-        conts.append(cont)
-        codes.append(code)
-        fitness.append(rec.evaluate(cont, code))
+        u = rng.random(n + n_d)
+        xs.append(lo + u[:n] * width)
+        codes.append(layout.disc_lo + (u[n:] * layout.disc_sizes).astype(np.int64)
+                     if n_d else _EMPTY)
+        fitness.append(evaluate(xs[-1], codes[-1]))
 
     alpha, gamma = config.alpha, config.gamma
-    while not rec.budget.exhausted:
+    while not budget.exhausted:
         if config.adapt_alpha or config.adapt_gamma:
-            a, g = adapt_parameters(config.alpha, config.gamma, rec.budget)
-            if config.adapt_alpha:
-                alpha = a
-            if config.adapt_gamma:
-                gamma = g
+            a, g = adapt_parameters(config.alpha, config.gamma, budget)
+            alpha = a if config.adapt_alpha else alpha
+            gamma = g if config.adapt_gamma else gamma
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
         rng.scale(alpha)
 
-        # one draw per move: continuous noise, a copy uniform per differing
+        # one draw per move: the position's noise, a copy uniform per differing
         # code, the integer step and the categorical flags; the redraws follow
-        for i, j in _sweep(fitness, rec.budget):
-            xi, ci = conts[i], codes[i]
+        for i, j in _sweep(fitness, budget):
+            xi, disc = xs[i], codes[i]
             if j is None:
-                noise, _, step, flags = rng.move(n_c, 0, n_d, n_cat)
-                cont, disc = xi + noise, ci
+                noise, _, step, flags = rng.move(n, 0, n_d, n_cat)
+                x = xi + noise
             else:
-                d, cj = conts[j] - xi, codes[j]
-                differ = (ci != cj).nonzero()[0]
-                r = distance(space, d, len(differ))
-                beta = attractiveness(config.beta0, gamma, r)
-                noise, u, step, flags = rng.move(n_c, len(differ), n_d, n_cat)
-                cont = _attract(xi, d, beta, noise)
-                disc = _copy_differing(ci, cj, differ, discrete_attraction_prob(gamma, r), u)
+                d, cj = xs[j] - xi, codes[j]
+                differ = (disc != cj).nonzero()[0] if n_d else _EMPTY
+                m = len(differ)
+                r = distance(d, m)
+                noise, u, step, flags = rng.move(n, m, n_d, n_cat)
+                x = _attract(xi, d, attractiveness(config.beta0, gamma, r), noise)
+                if n_d:
+                    disc = _copy_differing(disc, cj, differ, discrete_attraction_prob(gamma, r), u)
             if n_d:
-                stepped = _integer_step(disc, space.disc_lo, space.disc_hi, step)
+                stepped = _integer_step(disc, layout.disc_lo, layout.disc_hi, step)
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
                     stepped = alpha_step_categorical(np.where(is_cat, disc, stepped), cat_idx,
-                                                     space.cat_sizes, flags, p_alpha, rng)
-                disc = stepped
-            codes[i] = disc
-            conts[i] = _clip(cont, space.cont_lo, space.cont_hi)
-            fitness[i] = rec.evaluate(conts[i], codes[i])
+                                                     layout.cat_sizes, flags, p_alpha, rng)
+                codes[i] = stepped
+            xs[i] = x = _clip(x, lo, hi)
+            fitness[i] = evaluate(x, codes[i])
 
+
+def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
+    """Mixed-variable firefly run under a function-evaluation budget: the
+    firefly loop on the continuous box and the codes of the space, with r
+    from the configured distance; the `Recorder` decodes the codes."""
+    space = problem.space
+    rec = Recorder(problem, config.max_fe)
+    _fly(config, rec.budget, space.cont_lo, space.cont_hi,
+         partial(CODE_DISTANCES[config.distance], space), rec.evaluate, space)
     return rec.build()
-
-
-def relaxed_decode(space: SearchSpace, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map a relaxed real vector back to a feasible continuous vector and
-    code vector: every component is clipped to ``space.lo``/``space.hi``,
-    and discrete ones round half away from zero to an integer code."""
-    if len(position) != space.dim:
-        raise ValueError("relaxed vector length does not match the space")
-    x = _clip(position, space.lo, space.hi)
-    return x[space.cont_pos], _round_codes(x[space.disc_pos])
 
 
 # the settings fa reads; the others belong to famv's discrete step and schedule
@@ -297,40 +303,24 @@ _FA_SETTINGS = ("max_fe", "seed", "pop_size", "beta0", "alpha", "gamma")
 
 
 def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
-    """Continuous firefly baseline on the relaxed space.
-
-    Positions stay continuous for the whole run; discrete dimensions are only
-    decoded when the objective is evaluated.  A firefly with no brighter one
-    takes a uniform random step of alpha * (U - 1/2), as in Yang's FA, so a
-    flat objective still spends the whole budget.  A setting outside
-    ``_FA_SETTINGS`` that is not at its default is a ValueError naming it.
-    """
+    """Continuous firefly baseline: the firefly loop on the relaxed box
+    ``space.lo``/``space.hi`` with r = ||d|| and no code vector.  A firefly
+    with no brighter one takes a uniform random step of alpha * (U - 1/2), as
+    in Yang's FA, so a flat objective still spends the whole budget.  A
+    setting outside ``_FA_SETTINGS`` that is not at its default is a
+    ValueError naming it."""
     own = FireflyConfig(**{name: getattr(config, name) for name in _FA_SETTINGS})
     for f in fields(FireflyConfig):
         if getattr(config, f.name) != getattr(own, f.name):
             raise ValueError(f"fa has no setting {f.name}, got {getattr(config, f.name)!r}")
-    space = problem.space
-    rng = _Uniforms(np.random.default_rng(config.seed))
     rec = Recorder(problem, config.max_fe)
-    lo, hi = space.lo, space.hi
-
-    positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
-    fitness = [rec.evaluate(*relaxed_decode(space, pos)) for pos in positions[:config.max_fe]]
-
-    cont_pos, disc_pos = space.cont_pos, space.disc_pos
-    rng.scale(config.alpha)
-    while not rec.budget.exhausted:
-        for i, j in _sweep(fitness, rec.budget):
-            xi = positions[i]
-            noise, _, _, _ = rng.move(space.dim, 0, 0, 0)
-            if j is None:
-                position = xi + noise
-            else:
-                d = positions[j] - xi
-                beta = attractiveness(config.beta0, config.gamma, math.sqrt(d.dot(d)))
-                position = _attract(xi, d, beta, noise)
-            # x is clipped, so rounding its discrete slots is relaxed_decode(x)
-            positions[i] = x = _clip(position, lo, hi)
-            fitness[i] = rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))
-
+    _fly(config, rec.budget, problem.space.lo, problem.space.hi,
+         lambda d, m: math.sqrt(d.dot(d)), _relaxed_evaluate(rec), _NO_CODES)
     return rec.build()
+
+
+def _relaxed_evaluate(rec: Recorder):
+    """fa's evaluation map: a clipped relaxed position's discrete slots
+    round to codes, and the codes the loop passes are ignored."""
+    cont_pos, disc_pos = rec.space.cont_pos, rec.space.disc_pos
+    return lambda x, _: rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveFunction, Recorder, RunTrace, SearchSpace
+from .core import ObjectiveFunction, Recorder, RunTrace, SearchSpace, check_integer
 
 
 @dataclass(frozen=True)
@@ -28,20 +28,17 @@ class GaConfig:
     bits_per_continuous: int = 16
 
     def __post_init__(self):
-        if self.pop_size < 2:
-            raise ValueError(f"pop_size must be >= 2, got {self.pop_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("max_fe", 1), ("seed", 0), ("pop_size", 2), ("tournament_size", 1),
+                            ("elitism_count", 0), ("bits_per_continuous", 1)):
+            check_integer(name, getattr(self, name), least)
         if self.pop_size % 2 != 0:
             raise ValueError("pop_size must be even for pairing")
         if not (0 <= self.p_crossover <= 1 and 0 <= self.p_mutation <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
-        if self.tournament_size < 1:
-            raise ValueError(f"tournament_size must be >= 1, got {self.tournament_size}")
-        if self.elitism_count < 0 or self.elitism_count > self.pop_size:
+        if self.elitism_count > self.pop_size:
             raise ValueError("elitism_count out of range")
         # a segment's place values must fit an int64
-        if not 1 <= self.bits_per_continuous <= 63:
+        if self.bits_per_continuous > 63:
             raise ValueError("bits_per_continuous must lie in [1, 63], "
                              f"got {self.bits_per_continuous}")
 

@@ -8,7 +8,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import ObjectiveFunction, RunTrace
+from .core import ObjectiveFunction, RunTrace, check_integer
 from .distances import DistanceKind
 from .firefly import FireflyConfig, run_classical_fa, run_famv
 from .ga import GaConfig, run_ga
@@ -78,9 +78,8 @@ class ExperimentSpec:
             if not getattr(self, name):
                 raise ValueError(f"no {name} given")
         for name, least in (("runs", 1), ("budget", 1), ("stride", 1), ("base_seed", 0)):
-            value = getattr(self, name)
-            if value is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name), least)
         for name in ("problems", "algorithms"):
             names = getattr(self, name)
             for k, value in enumerate(names):

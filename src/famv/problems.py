@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .core import Continuous, IntegerRange, MixedSolution, SearchSpace
+from .core import Continuous, IntegerRange, MixedSolution, SearchSpace, check_integer
 
 PENALTY_M = 1.0e6
 SYNTHETIC_DIM = 50      # the default dimension of a synthetic problem
@@ -276,8 +276,8 @@ class SyntheticProblem(Problem):
     def __init__(self, name: str, dim: int = SYNTHETIC_DIM, shift_seed: int = 0):
         if name not in _SYNTHETIC:
             raise KeyError(f"unknown synthetic function {name!r}")
-        if dim < 2 or dim % 2 != 0:
-            raise ValueError("dim must be even and >= 2")
+        if check_integer("dim", dim, 2) % 2 != 0:
+            raise ValueError(f"dim must be even, got {dim}")
         self.name = name
         fn, (lo, hi) = _SYNTHETIC[name]
         self._fn = fn
@@ -305,8 +305,6 @@ class SyntheticProblem(Problem):
         z -= self.shift
         return self._fn(z)
 
-
-synthetic = SyntheticProblem
 
 _ENGINEERING = {"vessel": VesselProblem, "beam": BeamProblem, "csd": CsdProblem}
 ENGINEERING_NAMES = tuple(_ENGINEERING)

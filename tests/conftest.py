@@ -17,6 +17,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def encode(space: SearchSpace, disc) -> np.ndarray:
+    """The code vector of a tuple of integer values and category symbols."""
+    return np.array([v if isinstance(d, IntegerRange) else d.values.index(v)
+                     for v, d in zip(disc, space.discrete)], dtype=np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

@@ -4,7 +4,7 @@ Each test evaluates its criterion, records a single summary line (echoed
 after the pytest run), and then asserts.  Criterion 1 is a behavioral
 order-relation check on the mixed sphere at the default synthetic dimension,
 dim 50.  At dim 20 the normalized mixed distance starts famv-h's attraction
-between 15.9k and 55.2k FE depending on the seed, so a 20k-FE check there
+between 13.9k and 44.5k FE depending on the seed, so a 20k-FE check there
 would measure where each seed's onset falls; see the test docstring.
 """
 
@@ -21,8 +21,8 @@ from famv import (Categorical, Continuous, EvaluationBudget, ExperimentSpec,
                   euclidean, gower, hamming, holm_adjust, kruskal_wallis,
                   mixed_eh, random_solution, run_algorithm, run_experiment)
 from famv.firefly import adapt_parameters, beta_step, replacement_prob
-from famv.problems import (BeamProblem, CsdProblem, VesselProblem, get_problem,
-                           synthetic)
+from famv.problems import (BeamProblem, CsdProblem, SyntheticProblem, VesselProblem,
+                           get_problem)
 
 
 def _record(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -39,16 +39,16 @@ def test_criterion_01_famv_beats_fa_gap():
     20k FE, 30 runs): the mixed-variable variant's mean AE must be at least
     10x below the relaxed baseline's.
 
-    The dimension is the default of `synthetic()`, not dim 20.  `mixed_eh`
+    The dimension is the default of `SyntheticProblem`, not dim 20.  `mixed_eh`
     divides by the dimension count, so at dim 20 random points sit at a
     median mixed distance of 13.2 and gamma = 0.1 gives them an
     attractiveness of about 4e-8.  famv-h's attraction there starts between
-    15.9k and 55.2k FE depending on the seed (median about 29k), so a check
+    13.9k and 44.5k FE depending on the seed (median about 25k), so a check
     at 20k FE measures how many seeds have got past that onset, not the
     mixed distance.  At dim 50 the median distance is 8.6 and attraction is
     under way from the start.
     """
-    problem = synthetic("sphere")
+    problem = SyntheticProblem("sphere")
     budget, runs = 20_000, 30
     means, medians = {}, {}
     for algo in ("fa", "famv-h"):

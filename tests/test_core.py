@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import encode
 from famv import (Categorical, Continuous, EvaluationBudget, Firefly,
                   IntegerRange, MixedSolution, RunTrace, SearchSpace,
                   random_solution)
@@ -79,13 +80,14 @@ class TestSearchSpace:
         np.testing.assert_array_equal(space.cont_pos, [1])
         np.testing.assert_array_equal(space.disc_pos, [0, 2, 3])
         np.testing.assert_array_equal(space.cat_idx, [1])
+        np.testing.assert_array_equal(space.is_cat, [False, True, False])
         np.testing.assert_array_equal(space.disc_lo, [-2, 0, 7])
         np.testing.assert_array_equal(space.disc_hi, [4, 2, 7])
         np.testing.assert_array_equal(space.disc_sizes, [7, 3, 1])
         np.testing.assert_array_equal(space.cat_sizes, [3])
 
     def test_codes_round_trip(self, mixed_space):
-        codes = mixed_space.encode((7, "c"))
+        codes = encode(mixed_space, (7, "c"))
         assert codes.dtype == np.int64
         np.testing.assert_array_equal(codes, [7, 2])
         disc = mixed_space.decode(codes)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import encode
 from famv import (Categorical, Continuous, DistanceKind, IntegerRange,
                   MixedSolution, SearchSpace, euclidean, gower, hamming,
                   mixed_eh, random_solution)
@@ -105,8 +106,8 @@ class TestSolutionDistance:
         for _ in range(50):
             x = random_solution(mixed_space, rng)
             for y in (x, random_solution(mixed_space, rng)):
-                mismatches = int(np.count_nonzero(mixed_space.encode(x.disc)
-                                                  != mixed_space.encode(y.disc)))
+                mismatches = int(np.count_nonzero(encode(mixed_space, x.disc)
+                                                  != encode(mixed_space, y.disc)))
                 for kind, public in ((DistanceKind.MIXED_EH, mixed_eh),
                                      (DistanceKind.GOWER, gower)):
                     kernel = CODE_DISTANCES[kind]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import encode
 from test_engine_properties import Bowl, _dims
 
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
@@ -12,9 +13,9 @@ from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
 from famv import firefly
 from famv.core import Recorder, random_point
 from famv.distances import DistanceKind
-from famv.firefly import (_BLOCK, _Uniforms, _attract, _integer_step, _sweep,
-                          adapt_parameters, alpha_step_categorical, attractiveness,
-                          beta_step, discrete_attraction_prob, relaxed_decode,
+from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step,
+                          _round_codes, _sweep, adapt_parameters, alpha_step_categorical,
+                          attractiveness, beta_step, discrete_attraction_prob,
                           replacement_prob)
 
 
@@ -83,8 +84,8 @@ class TestBetaStep:
                          IntegerRange(0, 9)])
 
     def step(self, xi, xj, prob, rng):
-        enc = self.space.encode
-        return self.space.decode(beta_step(self.space, enc(xi), enc(xj), prob, rng))
+        codes = beta_step(self.space, encode(self.space, xi), encode(self.space, xj), prob, rng)
+        return self.space.decode(codes)
 
     def test_certain_copy(self, rng):
         assert self.step(("a", "a", 1), ("b", "a", 7), 1.0, rng) == ("b", "a", 7)
@@ -424,36 +425,76 @@ class TestRunFamv:
         assert trace.final.solution.conforms(toy_problem.space)
 
 
+class _Zero:
+    name, reference_optimum = "zero", 0.0
+
+    def __init__(self, space):
+        self.space = space
+
+    def __call__(self, sol):
+        return 0.0
+
+
 class TestRelaxation:
+    """fa's evaluation map on a position the loop has clipped into the
+    relaxed box: each discrete slot rounds to the nearest code."""
+
+    @staticmethod
+    def evaluate(space, position):
+        rec = Recorder(_Zero(space), 1)
+        firefly._relaxed_evaluate(rec)(_clip(position, space.lo, space.hi), None)
+        return rec.best.solution
+
     def test_bounds(self, mixed_space):
         np.testing.assert_allclose(mixed_space.lo, [-5.0, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(mixed_space.hi, [5.0, 10.0, 9.0, 2.0])
 
     def test_decode_nearest_index(self, mixed_space):
-        cont, codes = relaxed_decode(mixed_space, np.array([0.0, 5.0, 3.2, 1.4]))
+        codes = _round_codes(np.array([3.2, 1.4]))
         np.testing.assert_array_equal(codes, [3, 1])
         assert codes.dtype == np.int64
-        assert mixed_space.decode(codes) == (3, "b")
-        assert MixedSolution(cont, mixed_space.decode(codes)).conforms(mixed_space)
+        sol = self.evaluate(mixed_space, np.array([0.0, 5.0, 3.2, 1.4]))
+        assert sol.disc == (3, "b")
+        assert sol.conforms(mixed_space)
 
     def test_decode_rounds_and_clamps(self, mixed_space):
-        cont, codes = relaxed_decode(mixed_space, np.array([7.0, -1.0, 12.6, 9.0]))
-        np.testing.assert_array_equal(cont, [5.0, 0.0])
-        np.testing.assert_array_equal(codes, [9, 2])
-        assert mixed_space.decode(codes) == (9, "c")
+        # clipped first: 12.6 rounds as 9, not 13, and 9.0 as 2
+        sol = self.evaluate(mixed_space, np.array([7.0, -1.0, 12.6, 9.0]))
+        np.testing.assert_array_equal(sol.cont, [5.0, 0.0])
+        assert sol.disc == (9, "c")
 
     def test_decode_rounds_half_away_from_zero(self):
         space = SearchSpace([IntegerRange(-5, 5)] * 4)
-        cont, codes = relaxed_decode(space, np.array([-1.5, -0.4, 0.5, 2.5]))
-        assert len(cont) == 0
-        np.testing.assert_array_equal(codes, [-2, 0, 1, 3])
-        disc = space.decode(codes)
-        assert disc == (-2, 0, 1, 3)
-        assert all(type(v) is int for v in disc)
+        np.testing.assert_array_equal(_round_codes(np.array([-1.5, -0.4, 0.5, 2.5])),
+                                      [-2, 0, 1, 3])
+        sol = self.evaluate(space, np.array([-1.5, -0.4, 0.5, 2.5]))
+        assert len(sol.cont) == 0
+        assert sol.disc == (-2, 0, 1, 3)
+        assert all(type(v) is int for v in sol.disc)
 
-    def test_decode_length_check(self, mixed_space):
-        with pytest.raises(ValueError):
-            relaxed_decode(mixed_space, np.zeros(3))
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h"])
+def test_fa_does_no_code_work(algo, monkeypatch):
+    # fa moves no code vector, so it never copies or steps a code; famv-h
+    # on the same space does both on every move
+    calls = {"_copy_differing": 0, "_integer_step": 0}
+
+    def counting(name):
+        original = getattr(firefly, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(firefly, name, counting(name))
+    dims = [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))]
+    run_algorithm(algo, Bowl(dims), 300, 0)
+    if algo == "fa":
+        assert calls == {"_copy_differing": 0, "_integer_step": 0}
+    else:
+        assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
 
 
 class TestRunClassicalFa:

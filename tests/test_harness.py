@@ -92,6 +92,34 @@ class TestAlgorithmRegistry:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             run_algorithm(name, get_problem("vessel"), 50, -1)
 
+    # (algorithm or None for EvaluationBudget(max_fe), max_fe, seed, overrides,
+    # the setting named); a bool is not an integer setting
+    @pytest.mark.parametrize("name, max_fe, seed, overrides, setting", [
+        ("famv-h", 1.5, 0, {}, "max_fe"), ("ga", 50.7, 0, {}, "max_fe"),
+        ("fa", True, 0, {}, "max_fe"), (None, 50.7, 0, {}, "max_fe"),
+        (None, True, 0, {}, "max_fe"), ("famv-h", 50, 1.5, {}, "seed"),
+        ("ga", 50, "3", {}, "seed"), ("fa", 50, None, {}, "seed"),
+        ("famv-g", 50, True, {}, "seed"), ("ga", 50, 0, {"pop_size": 25.0}, "pop_size"),
+        ("famv-h", 50, 0, {"pop_size": 25.0}, "pop_size"),
+        ("ga", 50, 0, {"tournament_size": 2.5}, "tournament_size"),
+        ("ga", 50, 0, {"elitism_count": False}, "elitism_count"),
+        ("ga", 50, 0, {"bits_per_continuous": 16.0}, "bits_per_continuous")])
+    def test_rejects_a_non_integer_setting_by_name(self, name, max_fe, seed, overrides,
+                                                   setting):
+        with pytest.raises(TypeError, match=f"^{setting} must be an integer, got "):
+            if name is None:
+                EvaluationBudget(max_fe)
+            else:
+                run_algorithm(name, get_problem("vessel"), max_fe, seed, overrides)
+
+    @pytest.mark.parametrize("name", ["fa", "famv-h", "ga"])
+    def test_numpy_integers_are_integer_settings(self, name):
+        problem = get_problem("vessel")
+        numpy_run = run_algorithm(name, problem, np.int64(60), np.int64(3),
+                                  {"pop_size": np.int32(10)})
+        assert numpy_run.samples == run_algorithm(name, problem, 60, 3, {"pop_size": 10}).samples
+        assert EvaluationBudget(np.int64(50)).max_fe == 50
+
     def test_fa_takes_its_own_settings(self, toy_problem):
         overrides = {"pop_size": 10, "beta0": 1.0, "alpha": 0.5, "gamma": 0.2}
         trace = run_algorithm("fa", toy_problem, 300, 0, overrides)
@@ -121,6 +149,15 @@ class TestBudgets:
         spec = dict(problems=["sphere"], algorithms=["famv-h"], out_dir="unused")
         spec[setting] = value
         with pytest.raises(ValueError, match=setting):
+            ExperimentSpec(**spec)
+
+    @pytest.mark.parametrize("setting, value", [
+        ("runs", 2.5), ("budget", 50.7), ("stride", True), ("base_seed", 1.5),
+        ("dim", 50.0)])
+    def test_rejects_a_non_integer_setting_by_name(self, setting, value):
+        spec = dict(problems=["sphere"], algorithms=["famv-h"], out_dir="unused")
+        spec[setting] = value
+        with pytest.raises(TypeError, match=f"^{setting} must be an integer, got "):
             ExperimentSpec(**spec)
 
 

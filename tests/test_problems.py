@@ -15,7 +15,7 @@ from famv.problems import (BEAM_ARM, BEAM_DELTA_MAX, BEAM_E, BEAM_G, BEAM_P,
                            CSD_P_MAX, CSD_S, ENGINEERING_NAMES, PENALTY_M, THICKNESS_STEP,
                            BeamProblem, CsdProblem, Problem, SyntheticProblem,
                            VesselProblem, beam_constraints, beam_cost, csd_weight,
-                           synthetic, vessel_cost)
+                           vessel_cost)
 
 
 def _vessel_sol(r, length, n_shell, n_head):
@@ -107,42 +107,42 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("name", names)
     def test_zero_error_at_optimum(self, name):
-        problem = synthetic(name, dim=10)
+        problem = SyntheticProblem(name, dim=10)
         assert problem(problem.optimum_solution()) == pytest.approx(0.0, abs=1e-3)
 
     def test_sphere_unit_offset(self):
-        problem = synthetic("sphere", dim=10)
+        problem = SyntheticProblem("sphere", dim=10)
         optimum = problem.optimum_solution()
         shifted = MixedSolution(optimum.cont + np.eye(problem.space.n_c)[0],
                                 optimum.disc)
         assert problem(shifted) == pytest.approx(1.0)
 
     def test_layout_half_integer(self):
-        problem = synthetic("rastrigin", dim=50)
+        problem = SyntheticProblem("rastrigin", dim=50)
         assert problem.space.n_c == 25
         assert problem.space.n_d == 25
 
     def test_shift_is_seed_fixed(self):
-        a = synthetic("ackley", dim=10, shift_seed=3)
-        b = synthetic("ackley", dim=10, shift_seed=3)
+        a = SyntheticProblem("ackley", dim=10, shift_seed=3)
+        b = SyntheticProblem("ackley", dim=10, shift_seed=3)
         np.testing.assert_array_equal(a.shift, b.shift)
 
     @pytest.mark.parametrize("shift_seed", [0, 1, 7])
     def test_shift_is_not_a_run_seeds_stream(self, shift_seed):
         # a run with seed shift_seed draws default_rng(shift_seed).random;
         # the continuous half of the shift must not be an affine image of it
-        problem = synthetic("sphere", dim=50, shift_seed=shift_seed)
+        problem = SyntheticProblem("sphere", dim=50, shift_seed=shift_seed)
         half = problem.space.n_c
         u = np.random.default_rng(shift_seed).random(50)[:half]
         assert abs(np.corrcoef(problem.shift[:half], u)[0, 1]) < 0.9
 
     def test_optimum_is_feasible(self):
-        problem = synthetic("griewank", dim=10)
+        problem = SyntheticProblem("griewank", dim=10)
         assert problem.optimum_solution().conforms(problem.space)
 
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValueError):
-            synthetic("sphere", dim=7)
+            SyntheticProblem("sphere", dim=7)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -151,7 +151,7 @@ class TestSynthetic:
 
 class TestAbsoluteError:
     def test_zero_at_reference(self):
-        problem = synthetic("sphere", dim=10)
+        problem = SyntheticProblem("sphere", dim=10)
         assert problem.absolute_error(0.0) == 0.0
 
     def test_offset_reference(self):
