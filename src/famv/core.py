@@ -118,12 +118,20 @@ class SearchSpace:
         return f"SearchSpace(n_c={self.n_c}, n_d={self.n_d})"
 
 
-@dataclass(frozen=True)
 class MixedSolution:
-    """A candidate point: continuous vector plus discrete value tuple."""
+    """A candidate point: continuous vector plus discrete value tuple.
 
-    cont: np.ndarray
-    disc: tuple
+    A slotted class rather than a dataclass, because the `Recorder` builds
+    one per FE."""
+
+    __slots__ = ("cont", "disc")
+
+    def __init__(self, cont: np.ndarray, disc: tuple):
+        self.cont = cont
+        self.disc = disc
+
+    def __repr__(self):
+        return f"MixedSolution(cont={self.cont!r}, disc={self.disc!r})"
 
     def __eq__(self, other):
         if not isinstance(other, MixedSolution):
@@ -228,21 +236,24 @@ class Recorder:
     def __init__(self, problem: ObjectiveFunction, max_fe: int):
         self.problem = problem
         self.space = problem.space
+        self._decode = self.space.decode
         self.budget = EvaluationBudget(max_fe)
         self.best: Firefly | None = None
         self.samples: list[tuple[int, float]] = []
 
     def evaluate(self, cont: np.ndarray, codes: np.ndarray) -> float:
         """Charge one FE and return the objective value of the point."""
-        if not self.budget.consume():
-            raise RuntimeError(f"evaluation past the budget of {self.budget.max_fe} FE")
-        solution = MixedSolution(cont, self.space.decode(codes))
+        budget = self.budget
+        if not budget.consume():
+            raise RuntimeError(f"evaluation past the budget of {budget.max_fe} FE")
+        solution = MixedSolution(cont, self._decode(codes))
         fitness = self.problem(solution)
         if not math.isfinite(fitness):
             fitness = math.inf
-        if self.best is None or fitness < self.best.fitness:
+        best = self.best
+        if best is None or fitness < best.fitness:
             self.best = Firefly(solution, fitness)
-            self.samples.append((self.budget.consumed, fitness))
+            self.samples.append((budget.consumed, fitness))
         return fitness
 
     def build(self) -> RunTrace:

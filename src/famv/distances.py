@@ -39,7 +39,7 @@ def _mixed_eh(space: SearchSpace, d: np.ndarray, mismatches: int) -> float:
 
 
 def _gower(space: SearchSpace, d: np.ndarray, mismatches: int) -> float:
-    return (float((np.abs(d) / space.cont_range).sum()) + mismatches) / space.dim
+    return (float(np.add.reduce(np.abs(d) / space.cont_range)) + mismatches) / space.dim
 
 
 CODE_DISTANCES = {DistanceKind.MIXED_EH: _mixed_eh, DistanceKind.GOWER: _gower}

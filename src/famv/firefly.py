@@ -49,15 +49,20 @@ class _Uniforms:
     def _set_block(self, block: np.ndarray) -> None:
         self._block = block
         block.flags.writeable = False
-        self.scale(self._alpha)
+        self._rescale()
 
     def scale(self, alpha: float) -> None:
         """Keep each double u of the block also as alpha (u - 1/2) and
         alpha (2u - 1), the forms a move uses, computed once per block and
         alpha by the expressions a move would apply to its slice: the same
-        doubles."""
-        self._alpha = alpha
-        self._half, self._sym = alpha * (self._block - 0.5), alpha * (2.0 * self._block - 1.0)
+        doubles.  An unchanged alpha keeps the forms it already has."""
+        if alpha != self._alpha:
+            self._alpha = alpha
+            self._rescale()
+
+    def _rescale(self) -> None:
+        alpha, block = self._alpha, self._block
+        self._half, self._sym = alpha * (block - 0.5), alpha * (2.0 * block - 1.0)
         self._half.flags.writeable = self._sym.flags.writeable = False
 
     def _take(self, n: int) -> int:

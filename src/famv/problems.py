@@ -21,7 +21,10 @@ class Problem:
     """Minimization objective over a mixed space, penalty-wrapped when
     constrained: PENALTY_M times the summed violation, plus PENALTY_M per
     violated constraint when ``count_violations`` is set.  A subclass gives
-    its constraints through ``constraint_values``; NaN counts as violated."""
+    its constraints through ``constraint_values``; NaN counts as violated.
+    A subclass may also override ``_terms`` to compute both from one read
+    of the solution, but not ``__call__``: objective calls are counted
+    there."""
 
     name: str
     space: SearchSpace
@@ -39,9 +42,12 @@ class Problem:
         """The g values as an array."""
         return np.array(self.constraint_values(sol), dtype=float)
 
+    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+        """``(raw(sol), constraint_values(sol))``."""
+        return self.raw(sol), self.constraint_values(sol)
+
     def __call__(self, sol: MixedSolution) -> float:
-        value = self.raw(sol)
-        g = self.constraint_values(sol)
+        value, g = self._terms(sol)
         if not g:
             return value
         # summed left to right, as numpy's reduction adds fewer than 8 terms
@@ -103,6 +109,11 @@ class VesselProblem(Problem):
     def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
         return vessel_constraints(*self.thicknesses(sol), *sol.cont.tolist())
 
+    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+        d_s, d_h = self.thicknesses(sol)
+        r, length = sol.cont.tolist()
+        return vessel_cost(d_s, d_h, r, length), vessel_constraints(d_s, d_h, r, length)
+
 
 # --- welded beam -----------------------------------------------------------
 
@@ -160,6 +171,10 @@ class BeamProblem(Problem):
     def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
         return beam_constraints(*sol.cont.tolist())
 
+    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+        x1, x2, x3, x4 = sol.cont.tolist()
+        return beam_cost(x1, x2, x3, x4), beam_constraints(x1, x2, x3, x4)
+
 
 # --- coil spring -----------------------------------------------------------
 
@@ -210,6 +225,11 @@ class CsdProblem(Problem):
 
     def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
         return csd_constraints(*sol.cont.tolist(), *sol.disc)
+
+    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+        d, d_coil = sol.cont.tolist()
+        (n,) = sol.disc
+        return csd_weight(d, d_coil, n), csd_constraints(d, d_coil, n)
 
 
 # --- shifted synthetic family ----------------------------------------------

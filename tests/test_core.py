@@ -105,6 +105,20 @@ class TestMixedSolution:
         assert zero == negative_zero and hash(zero) == hash(negative_zero)
         assert len({zero, negative_zero}) == 1
 
+    def test_repr(self):
+        sol = MixedSolution(np.array([1.0, 2.5]), (3, "x"))
+        assert repr(sol) == "MixedSolution(cont=array([1. , 2.5]), disc=(3, 'x'))"
+
+    def test_not_equal_to_its_fields_as_a_tuple(self):
+        cont, disc = np.array([1.0]), (3,)
+        assert (MixedSolution(cont, disc) == (cont, disc)) is False
+
+    def test_has_slots_and_no_instance_dict(self):
+        sol = MixedSolution(np.array([1.0]), (3,))
+        assert not hasattr(sol, "__dict__")
+        with pytest.raises(AttributeError):
+            sol.fitness = 1.0
+
     def test_conforms(self, mixed_space):
         good = MixedSolution(np.array([0.0, 5.0]), (3, "b"))
         assert good.conforms(mixed_space)

@@ -159,6 +159,40 @@ class TestUniforms:
         with pytest.raises(ValueError):
             _Uniforms(np.random.default_rng(0)).random(3)[0] = 0.5
 
+    def test_repeated_scale_keeps_the_forms(self):
+        uniforms = _Uniforms(np.random.default_rng(0))
+        uniforms.random(1)
+        uniforms.scale(0.5)
+        half, sym = uniforms._half, uniforms._sym
+        uniforms.scale(0.5)
+        assert uniforms._half is half and uniforms._sym is sym
+
+    def test_new_alpha_recomputes_the_forms(self):
+        uniforms = _Uniforms(np.random.default_rng(0))
+        u = uniforms.random(1)
+        uniforms.scale(0.5)
+        half = uniforms._half
+        uniforms.scale(0.25)
+        assert uniforms._half is not half
+        noise, _, step, _ = uniforms.move(2, 0, 2, 0)
+        block = np.random.default_rng(0).random(5)
+        assert u.tobytes() == block[:1].tobytes()
+        assert noise.tobytes() == (0.25 * (block[1:3] - 0.5)).tobytes()
+        assert step.tobytes() == (0.25 * (2.0 * block[3:5] - 1.0)).tobytes()
+
+    def test_block_crossing_after_a_skipped_scale(self):
+        # the first block is scaled by 0.5 once, the repeat is skipped, and
+        # the move that crosses into the next block must get its forms at 0.5
+        uniforms = _Uniforms(np.random.default_rng(0))
+        uniforms.random(1)
+        uniforms.scale(0.5)
+        uniforms.random(_BLOCK - 3)
+        uniforms.scale(0.5)
+        noise, _, step, _ = uniforms.move(3, 0, 3, 0)
+        u = np.random.default_rng(0).random(_BLOCK + 4)[_BLOCK - 2:]
+        assert noise.tobytes() == (0.5 * (u[:3] - 0.5)).tobytes()
+        assert step.tobytes() == (0.5 * (2.0 * u[3:] - 1.0)).tobytes()
+
 
 class TestAlphaStepInteger:
     """`_integer_step(codes, lo, hi, alpha (2u - 1))` is round(codes + alpha

@@ -296,6 +296,25 @@ def _points(space):
 
 @pytest.mark.parametrize("name", ENGINEERING_NAMES)
 @given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_terms_read_once_equal_the_public_hooks(name, data):
+    # each engineering class computes raw and g from one read of the solution
+    problem = get_problem(name)
+    assert "_terms" in vars(type(problem))
+    sol = data.draw(_points(problem.space))
+    value, g = problem._terms(sol)
+    assert _bits(value) == _bits(problem.raw(sol))
+    assert [_bits(v) for v in g] == [_bits(v) for v in problem.constraint_values(sol)]
+
+
+@pytest.mark.parametrize("name", available_problems())
+def test_no_registry_problem_defines_call(name):
+    # the benchmark and the FE-count test count Problem.__call__ as the objective
+    assert type(get_problem(name, dim=4)).__call__ is Problem.__call__
+
+
+@pytest.mark.parametrize("name", ENGINEERING_NAMES)
+@given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_float_path_matches_numpy_formulation(name, data):
     problem = get_problem(name)
