@@ -110,6 +110,11 @@ class FireflyConfig:
         for name in ("beta0", "alpha", "gamma", "k"):
             if not 0 < getattr(self, name) < math.inf:   # false for NaN too
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not isinstance(self.distance, DistanceKind):
+            raise TypeError(f"distance must be a DistanceKind, got {self.distance!r}")
+        for name in ("adapt_alpha", "adapt_gamma"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 # Kept name: bench/run.py counts its calls and the share with beta > 1e-3;

@@ -1,8 +1,8 @@
 """Benchmark problems: three penalty-handled engineering designs and a family
 of shifted synthetic functions with half the dimensions forced to integers.
 
-Engineering reference optima are best-known literature values (vessel's can
-be overridden per instance); they only feed absolute-error reporting.
+Engineering reference optima are best-known literature values; they only
+feed absolute-error reporting.
 """
 
 from __future__ import annotations
@@ -20,34 +20,31 @@ SYNTHETIC_DIM = 50      # the default dimension of a synthetic problem
 class Problem:
     """Minimization objective over a mixed space, penalty-wrapped when
     constrained: PENALTY_M times the summed violation, plus PENALTY_M per
-    violated constraint when ``count_violations`` is set.  A subclass gives
-    its constraints through ``constraint_values``; NaN counts as violated.
-    A subclass may also override ``_terms`` to compute both from one read
-    of the solution, but not ``__call__``: objective calls are counted
-    there."""
+    violated constraint when ``count_violations`` is set; a NaN g counts
+    as violated.  A subclass defines one hook, ``terms``; ``raw``, ``constraints`` and the penalty
+    derive from it.  No subclass defines ``__call__``: objective calls are
+    counted there."""
 
     name: str
     space: SearchSpace
     reference_optimum: float
     count_violations = False
 
-    def raw(self, sol: MixedSolution) -> float:
+    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+        """``(raw value, g values)`` from one read of ``sol``; the g values
+        are floats, feasible iff all g <= 0, empty for unconstrained."""
         raise NotImplementedError
 
-    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
-        """g values as floats; feasible iff all g <= 0.  Empty for unconstrained."""
-        return ()
+    def raw(self, sol: MixedSolution) -> float:
+        """The objective without the penalty."""
+        return self.terms(sol)[0]
 
     def constraints(self, sol: MixedSolution) -> np.ndarray:
         """The g values as an array."""
-        return np.array(self.constraint_values(sol), dtype=float)
-
-    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        """``(raw(sol), constraint_values(sol))``."""
-        return self.raw(sol), self.constraint_values(sol)
+        return np.array(self.terms(sol)[1], dtype=float)
 
     def __call__(self, sol: MixedSolution) -> float:
-        value, g = self._terms(sol)
+        value, g = self.terms(sol)
         if not g:
             return value
         # summed left to right, as numpy's reduction adds fewer than 8 terms
@@ -89,28 +86,18 @@ class VesselProblem(Problem):
     multiplier counts so the grid is feasible by construction."""
 
     name = "vessel"
+    reference_optimum = 6059.714335
 
-    def __init__(self, reference_optimum: float = 6059.714335):
+    def __init__(self):
         self.space = SearchSpace([
             Continuous(10.0, 200.0),   # inner radius
             Continuous(10.0, 200.0),   # cylinder length
             IntegerRange(1, 99),       # shell thickness / 0.0625
             IntegerRange(1, 99),       # head thickness / 0.0625
         ])
-        self.reference_optimum = reference_optimum
 
-    @staticmethod
-    def thicknesses(sol: MixedSolution) -> tuple[float, float]:
-        return THICKNESS_STEP * sol.disc[0], THICKNESS_STEP * sol.disc[1]
-
-    def raw(self, sol: MixedSolution) -> float:
-        return vessel_cost(*self.thicknesses(sol), *sol.cont.tolist())
-
-    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
-        return vessel_constraints(*self.thicknesses(sol), *sol.cont.tolist())
-
-    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        d_s, d_h = self.thicknesses(sol)
+    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+        d_s, d_h = THICKNESS_STEP * sol.disc[0], THICKNESS_STEP * sol.disc[1]
         r, length = sol.cont.tolist()
         return vessel_cost(d_s, d_h, r, length), vessel_constraints(d_s, d_h, r, length)
 
@@ -165,13 +152,7 @@ class BeamProblem(Problem):
             Continuous(0.1, 2.0),    # beam thickness
         ])
 
-    def raw(self, sol: MixedSolution) -> float:
-        return beam_cost(*sol.cont.tolist())
-
-    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
-        return beam_constraints(*sol.cont.tolist())
-
-    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
         x1, x2, x3, x4 = sol.cont.tolist()
         return beam_cost(x1, x2, x3, x4), beam_constraints(x1, x2, x3, x4)
 
@@ -220,13 +201,7 @@ class CsdProblem(Problem):
             IntegerRange(1, 70),     # number of active coils
         ])
 
-    def raw(self, sol: MixedSolution) -> float:
-        return csd_weight(*sol.cont.tolist(), *sol.disc)
-
-    def constraint_values(self, sol: MixedSolution) -> tuple[float, ...]:
-        return csd_constraints(*sol.cont.tolist(), *sol.disc)
-
-    def _terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
+    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
         d, d_coil = sol.cont.tolist()
         (n,) = sol.disc
         return csd_weight(d, d_coil, n), csd_constraints(d, d_coil, n)
@@ -310,20 +285,20 @@ class SyntheticProblem(Problem):
         shift[half:] = np.clip(np.round(shift[half:]), int_lo, int_hi)
         self.shift = shift
         self.reference_optimum = 0.0
-        self._row = np.empty(dim)   # x - shift, refilled by every raw() call
+        self._row = np.empty(dim)   # x - shift, refilled by every terms() call
 
     def optimum_solution(self) -> MixedSolution:
         half = self.space.n_c
         return MixedSolution(self.shift[:half].copy(),
                              tuple(int(v) for v in self.shift[half:]))
 
-    def raw(self, sol: MixedSolution) -> float:
+    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
         # integer values up to 2**53 convert to float exactly, as asarray's did
         z, half = self._row, self.space.n_c
         z[:half] = sol.cont
         z[half:] = sol.disc
         z -= self.shift
-        return self._fn(z)
+        return self._fn(z), ()
 
 
 _ENGINEERING = {"vessel": VesselProblem, "beam": BeamProblem, "csd": CsdProblem}

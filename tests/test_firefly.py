@@ -383,6 +383,15 @@ class TestFireflyConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             FireflyConfig(max_fe=100, **{name: value})
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("distance", "gower", "a DistanceKind"), ("distance", "mixed-eh", "a DistanceKind"),
+        ("distance", None, "a DistanceKind"), ("adapt_alpha", "no", "a bool"),
+        ("adapt_alpha", 0, "a bool"), ("adapt_alpha", None, "a bool"),
+        ("adapt_gamma", "yes", "a bool"), ("adapt_gamma", 1.0, "a bool")])
+    def test_rejects_a_non_numeric_setting_of_the_wrong_type_by_name(self, name, value, kind):
+        with pytest.raises(TypeError, match=f"^{name} must be {kind}, got {value!r}$"):
+            FireflyConfig(max_fe=50, **{name: value})
+
 
 class TestSweep:
     def test_schedule_and_charges(self):

@@ -120,6 +120,21 @@ class TestAlgorithmRegistry:
         assert numpy_run.samples == run_algorithm(name, problem, 60, 3, {"pop_size": 10}).samples
         assert EvaluationBudget(np.int64(50)).max_fe == 50
 
+    @pytest.mark.parametrize("name, overrides, setting", [
+        ("famv-h", {"distance": "gower"}, "distance"), ("fa", {"distance": "gower"}, "distance"),
+        ("famv-g", {"adapt_alpha": "no"}, "adapt_alpha"),
+        ("famv-h-gamma", {"adapt_gamma": 0}, "adapt_gamma")])
+    def test_rejects_a_non_numeric_override_of_the_wrong_type_by_name(self, name, overrides,
+                                                                       setting):
+        with pytest.raises(TypeError, match=f"^{setting} must be a"):
+            run_algorithm(name, get_problem("vessel"), 50, 0, overrides)
+
+    def test_numpy_bools_are_flag_overrides(self):
+        problem = get_problem("vessel")
+        numpy_run = run_algorithm("famv-h", problem, 60, 3, {"adapt_alpha": np.True_})
+        assert numpy_run.samples == run_algorithm("famv-h", problem, 60, 3,
+                                                  {"adapt_alpha": True}).samples
+
     def test_fa_takes_its_own_settings(self, toy_problem):
         overrides = {"pop_size": 10, "beta0": 1.0, "alpha": 0.5, "gamma": 0.2}
         trace = run_algorithm("fa", toy_problem, 300, 0, overrides)

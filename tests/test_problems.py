@@ -43,9 +43,9 @@ class TestVessel:
 
     def test_thicknesses_are_multiples_of_step(self):
         problem = VesselProblem()
-        d_s, d_h = VesselProblem.thicknesses(_vessel_sol(50.0, 100.0, 3, 99))
-        assert d_s == pytest.approx(0.1875)
-        assert d_h == pytest.approx(6.1875)
+        # 3 and 99 steps of 0.0625 are 0.1875 and 6.1875, both exact in binary
+        assert problem.raw(_vessel_sol(50.0, 100.0, 3, 99)) == \
+            vessel_cost(0.1875, 6.1875, 50.0, 100.0)
         # the encoding makes any other value unrepresentable
         assert problem.space.discrete[0].lo == 1
         assert problem.space.discrete[0].hi == 99
@@ -155,11 +155,13 @@ class TestAbsoluteError:
         assert problem.absolute_error(0.0) == 0.0
 
     def test_offset_reference(self):
-        problem = VesselProblem(reference_optimum=-1400.0)
+        problem = _Degenerate(0.0, ())
+        problem.reference_optimum = -1400.0
         assert problem.absolute_error(-919.0) == pytest.approx(481.0)
 
     def test_symmetric(self):
-        problem = VesselProblem(reference_optimum=100.0)
+        problem = _Degenerate(0.0, ())
+        problem.reference_optimum = 100.0
         assert problem.absolute_error(103.0) == problem.absolute_error(97.0)
 
 
@@ -294,23 +296,27 @@ def _points(space):
                                  tuple(xs[space.n_c:])))
 
 
-@pytest.mark.parametrize("name", ENGINEERING_NAMES)
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_terms_read_once_equal_the_public_hooks(name, data):
-    # each engineering class computes raw and g from one read of the solution
-    problem = get_problem(name)
-    assert "_terms" in vars(type(problem))
-    sol = data.draw(_points(problem.space))
-    value, g = problem._terms(sol)
-    assert _bits(value) == _bits(problem.raw(sol))
-    assert [_bits(v) for v in g] == [_bits(v) for v in problem.constraint_values(sol)]
-
-
 @pytest.mark.parametrize("name", available_problems())
 def test_no_registry_problem_defines_call(name):
-    # the benchmark and the FE-count test count Problem.__call__ as the objective
-    assert type(get_problem(name, dim=4)).__call__ is Problem.__call__
+    # terms is a registry class's one hook; the benchmark and the FE-count
+    # test count Problem.__call__ as the objective
+    cls = type(get_problem(name, dim=4))
+    assert "terms" in vars(cls)
+    for derived in ("__call__", "raw", "constraints", "constraint_values", "_terms",
+                    "thicknesses"):
+        assert derived not in vars(cls)
+    assert cls.__call__ is Problem.__call__
+
+
+def test_a_problem_without_terms_is_not_implemented():
+    class NoTerms(Problem):
+        name, reference_optimum = "no-terms", 0.0
+        space = SearchSpace([Continuous(0.0, 1.0)])
+
+    sol = MixedSolution(np.array([0.5]), ())
+    for hook in (NoTerms(), NoTerms().raw, NoTerms().constraints):
+        with pytest.raises(NotImplementedError):
+            hook(sol)
 
 
 @pytest.mark.parametrize("name", ENGINEERING_NAMES)
@@ -354,11 +360,8 @@ class _Degenerate(Problem):
     def __init__(self, value, g, count_violations=False):
         self.value, self.g, self.count_violations = value, g, count_violations
 
-    def raw(self, sol):
-        return self.value
-
-    def constraint_values(self, sol):
-        return self.g
+    def terms(self, sol):
+        return self.value, self.g
 
 
 _ODD_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5, -2.0, 1e-300)
@@ -393,8 +396,8 @@ class TestDegenerateConstraints:
 
     def test_nan_reaches_recorder_as_inf(self):
         class HalfNaN(_Degenerate):
-            def constraint_values(self, sol):
-                return (math.nan,) if sol.cont[0] > 0.5 else (-1.0,)
+            def terms(self, sol):
+                return self.value, (math.nan,) if sol.cont[0] > 0.5 else (-1.0,)
 
         recorder = Recorder(HalfNaN(1.0, None), 10)
         assert recorder.evaluate(np.array([0.9]), np.array([], dtype=np.int64)) == math.inf
