@@ -10,12 +10,15 @@ vector, whose codes are an integer's value or a category's index in
 ``values``.  Only `SearchSpace` knows that layout (`decode`, index and bound
 arrays).  `Recorder` is the evaluation path every engine shares:
 it charges one function evaluation (FE) of the run's budget, decodes the
-codes and calls the objective with a `MixedSolution` of values and symbols.
+codes and calls the objective with a `MixedSolution` of values and symbols,
+for one point (`Recorder.evaluate`) or for each row of a batch in order
+(`Recorder.evaluate_rows`).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Protocol, Union
@@ -114,6 +117,15 @@ class SearchSpace:
             disc[k] = values[disc[k]]
         return tuple(disc)
 
+    def decode_rows(self, codes: np.ndarray) -> list[tuple]:
+        """`decode` of each row of an ``(n, n_d)`` code matrix, from one
+        ``tolist()``."""
+        rows = codes.tolist()
+        for disc in rows:
+            for k, values in self._symbols:
+                disc[k] = values[disc[k]]
+        return [tuple(disc) for disc in rows]
+
     def __repr__(self):
         return f"SearchSpace(n_c={self.n_c}, n_d={self.n_d})"
 
@@ -174,6 +186,15 @@ def check_integer(name: str, value, least: int) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def check_real(name: str, value):
+    """``value`` if it is a real number: a bool or a value that is not
+    `numbers.Real` (a string, None) is a TypeError naming the setting
+    ``name``.  Ints and numpy floats pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
     return value
 
 
@@ -243,10 +264,24 @@ class Recorder:
 
     def evaluate(self, cont: np.ndarray, codes: np.ndarray) -> float:
         """Charge one FE and return the objective value of the point."""
+        return self._evaluate(cont, self._decode(codes))
+
+    def evaluate_rows(self, cont: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Evaluate the rows of an ``(n, n_c)`` and an ``(n, n_d)`` matrix in
+        order, one FE each, as `evaluate` would row by row, and return their
+        objective values.  A row past the budget raises before its objective
+        call, after the rows before it were evaluated."""
+        step = self._evaluate
+        return np.array([step(x, disc)
+                         for x, disc in zip(cont, self.space.decode_rows(codes))])
+
+    def _evaluate(self, cont: np.ndarray, disc: tuple) -> float:
+        """The one per-FE step: charge the FE, call the objective and record
+        a new best."""
         budget = self.budget
         if not budget.consume():
             raise RuntimeError(f"evaluation past the budget of {budget.max_fe} FE")
-        solution = MixedSolution(cont, self._decode(codes))
+        solution = MixedSolution(cont, disc)
         fitness = self.problem(solution)
         if not math.isfinite(fitness):
             fitness = math.inf

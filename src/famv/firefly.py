@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace, SearchSpace,
-                   check_integer)
+                   check_integer, check_real)
 from .distances import CODE_DISTANCES, DistanceKind
 
 _BLOCK = 4096   # doubles drawn ahead by _Uniforms
@@ -108,8 +108,9 @@ class FireflyConfig:
         for name, least in (("max_fe", 1), ("seed", 0), ("pop_size", 2)):
             check_integer(name, getattr(self, name), least)
         for name in ("beta0", "alpha", "gamma", "k"):
-            if not 0 < getattr(self, name) < math.inf:   # false for NaN too
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            value = check_real(name, getattr(self, name))
+            if not 0 < value < math.inf:   # false for NaN too
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not isinstance(self.distance, DistanceKind):
             raise TypeError(f"distance must be a DistanceKind, got {self.distance!r}")
         for name in ("adapt_alpha", "adapt_gamma"):

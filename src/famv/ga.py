@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ObjectiveFunction, Recorder, RunTrace, SearchSpace, check_integer
+from .core import ObjectiveFunction, Recorder, RunTrace, SearchSpace, check_integer, check_real
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,10 @@ class GaConfig:
             check_integer(name, getattr(self, name), least)
         if self.pop_size % 2 != 0:
             raise ValueError("pop_size must be even for pairing")
-        if not (0 <= self.p_crossover <= 1 and 0 <= self.p_mutation <= 1):
-            raise ValueError("probabilities must lie in [0, 1]")
+        for name in ("p_crossover", "p_mutation"):
+            value = check_real(name, getattr(self, name))
+            if not 0 <= value <= 1:   # false for NaN too
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.elitism_count > self.pop_size:
             raise ValueError("elitism_count out of range")
         # a segment's place values must fit an int64
@@ -76,14 +78,15 @@ def decode(layout: ChromosomeLayout, bits: np.ndarray) -> tuple[np.ndarray, np.n
 
 def one_point_crossover(a: np.ndarray, b: np.ndarray,
                         cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Swap the suffixes of each row pair of ``a`` and ``b`` from its cut in
-    {1 .. L}; a cut of L swaps nothing."""
+    """Swap the suffixes of each row pair of the bit matrices ``a`` and
+    ``b`` from its cut in {1 .. L}; a cut of L swaps nothing.  A bit is
+    swapped by xor with ``a ^ b``, masked to the suffix."""
     if a.shape != b.shape:
         raise ValueError("chromosome lengths differ")
     if a.shape[1] < 2:
         raise ValueError("chromosomes need at least two bits")
-    suffix = np.arange(a.shape[1]) >= cuts[:, None]
-    return np.where(suffix, b, a), np.where(suffix, a, b)
+    swap = (a ^ b) & (np.arange(a.shape[1]) >= cuts[:, None])
+    return a ^ swap, b ^ swap
 
 
 def _tournament(fitness: np.ndarray, rng: np.random.Generator, n: int,
@@ -98,45 +101,40 @@ def run_ga(problem: ObjectiveFunction, config: GaConfig) -> RunTrace:
     """Generational GA with elitism under a function-evaluation budget.
 
     Children never depend on each other's fitness, so each generation draws
-    its tournaments, crossovers and mutations as whole matrices and decodes
-    every child at once; only the evaluations run one child at a time.
+    its tournaments, crossovers and mutations as whole matrices and is
+    evaluated in one `Recorder.evaluate_rows` call.  A generation breeds only
+    the children the budget has room for; it still draws the full
+    tournament and crossover arrays, and its mutation doubles are a prefix
+    of the full draw, so every random stream is that of a full generation.
     """
     layout = ChromosomeLayout(problem.space, config.bits_per_continuous)
     rng = np.random.default_rng(config.seed)
     rec = Recorder(problem, config.max_fe)
-
-    def evaluate(bits: np.ndarray) -> np.ndarray | None:
-        """Fitness of each row in order, or None when the budget runs out
-        before the last row."""
-        cont, codes = decode(layout, bits)
-        n = min(len(bits), rec.budget.max_fe - rec.budget.consumed)
-        fitness = np.array([rec.evaluate(cont[k], codes[k]) for k in range(n)])
-        return fitness if n == len(bits) else None
+    budget = rec.budget
 
     genomes = rng.integers(0, 2, size=(min(config.pop_size, config.max_fe), layout.length),
                            dtype=np.int8)
-    fitness = evaluate(genomes)   # never runs out: at most max_fe rows
+    fitness = rec.evaluate_rows(*decode(layout, genomes))
     if config.elitism_count >= config.pop_size:
         return rec.build()  # fully elitist: nothing evolves
 
     n_child = config.pop_size - config.elitism_count
     pairs = (n_child + 1) // 2
-    while not rec.budget.exhausted:
+    while not budget.exhausted:
+        n = min(n_child, budget.max_fe - budget.consumed)
+        m = (n + 1) // 2   # the pairs whose children are evaluated
         elite = np.argsort(fitness, kind="stable")[:config.elitism_count]
-        parents = genomes[_tournament(fitness, rng, 2 * pairs, config.tournament_size)]
+        parents = genomes[_tournament(fitness, rng, 2 * pairs, config.tournament_size)[:2 * m]]
         pa, pb = parents[0::2], parents[1::2]
         # a one-bit chromosome has no cut point: its children are copies
         if layout.length > 1:
-            crossed = rng.random(pairs) < config.p_crossover
-            cuts = rng.integers(1, layout.length, size=pairs)
+            crossed = rng.random(pairs)[:m] < config.p_crossover
+            cuts = rng.integers(1, layout.length, size=pairs)[:m]
             pa, pb = one_point_crossover(pa, pb, np.where(crossed, cuts, layout.length))
-        children = np.stack((pa, pb), axis=1).reshape(2 * pairs, layout.length)[:n_child]
+        children = np.stack((pa, pb), axis=1).reshape(2 * m, layout.length)[:n]
         if config.p_mutation > 0:
-            children ^= rng.random(children.shape) < config.p_mutation
-        child_fitness = evaluate(children)
-        if child_fitness is None:
-            break
+            children ^= rng.random((n, layout.length)) < config.p_mutation
         genomes = np.concatenate((genomes[elite], children))
-        fitness = np.concatenate((fitness[elite], child_fitness))
+        fitness = np.concatenate((fitness[elite], rec.evaluate_rows(*decode(layout, children))))
 
     return rec.build()

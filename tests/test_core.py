@@ -267,6 +267,87 @@ class TestRecorder:
         assert len(calls) == 2 and recorder.budget.consumed == 2
 
 
+class TestEvaluateRows:
+    SPACE = SearchSpace([Continuous(-1.0, 1.0), IntegerRange(2, 7),
+                         Categorical(("a", "b", "c")), Continuous(0.0, 4.0)])
+
+    class Objective:
+        """Records each solution it is called with, and each call among
+        ``events`` when given."""
+
+        def __init__(self, space, events=None, values=None):
+            self.space, self.calls, self.events = space, [], events
+            self.values = None if values is None else iter(values)
+
+        def __call__(self, sol):
+            self.calls.append(sol)
+            if self.events is not None:
+                self.events.append(("call", len(self.calls)))
+            if self.values is not None:
+                return next(self.values)
+            return float(sol.cont[0] * sol.cont[1] + sol.disc[0] + "abc".index(sol.disc[1]))
+
+    def _rows(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        cont = self.SPACE.cont_lo + rng.random((n, 2)) * self.SPACE.cont_range
+        codes = self.SPACE.disc_lo + rng.integers(0, 100, size=(n, 2)) % self.SPACE.disc_sizes
+        return cont, codes
+
+    def test_equals_evaluate_row_by_row(self):
+        cont, codes = self._rows(40)
+        by_rows = Recorder(self.Objective(self.SPACE), 50)
+        by_row = Recorder(self.Objective(self.SPACE), 50)
+        head = by_rows.evaluate_rows(cont[:15], codes[:15])
+        values = [*head, *by_rows.evaluate_rows(cont[15:], codes[15:])]
+        expected = [by_row.evaluate(x, c) for x, c in zip(cont, codes)]
+        assert values == expected
+        assert head.dtype == np.float64 and head.shape == (15,)
+        assert by_rows.problem.calls == by_row.problem.calls
+        assert by_rows.samples == by_row.samples
+        assert by_rows.best == by_row.best
+        assert by_rows.budget.consumed == by_row.budget.consumed == 40
+
+    def test_one_charge_then_one_call_per_row_in_order(self, monkeypatch):
+        events = []
+        recorder = Recorder(self.Objective(self.SPACE, events), 10)
+        consume = recorder.budget.consume
+
+        def logged_consume():
+            events.append(("consume", recorder.budget.consumed + 1))
+            return consume()
+
+        monkeypatch.setattr(recorder.budget, "consume", logged_consume)
+        cont, codes = self._rows(6)
+        recorder.evaluate_rows(cont, codes)
+        assert events == [(kind, k) for k in range(1, 7) for kind in ("consume", "call")]
+        assert recorder.problem.calls == [MixedSolution(x, self.SPACE.decode(c))
+                                          for x, c in zip(cont, codes)]
+
+    def test_non_finite_rows_are_inf(self):
+        recorder = Recorder(self.Objective(self.SPACE, values=[2.0, math.nan, -math.inf, 1.0]),
+                            10)
+        values = recorder.evaluate_rows(*self._rows(4))
+        assert values.tolist() == [2.0, math.inf, math.inf, 1.0]
+        assert recorder.samples == [(1, 2.0), (4, 1.0)]
+
+    def test_a_row_past_the_budget_raises_before_its_call(self):
+        recorder = Recorder(self.Objective(self.SPACE), 5)
+        cont, codes = self._rows(8)
+        recorder.evaluate_rows(cont[:2], codes[:2])
+        with pytest.raises(RuntimeError, match="past the budget of 5 FE"):
+            recorder.evaluate_rows(cont[2:], codes[2:])
+        # the three rows the budget had room for were evaluated, in order
+        assert recorder.problem.calls == [MixedSolution(x, self.SPACE.decode(c))
+                                          for x, c in zip(cont[:5], codes[:5])]
+        assert recorder.budget.consumed == 5
+        assert recorder.samples[-1][0] <= 5
+
+    def test_empty_batch_charges_nothing(self):
+        recorder = Recorder(self.Objective(self.SPACE), 5)
+        values = recorder.evaluate_rows(np.empty((0, 2)), np.empty((0, 2), dtype=np.int64))
+        assert values.shape == (0,) and recorder.budget.consumed == 0
+
+
 class TestEvaluationBudget:
     def test_consume_counts(self):
         budget = EvaluationBudget(10)

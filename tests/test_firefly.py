@@ -383,6 +383,12 @@ class TestFireflyConfig:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             FireflyConfig(max_fe=100, **{name: value})
 
+    @pytest.mark.parametrize("name", ["beta0", "alpha", "gamma", "k"])
+    @pytest.mark.parametrize("value", ["x", None, True, np.False_, 1j])
+    def test_rejects_a_non_real_setting_by_name(self, name, value):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got {value!r}$"):
+            FireflyConfig(max_fe=50, **{name: value})
+
     @pytest.mark.parametrize("name, value, kind", [
         ("distance", "gower", "a DistanceKind"), ("distance", "mixed-eh", "a DistanceKind"),
         ("distance", None, "a DistanceKind"), ("adapt_alpha", "no", "a bool"),

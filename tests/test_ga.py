@@ -86,6 +86,19 @@ class TestCrossover:
         np.testing.assert_array_equal(np.minimum(ca, cb), np.minimum(a, b))
         np.testing.assert_array_equal(np.maximum(ca, cb), np.maximum(a, b))
 
+    @pytest.mark.parametrize("rows, length", [(1, 2), (7, 38), (50, 600)])
+    def test_equals_the_where_reference(self, rows, length):
+        rng = np.random.default_rng(length)
+        a = rng.integers(0, 2, size=(rows + 3, length), dtype=np.int8)
+        b = rng.integers(0, 2, size=(rows + 3, length), dtype=np.int8)
+        # cuts of 1, a middle value and L (no swap), then random ones
+        cuts = np.concatenate(([1, length // 2, length], rng.integers(1, length + 1, size=rows)))
+        suffix = np.arange(length) >= cuts[:, None]
+        ca, cb = one_point_crossover(a, b, cuts)
+        assert ca.dtype == cb.dtype == np.int8
+        np.testing.assert_array_equal(ca, np.where(suffix, b, a))
+        np.testing.assert_array_equal(cb, np.where(suffix, a, b))
+
     def test_too_short(self):
         with pytest.raises(ValueError, match="two bits"):
             one_point_crossover(np.zeros((2, 1), dtype=np.int8),
@@ -145,6 +158,12 @@ class TestGaConfig:
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
             GaConfig(max_fe=100, p_crossover=1.5)
+
+    @pytest.mark.parametrize("name", ["p_crossover", "p_mutation"])
+    @pytest.mark.parametrize("value", [-0.5, 1.5, np.nan, np.inf])
+    def test_names_a_probability_out_of_range(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 1\\], got {value}$"):
+            GaConfig(max_fe=100, **{name: value})
 
     @pytest.mark.parametrize("setting", [
         {"tournament_size": 0}, {"tournament_size": -1},
@@ -243,6 +262,56 @@ class TestRunGa:
         trace = run_ga(Counting(), GaConfig(max_fe=65, seed=4, pop_size=20))
         assert len(calls) == 65
         assert trace.samples[-1][0] <= 65
+
+    # 20 initial rows and generations of 19 children: 65 FE leave room for 7
+    # children of the third generation, and 58 end on its boundary
+    @pytest.mark.parametrize("max_fe, rows", [(65, [20, 19, 19, 7]), (58, [20, 19, 19])])
+    def test_breeds_only_the_rows_it_evaluates(self, monkeypatch, max_fe, rows):
+        decoded, calls = [], []
+        real_decode = ga.decode
+
+        def counting_decode(layout, bits):
+            decoded.append(len(bits))
+            return real_decode(layout, bits)
+
+        class Counting:
+            name = "counting"
+            reference_optimum = 0.0
+            space = SearchSpace([Continuous(-1.0, 1.0), IntegerRange(0, 5)])
+
+            def __call__(self, sol):
+                calls.append(sol)
+                return float(sol.cont[0] ** 2 + sol.disc[0])
+
+        monkeypatch.setattr(ga, "decode", counting_decode)
+        run_ga(Counting(), GaConfig(max_fe=max_fe, seed=4, pop_size=20))
+        assert decoded == rows
+        assert len(calls) == max_fe
+
+    @pytest.mark.parametrize("max_fe", [1, 20, 21, 65, 77])
+    def test_a_shorter_budget_evaluates_a_prefix(self, mixed_space, max_fe):
+        # a generation cut by the budget is the prefix of the full one: the
+        # same streams, parents, cuts and mutations
+        def solutions(budget):
+            seen = []
+
+            class Recording:
+                name = "recording"
+                reference_optimum = 0.0
+                space = mixed_space
+
+                def __call__(self, sol):
+                    seen.append(sol)
+                    return float(np.sum(sol.cont ** 2)) + sol.disc[0]
+
+            trace = run_ga(Recording(), GaConfig(max_fe=budget, seed=9, pop_size=20,
+                                                 p_mutation=0.05))
+            return seen, trace
+
+        short, short_trace = solutions(max_fe)
+        full, full_trace = solutions(96)   # 20 initial rows and four full generations
+        assert short == full[:max_fe]
+        assert short_trace.samples == [s for s in full_trace.samples if s[0] <= max_fe]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_child_conforms(self, mixed_space, seed):

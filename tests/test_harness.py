@@ -112,6 +112,28 @@ class TestAlgorithmRegistry:
             else:
                 run_algorithm(name, get_problem("vessel"), max_fe, seed, overrides)
 
+    # a bool, a string, None or a complex number is not a float setting
+    @pytest.mark.parametrize("name, overrides, setting", [
+        ("famv-h", {"beta0": "x"}, "beta0"), ("famv-h", {"alpha": None}, "alpha"),
+        ("famv-h", {"beta0": True}, "beta0"), ("fa", {"alpha": False}, "alpha"),
+        ("famv-g", {"gamma": np.True_}, "gamma"), ("famv-h", {"k": "1.0"}, "k"),
+        ("ga", {"p_crossover": "x"}, "p_crossover"), ("ga", {"p_mutation": None}, "p_mutation"),
+        ("ga", {"p_mutation": True}, "p_mutation"), ("ga", {"p_crossover": 0.5j}, "p_crossover")])
+    def test_rejects_a_non_real_setting_by_name(self, name, overrides, setting):
+        with pytest.raises(TypeError, match=f"^{setting} must be a real number, got "):
+            run_algorithm(name, get_problem("vessel"), 50, 0, overrides)
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("famv-h", {"beta0": 1, "alpha": np.float64(0.5), "gamma": np.float32(0.25), "k": 2}),
+        ("fa", {"beta0": np.int64(2), "alpha": np.float64(0.5)}),
+        ("ga", {"p_crossover": 1, "p_mutation": np.float64(0.125)}),
+        ("ga", {"p_crossover": np.float32(0.5), "p_mutation": 0})])
+    def test_ints_and_numpy_floats_are_float_settings(self, name, overrides):
+        problem = get_problem("vessel")
+        floats = {key: float(value) for key, value in overrides.items()}
+        assert run_algorithm(name, problem, 60, 3, overrides).samples == \
+            run_algorithm(name, problem, 60, 3, floats).samples
+
     @pytest.mark.parametrize("name", ["fa", "famv-h", "ga"])
     def test_numpy_integers_are_integer_settings(self, name):
         problem = get_problem("vessel")
