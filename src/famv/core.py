@@ -134,7 +134,9 @@ class MixedSolution:
     """A candidate point: continuous vector plus discrete value tuple.
 
     A slotted class rather than a dataclass, because the `Recorder` builds
-    one per FE."""
+    one per FE.  It keeps a dataclass's value equality and repr; its hash
+    counts -0.0 equal to 0.0, as equality does; ``cont`` and ``disc`` can be
+    rebound."""
 
     __slots__ = ("cont", "disc")
 
@@ -199,7 +201,8 @@ def check_real(name: str, value):
 
 
 class EvaluationBudget:
-    """Monotone counter of objective evaluations, capped at ``max_fe``."""
+    """Monotone counter of objective evaluations, capped at ``max_fe``, an
+    integer >= 1 checked by name as a config setting is."""
 
     def __init__(self, max_fe: int):
         self.max_fe = check_integer("max_fe", max_fe, 1)
@@ -233,7 +236,8 @@ class ObjectiveFunction(Protocol):
 
 @dataclass
 class RunTrace:
-    """Best-so-far samples of one run: (evaluation count, best fitness)."""
+    """Best-so-far samples of one run: an (evaluation count, best fitness)
+    pair at each improvement, and the ``final`` best point."""
 
     samples: list[tuple[int, float]]
     final: Firefly
@@ -276,8 +280,9 @@ class Recorder:
                          for x, disc in zip(cont, self.space.decode_rows(codes))])
 
     def _evaluate(self, cont: np.ndarray, disc: tuple) -> float:
-        """The one per-FE step: charge the FE, call the objective and record
-        a new best."""
+        """The one per-FE step: charge the FE (a RuntimeError past the
+        budget, before the objective call), call the objective with a
+        `MixedSolution` and record a new best."""
         budget = self.budget
         if not budget.consume():
             raise RuntimeError(f"evaluation past the budget of {budget.max_fe} FE")
@@ -297,17 +302,11 @@ class Recorder:
         return RunTrace(self.samples, self.best)
 
 
-def random_point(space: SearchSpace,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a uniform random continuous vector and code vector from
-    ``space.dim`` doubles of ``rng.random``, continuous first; a code is
+def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
+    """Draw a uniform random solution from ``space.dim`` doubles of
+    ``rng.random``, continuous first; a code is
     ``disc_lo + floor(u * disc_sizes)``, below its bound for every u < 1."""
     u = rng.random(space.dim)
     cont = space.cont_lo + u[:space.n_c] * space.cont_range
-    return cont, space.disc_lo + (u[space.n_c:] * space.disc_sizes).astype(np.int64)
-
-
-def random_solution(space: SearchSpace, rng: np.random.Generator) -> MixedSolution:
-    """Draw a uniform random solution from the space."""
-    cont, codes = random_point(space, rng)
+    codes = space.disc_lo + (u[space.n_c:] * space.disc_sizes).astype(np.int64)
     return MixedSolution(cont, space.decode(codes))

@@ -16,11 +16,15 @@ from .core import MixedSolution, SearchSpace
 
 
 class DistanceKind(Enum):
+    """The distance a famv run uses for its attractiveness: `mixed_eh` or
+    `gower`."""
+
     MIXED_EH = "mixed-eh"
     GOWER = "gower"
 
 
 def euclidean(a: np.ndarray, b: np.ndarray) -> float:
+    """The Euclidean distance between two equally long real vectors."""
     if len(a) != len(b):
         raise ValueError(f"vector lengths differ: {len(a)} vs {len(b)}")
     d = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)

@@ -10,6 +10,21 @@ random exploration step) on the code vectors of `famv.core`.
 the loop runs on the relaxed box, where every dimension is a real interval,
 with no code vector, and discrete values are decoded by rounding at
 evaluation time.
+
+The schedule comes from `_sweep` (Yang 2009): fireflies move one at a time,
+each toward every brighter one in turn from its updated position, one FE per
+move, and a firefly with no brighter one takes a uniform random step.  Each
+move is one draw from the run's stream and one pass of numpy operations over
+the vectors.  famv computes ``d = xj - xi`` and the indices of the m
+differing codes once, for the distance, the continuous move and the copy
+step, and draws n_c + m + n_d + n_cat doubles: continuous noise, copy
+uniforms, the integer step and one replacement flag per categorical code.
+fa computes ``d`` once, clips once and rounds its discrete slots.  famv's
+exploration step is one pass over the whole code vector: the integer step
+on every code, then each categorical code keeps its value from before the
+step unless its flag is below the replacement probability, in which case it
+is redrawn as floor(u * size) from the same stream.  Every random number of
+a run, the first population included, is a double of that one stream.
 """
 
 from __future__ import annotations
@@ -93,6 +108,26 @@ class _Uniforms:
 
 @dataclass(frozen=True)
 class FireflyConfig:
+    """Settings of one firefly run.
+
+    Defaults: population 25, beta0 = 1.5, alpha = 1.5, gamma = 0.1, k = 1,
+    the `MIXED_EH` distance and no decay.  `run_classical_fa` reads only
+    ``max_fe``, ``seed``, ``pop_size``, ``beta0``, ``alpha`` and ``gamma``;
+    the other four (``k``, ``distance``, ``adapt_alpha``, ``adapt_gamma``)
+    belong to famv's discrete step and schedule, and fa raises a ValueError
+    naming any of them that is not at its default.
+
+    Every setting is checked here, by name.  The integer settings
+    (``max_fe`` >= 1, ``seed`` >= 0, ``pop_size`` >= 2) take any integer,
+    numpy's included: a float, a string, None or a bool is a TypeError and a
+    value below the least a ValueError.  The float settings (``beta0``,
+    ``alpha``, ``gamma``, ``k``) take any real number, ints and numpy floats
+    included: a string, None, a complex number or a bool is a TypeError and
+    a value that is not finite and positive a ValueError.  ``distance`` must
+    be a `DistanceKind` and the two flags bools, numpy's included, or it is a
+    TypeError.
+    """
+
     max_fe: int
     seed: int = 0
     pop_size: int = 25

@@ -5,6 +5,12 @@ a fixed-width segment mapped linearly onto their interval, integer and
 categorical dimensions get ceil(log2(size)) bits mapped with a modulo (which
 keeps every bit pattern feasible at the price of a slight non-uniformity for
 non-power-of-two sizes).
+
+Children never depend on each other's fitness, so the population is one
+``(pop, L)`` int8 bit matrix and each generation does its operator work in
+one batch: one draw for every tournament, one for the crossover flags and
+one for the cuts, one mutation mask, and one decode of all children by a
+per-segment sum of bit place values.
 """
 
 from __future__ import annotations
@@ -18,6 +24,24 @@ from .core import ObjectiveFunction, Recorder, RunTrace, SearchSpace, check_inte
 
 @dataclass(frozen=True)
 class GaConfig:
+    """Settings of one `run_ga` run.
+
+    Defaults: population 100, crossover probability 0.9, per-bit mutation
+    probability 0.01, tournaments of 3, one elite and 16 bits per
+    continuous dimension.
+
+    Every setting is checked here, by name.  The integer settings
+    (``max_fe`` >= 1, ``seed`` >= 0, ``pop_size`` >= 2 and even for pairing,
+    ``tournament_size`` >= 1, ``elitism_count`` in [0, ``pop_size``] and
+    ``bits_per_continuous`` in [1, 63], so that a segment's place values fit
+    an int64) take any integer, numpy's included: a float, a string, None or
+    a bool is a TypeError and a value out of range a ValueError that gives
+    the value.  ``p_crossover`` and ``p_mutation`` take any real number in
+    [0, 1], ints and numpy floats included: a string, None, a complex number
+    or a bool is a TypeError and a value outside [0, 1], NaN included, a
+    ValueError.
+    """
+
     max_fe: int
     seed: int = 0
     pop_size: int = 100
@@ -32,13 +56,14 @@ class GaConfig:
                             ("elitism_count", 0), ("bits_per_continuous", 1)):
             check_integer(name, getattr(self, name), least)
         if self.pop_size % 2 != 0:
-            raise ValueError("pop_size must be even for pairing")
+            raise ValueError(f"pop_size must be even for pairing, got {self.pop_size}")
         for name in ("p_crossover", "p_mutation"):
             value = check_real(name, getattr(self, name))
             if not 0 <= value <= 1:   # false for NaN too
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if self.elitism_count > self.pop_size:
-            raise ValueError("elitism_count out of range")
+            raise ValueError(f"elitism_count must be <= pop_size ({self.pop_size}), "
+                             f"got {self.elitism_count}")
         # a segment's place values must fit an int64
         if self.bits_per_continuous > 63:
             raise ValueError("bits_per_continuous must lie in [1, 63], "

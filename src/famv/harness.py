@@ -55,6 +55,10 @@ def _runner(name: str):
 
 def run_algorithm(name: str, problem: ObjectiveFunction, max_fe: int, seed: int,
                   overrides: dict | None = None) -> RunTrace:
+    """Run the registry algorithm ``name`` on ``problem``.  Its config is
+    built from ``max_fe`` and ``seed``, the settings the name decides, and
+    then ``overrides``, which win; an unknown name is a KeyError listing the
+    known ones."""
     return _runner(name)(problem, max_fe, seed, overrides)
 
 
@@ -62,7 +66,10 @@ def run_algorithm(name: str, problem: ObjectiveFunction, max_fe: int, seed: int,
 class ExperimentSpec:
     """An experiment grid and the defaults of every run setting; the CLI
     passes only the settings a user gave.  Bad settings are rejected here,
-    before any output is written."""
+    before any output is written, each naming the setting: an empty problem
+    or algorithm list or output directory, a repeated or unknown problem or
+    algorithm name, ``runs``, ``budget`` or ``stride`` below 1, a negative
+    ``base_seed``, or a non-integer one of these four."""
 
     problems: list[str] = field(default_factory=list)
     algorithms: list[str] = field(default_factory=list)

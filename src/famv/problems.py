@@ -2,7 +2,9 @@
 of shifted synthetic functions with half the dimensions forced to integers.
 
 Engineering reference optima are best-known literature values; they only
-feed absolute-error reporting.
+feed absolute-error reporting.  An engineering problem's ``terms`` reads the
+solution once and hands the same Python floats to its cost and constraint
+kernels, which return Python floats.
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ class SyntheticProblem(Problem):
                              tuple(int(v) for v in self.shift[half:]))
 
     def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        # integer values up to 2**53 convert to float exactly, as asarray's did
+        # integer values up to 2**53 convert to float exactly
         z, half = self._row, self.space.n_c
         z[:half] = sol.cont
         z[half:] = sol.disc
@@ -315,4 +317,6 @@ def get_problem(name: str, dim: int = SYNTHETIC_DIM) -> Problem:
 
 
 def available_problems() -> tuple[str, ...]:
+    """Every registry name: the engineering designs, then the synthetic
+    functions."""
     return ENGINEERING_NAMES + tuple(_SYNTHETIC)

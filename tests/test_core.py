@@ -9,7 +9,6 @@ from conftest import encode
 from famv import (Categorical, Continuous, EvaluationBudget, Firefly,
                   IntegerRange, MixedSolution, RunTrace, SearchSpace,
                   random_solution)
-from famv import core
 from famv.core import Recorder
 
 
@@ -190,20 +189,20 @@ class TestRandomSolution:
         # u = k / 2**53 reaches
         space = SearchSpace([Continuous(-1.0, 1.0), IntegerRange(lo, hi),
                              Categorical(tuple("abcdefg"))])
-        cont, codes = core.random_point(space, _Constant(0.0))
-        assert cont[0] == -1.0
-        np.testing.assert_array_equal(codes, space.disc_lo)
-        cont, codes = core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))
-        assert codes.dtype == np.int64
-        np.testing.assert_array_equal(codes, space.disc_hi)
+        sol = random_solution(space, _Constant(0.0))
+        assert sol.cont[0] == -1.0
+        assert sol.disc == (lo, "a")
+        sol = random_solution(space, _Constant(np.nextafter(1.0, 0.0)))
+        assert sol.disc == (hi, "g")
+        assert type(sol.disc[0]) is int
 
     def test_stream_endpoints_on_the_widest_integer_range(self):
         # 2**53 codes at either end of the float64 integers: the smallest
         # and largest u draw the two bounds
         for lo, hi in ((1, 2 ** 53), (-2 ** 53, -1)):
             space = SearchSpace([IntegerRange(lo, hi)])
-            assert core.random_point(space, _Constant(0.0))[1][0] == lo
-            assert core.random_point(space, _Constant(np.nextafter(1.0, 0.0)))[1][0] == hi
+            assert random_solution(space, _Constant(0.0)).disc == (lo,)
+            assert random_solution(space, _Constant(np.nextafter(1.0, 0.0))).disc == (hi,)
 
 
 class TestRunTrace:

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from conftest import encode
+from conftest import encode, random_point
 from test_engine_properties import Bowl, _dims
 
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
                   IntegerRange, MixedSolution, SearchSpace, get_problem, harness,
                   run_algorithm, run_classical_fa, run_famv)
 from famv import firefly
-from famv.core import Recorder, random_point
+from famv.core import Recorder
 from famv.distances import DistanceKind
 from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step,
                           _round_codes, _sweep, adapt_parameters, alpha_step_categorical,

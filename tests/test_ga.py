@@ -152,7 +152,7 @@ class TestTournament:
 
 class TestGaConfig:
     def test_rejects_odd_population(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pop_size must be even for pairing, got 11$"):
             GaConfig(max_fe=100, pop_size=11)
 
     def test_rejects_bad_probabilities(self):
@@ -173,6 +173,11 @@ class TestGaConfig:
         (name, _), = setting.items()
         with pytest.raises(ValueError, match=name):
             GaConfig(max_fe=100, **setting)
+
+    def test_names_the_elitism_bound_and_value(self):
+        with pytest.raises(ValueError,
+                           match=r"^elitism_count must be <= pop_size \(100\), got 101$"):
+            GaConfig(max_fe=100, elitism_count=101)
 
     @pytest.mark.parametrize("setting", [
         {"tournament_size": 1}, {"bits_per_continuous": 1}, {"pop_size": 2}])
