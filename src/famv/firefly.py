@@ -41,6 +41,7 @@ from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace, Sear
 from .distances import CODE_DISTANCES, DistanceKind
 
 _BLOCK = 4096   # doubles drawn ahead by _Uniforms
+_HALF = np.array(0.5)   # 0-d: numpy 2 takes a slower path for a Python float operand
 
 
 class _Uniforms:
@@ -179,7 +180,7 @@ def _clip(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _round_codes(v: np.ndarray) -> np.ndarray:
     """Round to the nearest integer code, halves away from zero (the cast
     truncates toward zero)."""
-    return (v + np.copysign(0.5, v)).astype(np.int64)
+    return (v + np.copysign(_HALF, v)).astype(np.int64)
 
 
 def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarray,
@@ -274,7 +275,7 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
 _EMPTY = np.empty(0, np.int64)
 # fa's code layout: a space's code attributes that the loop reads, all empty
 _NO_CODES = SimpleNamespace(**dict.fromkeys(
-    ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes", "is_cat"), _EMPTY))
+    ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes"), _EMPTY))
 
 
 def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np.ndarray,
@@ -284,8 +285,9 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     layout of ``layout``, a `SearchSpace` or `_NO_CODES`, with which the
     loop does no code work.  ``distance(d, m)`` is r for ``d = xj - xi``
     and m differing codes; ``evaluate(x, codes)`` charges one FE."""
-    n, n_d, cat_idx, is_cat = len(lo), len(layout.disc_lo), layout.cat_idx, layout.is_cat
+    n, n_d, cat_idx = len(lo), len(layout.disc_lo), layout.cat_idx
     n_cat, width = len(cat_idx), hi - lo
+    cat_sizes = layout.cat_sizes.astype(float)   # exact up to 2**53; u * size is then one dtype
     rng = _Uniforms(np.random.default_rng(config.seed))
 
     # the first population: n + n_d doubles each, the position first; a code
@@ -326,8 +328,8 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
             if n_d:
                 stepped = _integer_step(disc, layout.disc_lo, layout.disc_hi, step)
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
-                    stepped = alpha_step_categorical(np.where(is_cat, disc, stepped), cat_idx,
-                                                     layout.cat_sizes, flags, p_alpha, rng)
+                    stepped[cat_idx] = disc[cat_idx]
+                    alpha_step_categorical(stepped, cat_idx, cat_sizes, flags, p_alpha, rng)
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
             fitness[i] = evaluate(x, codes[i])
@@ -369,4 +371,6 @@ def _relaxed_evaluate(rec: Recorder):
     """fa's evaluation map: a clipped relaxed position's discrete slots
     round to codes, and the codes the loop passes are ignored."""
     cont_pos, disc_pos = rec.space.cont_pos, rec.space.disc_pos
+    if not len(disc_pos):   # the position is the point, and the loop's codes are empty
+        return rec.evaluate
     return lambda x, _: rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))

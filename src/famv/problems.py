@@ -10,6 +10,7 @@ kernels, which return Python floats.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
@@ -211,14 +212,23 @@ class CsdProblem(Problem):
 
 # --- shifted synthetic family ----------------------------------------------
 
+_TEN, _TWO_PI = np.array(10.0), np.array(2.0 * math.pi)   # 0-d: numpy 2 is slower on a float
+
+
+@cache
+def _per_dimension(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Elliptic's weights and griewank's divisors at dimension ``d``, read-only."""
+    weights, divisors = np.power(1e6, np.arange(d) / max(d - 1, 1)), np.sqrt(np.arange(1, d + 1))
+    weights.flags.writeable = divisors.flags.writeable = False
+    return weights, divisors
+
+
 def _sphere(z: np.ndarray) -> float:
     return float(np.add.reduce(z * z))
 
 
 def _elliptic(z: np.ndarray) -> float:
-    d = len(z)
-    exponents = np.arange(d) / max(d - 1, 1)
-    return float(np.add.reduce(np.power(1e6, exponents) * z * z))
+    return float(np.add.reduce(_per_dimension(len(z))[0] * z * z))
 
 
 def _rosenbrock(z: np.ndarray) -> float:
@@ -227,18 +237,18 @@ def _rosenbrock(z: np.ndarray) -> float:
 
 
 def _rastrigin(z: np.ndarray) -> float:
-    return float(np.add.reduce(z * z - 10.0 * np.cos(2.0 * math.pi * z) + 10.0))
+    return float(np.add.reduce(z * z - _TEN * np.cos(_TWO_PI * z) + _TEN))
 
 
 def _ackley(z: np.ndarray) -> float:
     d = len(z)
     return float(-20.0 * math.exp(-0.2 * math.sqrt(np.add.reduce(z * z) / d))
-                 - math.exp(np.add.reduce(np.cos(2.0 * math.pi * z)) / d) + 20.0 + math.e)
+                 - math.exp(np.add.reduce(np.cos(_TWO_PI * z)) / d) + 20.0 + math.e)
 
 
 def _griewank(z: np.ndarray) -> float:
-    idx = np.sqrt(np.arange(1, len(z) + 1))
-    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / idx)) + 1.0)
+    divisors = _per_dimension(len(z))[1]
+    return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / divisors)) + 1.0)
 
 
 _SCHWEFEL_SHIFT = 420.968746

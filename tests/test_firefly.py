@@ -234,6 +234,17 @@ class _LargestUniform:
         return np.full(n, np.nextafter(1.0, 0.0))
 
 
+class _Replay:
+    """A stand-in generator that serves the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u
+
+
 class TestAlphaStepCategorical:
     """`alpha_step_categorical(codes, cat_idx, sizes, flags, p, rng)` redraws
     ``codes[cat_idx[k]]`` in place as floor(u * sizes[k]), u from ``rng``,
@@ -265,6 +276,19 @@ class TestAlphaStepCategorical:
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, sizes - 1)
 
+    def test_float_sizes_redraw_as_the_int_sizes(self, rng):
+        # the firefly loop passes its sizes as float64: exact up to 2**53, so
+        # u * size is the same double and every redrawn code the same
+        sizes = np.array([1, 2, 3, 201, 1201, 2 ** 22 - 1, 2 ** 53 - 1, 2 ** 53])
+        for source in (_LargestUniform(), np.random.default_rng(7)):
+            stream = source.random(len(sizes))
+            codes = [alpha_step_categorical(np.zeros(len(sizes), dtype=np.int64),
+                                            np.arange(len(sizes)), s, np.zeros(len(sizes)),
+                                            1.0, _Replay(stream))
+                     for s in (sizes, sizes.astype(float))]
+            assert codes[1].dtype == np.int64
+            np.testing.assert_array_equal(codes[1], codes[0])
+
     def test_flags_pick_the_codes_redrawn_in_place(self):
         # codes 1, 3 and 4 are categorical; only code 4's flag is below p
         codes = np.array([5, 0, 7, 1, 0])
@@ -284,15 +308,34 @@ class TestAlphaStepAll:
                              Categorical(("x", "y", "z")), IntegerRange(7, 7),
                              Categorical(tuple(range(9)))])
         codes = np.array([0, 2, 7, 5])
-        is_cat = np.isin(np.arange(space.n_d), space.cat_idx)
         for _ in range(200):
             step = 1e6 * (2.0 * rng.random(space.n_d) - 1.0)
             stepped = _integer_step(codes, space.disc_lo, space.disc_hi, step)
-            out = alpha_step_categorical(np.where(is_cat, codes, stepped), space.cat_idx,
-                                         space.cat_sizes, rng.random(2), 0.0, rng)
+            stepped[space.cat_idx] = codes[space.cat_idx]
+            out = alpha_step_categorical(stepped, space.cat_idx, space.cat_sizes.astype(float),
+                                         rng.random(2), 0.0, rng)
             np.testing.assert_array_equal(out[space.cat_idx], codes[space.cat_idx])
             assert MixedSolution(np.zeros(1), space.decode(out)).conforms(space)
         assert set(out[[0, 2]]) <= {-2, 4, 7}
+
+    @pytest.mark.parametrize("dims", [
+        [IntegerRange(-2, 4), IntegerRange(0, 9)],
+        [Categorical(("x", "y", "z")), Categorical(tuple(range(9)))],
+        [IntegerRange(-2, 4), Categorical(("x", "y", "z")), IntegerRange(0, 9),
+         Categorical(tuple(range(9))), IntegerRange(7, 7)],
+    ], ids=["no-categorical", "all-categorical", "interleaved"])
+    def test_index_form_equals_the_where_form(self, dims, rng):
+        # the loop puts the pre-step categorical codes back by index, on the
+        # fresh array the integer step returns
+        space = SearchSpace(dims)
+        for _ in range(200):
+            codes = space.disc_lo + (rng.random(space.n_d) * space.disc_sizes).astype(np.int64)
+            step = 3.0 * (2.0 * rng.random(space.n_d) - 1.0)
+            stepped = _integer_step(codes, space.disc_lo, space.disc_hi, step)
+            where = np.where(space.is_cat, codes, stepped)
+            stepped[space.cat_idx] = codes[space.cat_idx]
+            assert stepped.dtype == where.dtype
+            assert stepped.tobytes() == where.tobytes()
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
@@ -544,6 +587,25 @@ def test_fa_does_no_code_work(algo, monkeypatch):
         assert calls == {"_copy_differing": 0, "_integer_step": 0}
     else:
         assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
+
+
+@pytest.mark.parametrize("dims, rounds", [
+    ([Continuous(-1.0, 2.0)] * 3, 0),
+    ([Continuous(-1.0, 2.0), IntegerRange(-3, 3)], 300),
+], ids=["continuous", "mixed"])
+def test_fa_rounds_only_discrete_slots(dims, rounds, monkeypatch):
+    # fa rounds its discrete slots once per FE; on a space with none its
+    # position is the point, and it rounds nothing
+    calls = 0
+
+    def counting(v):
+        nonlocal calls
+        calls += 1
+        return _round_codes(v)
+
+    monkeypatch.setattr(firefly, "_round_codes", counting)
+    run_algorithm("fa", Bowl(dims), 300, 0)
+    assert calls == rounds
 
 
 class TestRunClassicalFa:

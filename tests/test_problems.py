@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -13,7 +14,7 @@ from famv.problems import (BEAM_ARM, BEAM_DELTA_MAX, BEAM_E, BEAM_G, BEAM_P,
                            BEAM_SIGMA_MAX, BEAM_TAU_MAX, CSD_D_MIN, CSD_DELTA_PM,
                            CSD_DELTA_W, CSD_G, CSD_L_FREE, CSD_OUTER_MAX, CSD_P_LOAD,
                            CSD_P_MAX, CSD_S, ENGINEERING_NAMES, PENALTY_M, THICKNESS_STEP,
-                           BeamProblem, CsdProblem, Problem, SyntheticProblem,
+                           _SYNTHETIC, BeamProblem, CsdProblem, Problem, SyntheticProblem,
                            VesselProblem, beam_constraints, beam_cost, csd_weight,
                            vessel_cost)
 
@@ -147,6 +148,20 @@ class TestSynthetic:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             SyntheticProblem("not-a-function")
+
+    # sha256 of every function's values at 100 seeded points per dimension,
+    # taken from the formulas that rebuilt their per-dimension constants on
+    # every call; a change to any function's arithmetic shows here
+    VALUES_DIGEST = "4919b2aa8f89552db12f56fe0311ce75df7f51457d950c2c8d72f16fc23daa25"
+
+    def test_values_digest(self):
+        digest = hashlib.sha256()
+        for name, (fn, (lo, hi)) in _SYNTHETIC.items():
+            for dim in (2, 10, 50):
+                rng = np.random.default_rng(dim)
+                for _ in range(100):
+                    digest.update(float(fn(rng.uniform(lo, hi, dim))).hex().encode())
+        assert digest.hexdigest() == self.VALUES_DIGEST
 
 
 class TestAbsoluteError:
