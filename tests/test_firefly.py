@@ -276,7 +276,7 @@ class TestAlphaStepCategorical:
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, sizes - 1)
 
-    def test_float_sizes_redraw_as_the_int_sizes(self, rng):
+    def test_float_sizes_redraw_as_the_int_sizes(self):
         # the firefly loop passes its sizes as float64: exact up to 2**53, so
         # u * size is the same double and every redrawn code the same
         sizes = np.array([1, 2, 3, 201, 1201, 2 ** 22 - 1, 2 ** 53 - 1, 2 ** 53])
