@@ -55,13 +55,17 @@ def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     settings = {}
     if args.config:
         cfg = configparser.ConfigParser()
-        if not cfg.read(args.config):
-            raise ValueError(f"cannot read config file {args.config!r}")
-        section = cfg["run"] if cfg.has_section("run") else cfg["DEFAULT"]
-        unknown = sorted(set(section) - set(_SPEC_FIELDS))
+        try:
+            if not cfg.read(args.config):
+                raise ValueError(f"cannot read config file {args.config!r}")
+            # dict() reads every value, so an interpolation error is raised here
+            entries = dict(cfg["run"] if cfg.has_section("run") else cfg["DEFAULT"])
+        except configparser.Error as exc:
+            raise ValueError(f"cannot parse config file {args.config!r}: {exc}") from None
+        unknown = sorted(set(entries) - set(_SPEC_FIELDS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in section.items():
+        for key, value in entries.items():
             if key in ("problem", "algo"):
                 value = [v.strip() for v in value.split(",") if v.strip()]
             elif key != "out":

@@ -80,9 +80,9 @@ class SearchSpace:
     Dimension order is stable and defines the solution layout: the k-th
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
     ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
-    ``dims``; ``cat_idx`` picks the categorical codes, and so does the mask
-    ``is_cat``.  Code k lies in [``disc_lo[k]``, ``disc_hi[k]``] and takes
-    ``disc_sizes[k]`` values (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
+    ``dims``; ``cat_idx`` picks the categorical codes.  Code k lies in
+    [``disc_lo[k]``, ``disc_hi[k]``] and takes ``disc_sizes[k]`` values
+    (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
     dimension in ``dims`` order.
     """
 
@@ -104,8 +104,7 @@ class SearchSpace:
         self.cont_range = self.cont_hi - self.cont_lo
         self.disc_lo = np.array([lo[k] for k in self.disc_pos], dtype=np.int64)
         self.disc_hi = np.array([hi[k] for k in self.disc_pos], dtype=np.int64)
-        self.is_cat = np.array([isinstance(d, Categorical) for d in self.discrete], dtype=bool)
-        self.cat_idx = np.flatnonzero(self.is_cat)
+        self.cat_idx = np.flatnonzero([isinstance(d, Categorical) for d in self.discrete])
         self.disc_sizes = self.disc_hi - self.disc_lo + 1
         self.cat_sizes = self.disc_sizes[self.cat_idx]
         self._symbols = [(int(k), self.discrete[k].values) for k in self.cat_idx]
@@ -130,22 +129,17 @@ class SearchSpace:
         return f"SearchSpace(n_c={self.n_c}, n_d={self.n_d})"
 
 
+@dataclass(slots=True, eq=False)
 class MixedSolution:
     """A candidate point: continuous vector plus discrete value tuple.
 
-    A slotted class rather than a dataclass, because the `Recorder` builds
-    one per FE.  It keeps a dataclass's value equality and repr; its hash
-    counts -0.0 equal to 0.0, as equality does; ``cont`` and ``disc`` can be
-    rebound."""
+    Slotted and not frozen, because the `Recorder` builds one per FE and a
+    frozen dataclass's ``__init__`` costs about 2.5 times a plain one's, so
+    ``cont`` and ``disc`` can be rebound.  Equality compares values, and the
+    hash counts -0.0 equal to 0.0, as equality does."""
 
-    __slots__ = ("cont", "disc")
-
-    def __init__(self, cont: np.ndarray, disc: tuple):
-        self.cont = cont
-        self.disc = disc
-
-    def __repr__(self):
-        return f"MixedSolution(cont={self.cont!r}, disc={self.disc!r})"
+    cont: np.ndarray
+    disc: tuple
 
     def __eq__(self, other):
         if not isinstance(other, MixedSolution):

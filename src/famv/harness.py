@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 from .core import ObjectiveFunction, RunTrace, check_integer
 from .distances import DistanceKind
@@ -109,11 +110,23 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and then ``rows`` to the CSV file ``path``: the one
+    place a result file is opened, so every write failure is an OSError
+    naming the file."""
+    try:
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+
+
 def emit_trace(trace: RunTrace, path: str | Path, stride: int) -> None:
     """Write a `fe,best` CSV: samples thinned to the stride plus the final point."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    path = Path(path)
     rows = []
     last_fe = None
     for fe, best in trace.samples[:-1]:
@@ -121,14 +134,7 @@ def emit_trace(trace: RunTrace, path: str | Path, stride: int) -> None:
             rows.append((fe, best))
             last_fe = fe
     rows.append(trace.samples[-1])
-    try:
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fe", "best"])
-            for fe, best in rows:
-                writer.writerow([fe, _fmt(best)])
-    except OSError as exc:
-        raise OSError(f"cannot write trace to {path}: {exc}") from exc
+    _write_csv(path, ["fe", "best"], ((fe, _fmt(best)) for fe, best in rows))
 
 
 @dataclass
@@ -143,27 +149,20 @@ class ResultRow:
 
 def emit_results_table(rows: list[ResultRow], results_path: str | Path,
                        counts_path: str | Path) -> None:
-    """Write the per-cell results CSV plus the per-algorithm counts CSV."""
-    with Path(results_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "algorithm", "mean_ae", "std_ae",
-                         "is_best", "is_similar_to_best"])
-        for row in rows:
-            writer.writerow([row.problem, row.algorithm, _fmt(row.mean_ae),
-                             _fmt(row.std_ae), str(row.is_best).lower(),
-                             str(row.is_similar_to_best).lower()])
-    algorithms = []
+    """Write the per-cell results CSV plus the per-algorithm counts CSV,
+    whose algorithms come in the order they first appear in ``rows``."""
+    _write_csv(results_path, ["problem", "algorithm", "mean_ae", "std_ae",
+                              "is_best", "is_similar_to_best"],
+               ((row.problem, row.algorithm, _fmt(row.mean_ae), _fmt(row.std_ae),
+                 str(row.is_best).lower(), str(row.is_similar_to_best).lower())
+                for row in rows))
+    counts: dict[str, list[int]] = {}   # algorithm -> [n_best, n_similar_to_best]
     for row in rows:
-        if row.algorithm not in algorithms:
-            algorithms.append(row.algorithm)
-    with Path(counts_path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "n_best", "n_similar_to_best"])
-        for algo in algorithms:
-            n_best = sum(1 for r in rows if r.algorithm == algo and r.is_best)
-            n_similar = sum(1 for r in rows if r.algorithm == algo
-                            and r.is_similar_to_best)
-            writer.writerow([algo, n_best, n_similar])
+        count = counts.setdefault(row.algorithm, [0, 0])
+        count[0] += row.is_best
+        count[1] += row.is_similar_to_best
+    _write_csv(counts_path, ["algorithm", "n_best", "n_similar_to_best"],
+               ((algo, *count) for algo, count in counts.items()))
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -185,16 +184,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                 emit_trace(trace, trace_path, spec.stride)
                 best = trace.final.fitness
                 summary_rows.append((problem_name, algo, run_idx, seed,
-                                     trace.samples[-1][0], best,
-                                     problem.absolute_error(best)))
-
-    with (out / "summary.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem", "algorithm", "run", "seed", "final_fe",
-                         "best", "ae"])
-        for problem_name, algo, run_idx, seed, fe, best, ae in summary_rows:
-            writer.writerow([problem_name, algo, run_idx, seed, fe,
-                             _fmt(best), _fmt(ae)])
+                                     trace.samples[-1][0], _fmt(best),
+                                     _fmt(problem.absolute_error(best))))
+    _write_csv(out / "summary.csv",
+               ["problem", "algorithm", "run", "seed", "final_fe", "best", "ae"],
+               summary_rows)
     return compare_directory(out)
 
 

@@ -212,7 +212,9 @@ class CsdProblem(Problem):
 
 # --- shifted synthetic family ----------------------------------------------
 
-_TEN, _TWO_PI = np.array(10.0), np.array(2.0 * math.pi)   # 0-d: numpy 2 is slower on a float
+# 0-d arrays: numpy 2 is slower on a Python-float operand
+_ONE, _TEN, _HUNDRED, _TWO_PI = (np.array(v) for v in (1.0, 10.0, 100.0, 2.0 * math.pi))
+_SCHWEFEL_SHIFT = np.array(420.968746)
 
 
 @cache
@@ -232,8 +234,10 @@ def _elliptic(z: np.ndarray) -> float:
 
 
 def _rosenbrock(z: np.ndarray) -> float:
-    z = z + 1.0  # optimum moved to the origin
-    return float(np.add.reduce(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (z[:-1] - 1.0) ** 2))
+    z = z + _ONE  # optimum moved to the origin
+    head = z[:-1]
+    return float(np.add.reduce(_HUNDRED * np.square(z[1:] - np.square(head))
+                               + np.square(head - _ONE)))
 
 
 def _rastrigin(z: np.ndarray) -> float:
@@ -249,9 +253,6 @@ def _ackley(z: np.ndarray) -> float:
 def _griewank(z: np.ndarray) -> float:
     divisors = _per_dimension(len(z))[1]
     return float(np.add.reduce(z * z) / 4000.0 - np.multiply.reduce(np.cos(z / divisors)) + 1.0)
-
-
-_SCHWEFEL_SHIFT = 420.968746
 
 
 def _schwefel(z: np.ndarray) -> float:

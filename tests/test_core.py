@@ -79,7 +79,6 @@ class TestSearchSpace:
         np.testing.assert_array_equal(space.cont_pos, [1])
         np.testing.assert_array_equal(space.disc_pos, [0, 2, 3])
         np.testing.assert_array_equal(space.cat_idx, [1])
-        np.testing.assert_array_equal(space.is_cat, [False, True, False])
         np.testing.assert_array_equal(space.disc_lo, [-2, 0, 7])
         np.testing.assert_array_equal(space.disc_hi, [4, 2, 7])
         np.testing.assert_array_equal(space.disc_sizes, [7, 3, 1])

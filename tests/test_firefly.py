@@ -328,11 +328,13 @@ class TestAlphaStepAll:
         # the loop puts the pre-step categorical codes back by index, on the
         # fresh array the integer step returns
         space = SearchSpace(dims)
+        is_cat = np.zeros(space.n_d, dtype=bool)
+        is_cat[space.cat_idx] = True
         for _ in range(200):
             codes = space.disc_lo + (rng.random(space.n_d) * space.disc_sizes).astype(np.int64)
             step = 3.0 * (2.0 * rng.random(space.n_d) - 1.0)
             stepped = _integer_step(codes, space.disc_lo, space.disc_hi, step)
-            where = np.where(space.is_cat, codes, stepped)
+            where = np.where(is_cat, codes, stepped)
             stepped[space.cat_idx] = codes[space.cat_idx]
             assert stepped.dtype == where.dtype
             assert stepped.tobytes() == where.tobytes()

@@ -258,6 +258,23 @@ class TestEmitResultsTable:
         for _, n_best, n_similar in counts:
             assert int(n_best) <= int(n_similar)
 
+    def test_counts_are_exact_in_first_appearance_order(self, tmp_path):
+        rows = [
+            ResultRow("p1", "z", 1.0, 0.1, True, True),
+            ResultRow("p1", "x", 2.0, 0.1, False, True),
+            ResultRow("p1", "y", 3.0, 0.1, False, False),
+            ResultRow("p2", "x", 1.5, 0.1, True, True),
+            ResultRow("p2", "y", 2.5, 0.1, False, True),
+            ResultRow("p2", "z", 3.5, 0.1, False, False),
+            ResultRow("p3", "x", 0.5, 0.1, True, True),
+            ResultRow("p3", "z", 0.7, 0.1, False, True),
+            ResultRow("p3", "y", 0.9, 0.1, False, True),
+        ]
+        emit_results_table(rows, tmp_path / "results.csv", tmp_path / "counts.csv")
+        assert _read_csv(tmp_path / "counts.csv") == [
+            ["algorithm", "n_best", "n_similar_to_best"],
+            ["z", "1", "2"], ["x", "2", "3"], ["y", "0", "2"]]
+
 
 class TestRunExperiment:
     def _spec(self, tmp_path, **kw):
@@ -294,6 +311,22 @@ class TestRunExperiment:
         for name in ("summary.csv", "results.csv", "counts.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    # sha256 of every file of a 2 problems x 2 algorithms x 2 runs grid (path
+    # and bytes, in path order), taken from the harness that opened each
+    # table on its own; a change to any file's bytes or name shows here
+    GRID_DIGEST = "210308f08e71a288841cd2c5b104d6f181e5cca6ba5fd92ae8eb13c15ac8b812"
+
+    def test_grid_files_digest(self, tmp_path):
+        spec = self._spec(tmp_path, problems=["sphere", "vessel"],
+                          algorithms=["famv-h", "ga"], budget=300, stride=50)
+        run_experiment(spec)
+        out = Path(spec.out_dir)
+        digest = hashlib.sha256()
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(out).as_posix().encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.GRID_DIGEST
 
     def test_classification_matches_stats_module(self, tmp_path):
         spec = self._spec(tmp_path, runs=5)
@@ -408,7 +441,11 @@ class TestCli:
     @pytest.mark.parametrize("entries, message", [
         ("problem =\nalgo = fa", "problem"),
         ("problem = sphere\nalgo = fa\nrun = 3", "unknown config keys: run"),
-        ("problem = sphere\nalgo = fa\nruns = three", "runs")])
+        ("problem = sphere\nalgo = fa\nruns = three", "runs"),
+        # configparser's own errors name the file: a repeated key, and a lone
+        # % that is raised only when the value is read
+        ("problem = sphere\nalgo = fa\nalgo = ga", "exp.ini"),
+        ("problem = sphere\nalgo = fa\nruns = 5%", "exp.ini")])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys,
                                                   entries, message):
         out = tmp_path / "out"
@@ -416,6 +453,14 @@ class TestCli:
         cfg.write_text(f"[run]\n{entries}\nout = {out}\n")
         assert cli_main(["run", "--config", str(cfg), "--budget", "10"]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_without_section_header_exits_2_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"problem = sphere\nalgo = fa\nout = {out}\n")
+        assert cli_main(["run", "--config", str(cfg), "--budget", "10"]) == 2
+        assert "exp.ini" in capsys.readouterr().err
         assert not out.exists()
 
 
