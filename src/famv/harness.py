@@ -195,16 +195,38 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 def compare_directory(out_dir: str | Path) -> list[ResultRow]:
     """Rank every problem of summary.csv with `stats.compare` and write
     results.csv and counts.csv: the one source of the result tables, for
-    `run_experiment` too."""
+    `run_experiment` too.
+
+    summary.csv is checked before anything is written: a header without a
+    ``problem``, ``algorithm`` or ``ae`` column, a row with a missing field
+    or a non-numeric ``ae``, and a last row without its line terminator (a
+    file cut short) each raise a ValueError naming the file, and the line
+    for a row."""
     out = Path(out_dir)
     summary = out / "summary.csv"
     if not summary.exists():
         raise FileNotFoundError(f"no summary.csv in {out}")
-    ae_by_problem: dict[str, dict[str, list[float]]] = {}
     with summary.open(newline="") as fh:
-        for record in csv.DictReader(fh):
-            groups = ae_by_problem.setdefault(record["problem"], {})
-            groups.setdefault(record["algorithm"], []).append(float(record["ae"]))
+        lines = fh.readlines()
+    reader = csv.DictReader(lines)
+    for column in ("problem", "algorithm", "ae"):
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{summary} has no {column!r} column")
+    ae_by_problem: dict[str, dict[str, list[float]]] = {}
+    for record in reader:
+        where = f"{summary}, line {reader.line_num}"
+        if None in record or None in record.values():
+            raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+        try:
+            ae = float(record["ae"])
+        except ValueError:
+            raise ValueError(f"{where}: ae {record['ae']!r} is not a number") from None
+        groups = ae_by_problem.setdefault(record["problem"], {})
+        groups.setdefault(record["algorithm"], []).append(ae)
+    # `_write_csv` ends every row with one, so its absence means a cut file
+    if not lines[-1].endswith("\n"):
+        raise ValueError(f"{summary}, line {len(lines)}: no line terminator; "
+                         "the file was cut short")
     rows = []
     for problem_name, groups in ae_by_problem.items():
         report = compare(groups)

@@ -4,8 +4,12 @@ statistically-similar classification used in the result tables.
 
 Tail probabilities are computed in-module and in closed form: the
 chi-square survival function as a finite sum for integer degrees of
-freedom, and the normal tail via erfc.  `compare` is the one place a
-problem's cells are ranked.
+freedom, and the normal tail via erfc.
+
+One checked ranking pass over the pooled sample feeds both tests.
+`compare`, the one place a problem's cells are classified, ranks them once
+and runs Dunn's test only between the best group and each other group,
+the only pairs the classification reads.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,65 +49,66 @@ def norm_sf_two_sided(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _pooled_midranks(groups: SampleSet) -> tuple[dict[str, np.ndarray], float]:
-    """Mid-ranks per group over the pooled sample plus the tie term
-    sum(t^3 - t)."""
-    names = list(groups)
-    pooled = np.concatenate([np.asarray(groups[n], dtype=float) for n in names])
-    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    tie_term = float(np.sum(counts ** 3 - counts))
-    out = {}
-    start = 0
-    for n in names:
-        size = len(groups[n])
-        out[n] = ranks[start:start + size]
-        start += size
-    return out, tie_term
+# a group's mid-ranks, a group's mean rank, the tie term, the pooled n
+_Ranking = tuple[dict[str, np.ndarray], dict[str, float], float, int]
 
 
-def _validate(groups: SampleSet, least: int = 2) -> None:
+def _rank(groups: SampleSet, least: int) -> _Ranking:
+    """Check that there are ``least`` or more groups and none is empty, then
+    rank the pooled sample once: each group's mid-ranks, each group's mean
+    rank, the tie term sum(t^3 - t) and the pooled n."""
     if len(groups) < least:
         raise ValueError(f"need {least} or more groups, got {len(groups)}")
     for name, values in groups.items():
         if len(values) == 0:
             raise ValueError(f"group {name!r} is empty")
+    pooled = np.concatenate([np.asarray(v, dtype=float) for v in groups.values()])
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    ends = np.cumsum([len(v) for v in groups.values()])
+    by_group = dict(zip(groups, np.split(ranks, ends[:-1])))
+    mean_rank = {name: float(np.mean(r)) for name, r in by_group.items()}
+    return by_group, mean_rank, float(np.sum(counts ** 3 - counts)), len(pooled)
+
+
+def _h_test(ranking: _Ranking) -> tuple[float, float]:
+    """Tie-corrected H and its p-value from a `_rank` result."""
+    ranks, mean_rank, tie_term, n = ranking
+    correction = 1.0 - tie_term / (n ** 3 - n)
+    if correction <= 0.0:
+        return 0.0, 1.0  # every value identical
+    h = (12.0 / (n * (n + 1))
+         * sum(len(r) * mean_rank[name] ** 2 for name, r in ranks.items())
+         - 3.0 * (n + 1))
+    h /= correction
+    return h, chi2_sf(h, len(ranks) - 1)
+
+
+def _dunn(ranking: _Ranking, pairs: Iterable[tuple[str, str]]
+          ) -> list[tuple[tuple[str, str], float, float]]:
+    """Dunn z and raw two-sided p for each (a, b) in ``pairs``, from a `_rank`
+    result."""
+    ranks, mean_rank, tie_term, n = ranking
+    variance_base = n * (n + 1) / 12.0 - tie_term / (12.0 * (n - 1))
+    rows = []
+    for a, b in pairs:
+        sigma = math.sqrt(variance_base * (1.0 / len(ranks[a]) + 1.0 / len(ranks[b])))
+        z = 0.0 if sigma == 0.0 else (mean_rank[a] - mean_rank[b]) / sigma
+        rows.append(((a, b), z, norm_sf_two_sided(z)))
+    return rows
 
 
 def kruskal_wallis(groups: SampleSet) -> tuple[float, float]:
     """Tie-corrected H statistic and its chi-square p-value."""
-    _validate(groups)
-    ranks, tie_term = _pooled_midranks(groups)
-    n_total = sum(len(v) for v in groups.values())
-    if n_total < 3:
+    ranking = _rank(groups, least=2)
+    if ranking[3] < 3:
         raise ValueError("need at least three observations in total")
-    correction = 1.0 - tie_term / (n_total ** 3 - n_total)
-    if correction <= 0.0:
-        return 0.0, 1.0  # every value identical
-    h = (12.0 / (n_total * (n_total + 1))
-         * sum(len(r) * float(np.mean(r)) ** 2 for r in ranks.values())
-         - 3.0 * (n_total + 1))
-    h /= correction
-    return h, chi2_sf(h, len(groups) - 1)
+    return _h_test(ranking)
 
 
 def dunn_pairwise(groups: SampleSet) -> list[tuple[tuple[str, str], float, float]]:
     """Dunn z statistics and raw two-sided p-values for every group pair."""
-    _validate(groups)
-    ranks, tie_term = _pooled_midranks(groups)
-    n_total = sum(len(v) for v in groups.values())
-    variance_base = (n_total * (n_total + 1) / 12.0
-                     - tie_term / (12.0 * (n_total - 1)))
-    results = []
-    for a, b in combinations(groups, 2):
-        na, nb = len(ranks[a]), len(ranks[b])
-        sigma = math.sqrt(variance_base * (1.0 / na + 1.0 / nb))
-        if sigma == 0.0:
-            z = 0.0
-        else:
-            z = (float(np.mean(ranks[a])) - float(np.mean(ranks[b]))) / sigma
-        results.append(((a, b), z, norm_sf_two_sided(z)))
-    return results
+    return _dunn(_rank(groups, least=2), combinations(groups, 2))
 
 
 def holm_adjust(raw_p: Sequence[float]) -> list[float]:
@@ -153,24 +158,20 @@ def compare(groups: SampleSet) -> ComparisonReport:
     all, the omnibus test cannot run; the report then gives no evidence,
     H = 0 and p = 1.
     """
-    _validate(groups, least=1)
-    values = {n: np.asarray(v, dtype=float) for n, v in groups.items()}
-    means = {n: float(np.mean(v)) for n, v in values.items()}
-    stds = {n: _std(v) for n, v in values.items()}
-    ranks, _ = _pooled_midranks(groups)
-    best = min(means, key=lambda n: (means[n], float(np.mean(ranks[n]))))
-    h, p = 0.0, 1.0
-    if len(groups) >= 2 and sum(len(v) for v in groups.values()) >= 3:
-        h, p = kruskal_wallis(groups)
+    ranking = _rank(groups, least=1)
+    mean_rank, n = ranking[1], ranking[3]
+    values = {name: np.asarray(v, dtype=float) for name, v in groups.items()}
+    means = {name: float(np.mean(v)) for name, v in values.items()}
+    stds = {name: _std(v) for name, v in values.items()}
+    best = min(means, key=lambda name: (means[name], mean_rank[name]))
+    h, p = _h_test(ranking) if len(groups) >= 2 and n >= 3 else (0.0, 1.0)
 
     similar = set(groups)
     if p < SIGNIFICANCE_LEVEL:
-        best_rows = [row for row in dunn_pairwise(groups) if best in row[0]]
-        best_adjusted = holm_adjust([row[2] for row in best_rows])
-        similar = {best}
-        for (pair, _, _), adj in zip(best_rows, best_adjusted):
-            other = pair[0] if pair[1] == best else pair[1]
-            if adj >= SIGNIFICANCE_LEVEL:
-                similar.add(other)
+        # |z| and p do not depend on a pair's order, nor Holm on the rows' order
+        rows = _dunn(ranking, [(best, other) for other in groups if other != best])
+        adjusted = holm_adjust([row[2] for row in rows])
+        similar = {best} | {pair[1] for (pair, _, _), adj in zip(rows, adjusted)
+                            if adj >= SIGNIFICANCE_LEVEL}
 
     return ComparisonReport(h, p, means, stds, best, similar)

@@ -425,6 +425,34 @@ class TestCli:
     def test_compare_missing_dir_exits_2(self, tmp_path, capsys):
         assert cli_main(["compare", "--in", str(tmp_path / "empty")]) == 2
 
+    # each takes a real summary.csv (header and four rows) to a malformed one
+    MALFORMED_SUMMARIES = {
+        # the last row keeps its first 20 bytes, as a grid killed while
+        # writing it leaves it
+        "cut mid-row": lambda data: b"\n".join(data.split(b"\n")[:-2]
+                                               + [data.split(b"\n")[-2][:20]]),
+        # the last `ae` loses its final digit and the line terminator
+        "cut inside the last field": lambda data: data.rstrip(b"\r\n")[:-1],
+        "no ae column": lambda data: data.replace(b",ae\r\n", b",error\r\n", 1),
+    }
+
+    @pytest.mark.parametrize("case, where", [("cut mid-row", "line 5"),
+                                             ("cut inside the last field", "line 5"),
+                                             ("no ae column", "'ae'")])
+    def test_malformed_summary_exits_2(self, tmp_path, capsys, case, where):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--problem", "sphere", "--algo", "famv-h",
+                         "--algo", "fa", "--runs", "2", "--budget", "300",
+                         "--out", str(out), "--dim", "4"]) == 0
+        summary = out / "summary.csv"
+        summary.write_bytes(self.MALFORMED_SUMMARIES[case](summary.read_bytes()))
+        results = (out / "results.csv").read_bytes()
+        capsys.readouterr()
+        assert cli_main(["compare", "--in", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(summary) in err and where in err
+        assert (out / "results.csv").read_bytes() == results
+
     @pytest.mark.parametrize("flag, value, setting", [
         ("--stride", "0", "stride"), ("--seed", "-1", "seed"),
         ("--budget", "0", "budget"), ("--problem", "sphere", "problems repeats 'sphere'")])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from _stat_reference import DATASETS, reference_dunn, reference_kruskal
 from famv import compare, dunn_pairwise, holm_adjust, kruskal_wallis
-from famv.stats import _pooled_midranks, chi2_sf, norm_sf_two_sided
+from famv import stats
+from famv.stats import _rank, chi2_sf, norm_sf_two_sided
 
 
 class TestTailFunctions:
@@ -37,10 +38,12 @@ class TestTailFunctions:
 def test_midranks_match_scipy_rankdata(samples):
     from scipy.stats import rankdata
     groups = {f"g{k}": [float(v) for v in values] for k, values in enumerate(samples)}
-    ranks, tie_term = _pooled_midranks(groups)
+    ranks, mean_rank, tie_term, n = _rank(groups, least=1)
     pooled = np.concatenate(list(groups.values()))
     assert np.concatenate(list(ranks.values())).tolist() == rankdata(pooled).tolist()
     assert tie_term == sum(t ** 3 - t for t in Counter(pooled.tolist()).values())
+    assert mean_rank == {name: float(np.mean(r)) for name, r in ranks.items()}
+    assert n == len(pooled)
 
 
 class TestKruskalWallis:
@@ -175,3 +178,76 @@ class TestCompare:
             compare({})
         with pytest.raises(ValueError):
             compare({"a": [1.0], "b": []})
+
+
+def _random_group_sets(count, seed):
+    """Seeded group sets: tie-heavy integers, values with +inf, continuous
+    values, one-value groups and single groups among them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k = int(rng.integers(1, 9))
+        kind = int(rng.integers(0, 3))
+        groups = {}
+        for g in range(k):
+            size = 1 if rng.random() < 0.2 else int(rng.integers(2, 16))
+            if kind == 0:
+                values = rng.integers(0, 4, size).astype(float)
+            elif kind == 1:
+                values = np.where(rng.random(size) < 0.3, math.inf,
+                                  rng.integers(0, 20, size) * (1.0 + g))
+            else:
+                values = rng.lognormal(0.4 * g, 1.0, size)
+            groups[f"algo{g}"] = values.tolist()
+        yield groups
+
+
+def _compare_in_full(groups):
+    """`compare`'s classification taken the long way: the public tests on
+    all pairs, Dunn filtered to the pairs holding the best group, then Holm."""
+    from scipy.stats import rankdata
+    means = {n: float(np.mean(np.asarray(v, dtype=float))) for n, v in groups.items()}
+    ranks = rankdata(np.concatenate([np.asarray(v, dtype=float) for v in groups.values()]))
+    mean_rank, start = {}, 0
+    for name, values in groups.items():
+        mean_rank[name] = float(np.mean(ranks[start:start + len(values)]))
+        start += len(values)
+    best = min(means, key=lambda n: (means[n], mean_rank[n]))
+    h, p = 0.0, 1.0
+    if len(groups) >= 2 and len(ranks) >= 3:
+        h, p = kruskal_wallis(groups)
+    similar = set(groups)
+    if p < 0.05:
+        rows = [row for row in dunn_pairwise(groups) if best in row[0]]
+        adjusted = holm_adjust([row[2] for row in rows])
+        similar = {best} | {a if b == best else b
+                            for ((a, b), _, _), adj in zip(rows, adjusted) if adj >= 0.05}
+    return h, p, best, similar
+
+
+def test_compare_equals_all_pairs_filtered_to_the_best():
+    kinds = Counter()
+    for groups in _random_group_sets(2400, seed=2025):
+        report = compare(groups)
+        h, p, best, similar = _compare_in_full(groups)
+        assert report.kw_statistic == h and report.kw_p == p
+        assert report.best_group == best and report.similar_to_best == similar
+        kinds["significant"] += p < 0.05
+        kinds["single group"] += len(groups) == 1
+        kinds["one-value group"] += any(len(v) == 1 for v in groups.values())
+        kinds["inf"] += any(math.isinf(x) for v in groups.values() for x in v)
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_compare_ranks_once(monkeypatch):
+    calls = []
+
+    def counted(groups, least):
+        calls.append(least)
+        return _rank(groups, least)
+
+    monkeypatch.setattr(stats, "_rank", counted)
+    groups = {"low": [1.0, 2.0, 3.0, 4.0], "mid": [5.0, 6.0, 7.0, 8.0],
+              "high": [9.0, 10.0, 11.0, 12.0]}
+    report = compare(groups)
+    assert report.kw_p < 0.05 and report.similar_to_best == {"low", "mid"}
+    assert calls == [1]
