@@ -17,8 +17,10 @@ move, and a firefly with no brighter one takes a uniform random step.  Each
 move is one draw from the run's stream and one pass of numpy operations over
 the vectors.  famv computes ``d = xj - xi`` and the indices of the m
 differing codes once, for the distance, the continuous move and the copy
-step, and draws n_c + m + n_d + n_cat doubles: continuous noise, copy
-uniforms, the integer step and one replacement flag per categorical code.
+step, and one decay e = exp(-gamma r^2), which gives both beta = beta0 e and
+the copy probability e; it draws n_c + m + n_d + n_cat doubles: continuous
+noise, copy uniforms, the integer step and one replacement flag per
+categorical code.
 fa computes ``d`` once, clips once and rounds its discrete slots.  famv's
 exploration step is one pass over the whole code vector: the integer step
 on every code, then each categorical code keeps its value from before the
@@ -156,14 +158,10 @@ class FireflyConfig:
 
 # Kept name: bench/run.py counts its calls and the share with beta > 1e-3;
 # the firefly loop takes beta from it, looked up at call time.
-def attractiveness(beta0: float, gamma: float, r: float) -> float:
-    """beta0 * exp(-gamma r^2): full attraction at r = 0, decaying with distance."""
-    return beta0 * math.exp(-gamma * r * r)
-
-
-def discrete_attraction_prob(gamma: float, r: float) -> float:
-    """exp(-gamma r^2), used as the per-component copy probability."""
-    return math.exp(-gamma * r * r)
+def attractiveness(beta0: float, e: float) -> float:
+    """beta0 * e for a move's decay e = exp(-gamma r^2): full attraction at
+    r = 0, decaying with distance."""
+    return beta0 * e
 
 
 def _attract(xi: np.ndarray, d: np.ndarray, beta: float, noise: np.ndarray) -> np.ndarray:
@@ -322,9 +320,10 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
                 m = len(differ)
                 r = distance(d, m)
                 noise, u, step, flags = rng.move(n, m, n_d, n_cat)
-                x = _attract(xi, d, attractiveness(config.beta0, gamma, r), noise)
+                e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
+                x = _attract(xi, d, attractiveness(config.beta0, e), noise)
                 if n_d:
-                    disc = _copy_differing(disc, cj, differ, discrete_attraction_prob(gamma, r), u)
+                    disc = _copy_differing(disc, cj, differ, e, u)
             if n_d:
                 stepped = _integer_step(disc, layout.disc_lo, layout.disc_hi, step)
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
@@ -357,9 +356,8 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     in Yang's FA, so a flat objective still spends the whole budget.  A
     setting outside ``_FA_SETTINGS`` that is not at its default is a
     ValueError naming it."""
-    own = FireflyConfig(**{name: getattr(config, name) for name in _FA_SETTINGS})
     for f in fields(FireflyConfig):
-        if getattr(config, f.name) != getattr(own, f.name):
+        if f.name not in _FA_SETTINGS and getattr(config, f.name) != f.default:
             raise ValueError(f"fa has no setting {f.name}, got {getattr(config, f.name)!r}")
     rec = Recorder(problem, config.max_fe)
     _fly(config, rec.budget, problem.space.lo, problem.space.hi,

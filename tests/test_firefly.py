@@ -15,37 +15,47 @@ from famv.core import Recorder
 from famv.distances import DistanceKind
 from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step,
                           _round_codes, _sweep, adapt_parameters, alpha_step_categorical,
-                          attractiveness, beta_step, discrete_attraction_prob,
-                          replacement_prob)
+                          attractiveness, beta_step, replacement_prob)
+
+
+def _decay(gamma, r):
+    """exp(-gamma r^2), the decay e of a move at distance r: beta / beta0
+    and the copy probability of each differing code."""
+    return math.exp(-gamma * r * r)
 
 
 class TestAttractiveness:
+    """`attractiveness(beta0, e)` is beta0 e; the copy probability is e
+    itself."""
+
+    def test_is_beta0_times_e(self, rng):
+        for beta0, e in zip(rng.uniform(0.1, 5.0, 50), rng.uniform(0.0, 1.0, 50)):
+            assert attractiveness(beta0, e) == beta0 * e
+
     def test_zero_distance_gives_beta0(self):
-        assert attractiveness(1.5, 0.1, 0.0) == 1.5
+        assert attractiveness(1.5, _decay(0.1, 0.0)) == 1.5
 
     def test_unit_distance(self):
-        assert attractiveness(1.5, 0.1, 1.0) == pytest.approx(1.35726, abs=1e-5)
+        assert attractiveness(1.5, _decay(0.1, 1.0)) == pytest.approx(1.35726, abs=1e-5)
 
     def test_gamma_zero_never_decays(self):
-        assert attractiveness(1.5, 0.0, 123.0) == 1.5
+        assert attractiveness(1.5, _decay(0.0, 123.0)) == 1.5
 
     def test_strictly_decreasing_in_r(self, rng):
         radii = np.sort(rng.uniform(0.0, 5.0, size=50))
-        values = [attractiveness(1.5, 0.1, r) for r in radii]
+        values = [attractiveness(1.5, _decay(0.1, r)) for r in radii]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_coincident_fireflies_copy_with_certainty(self):
+        assert _decay(0.1, 0.0) == 1.0
 
-class TestDiscreteAttractionProb:
-    def test_coincident_fireflies(self):
-        assert discrete_attraction_prob(0.1, 0.0) == 1.0
+    def test_copy_probability_known_values(self):
+        assert _decay(0.1, 2.0) == pytest.approx(0.67032, abs=1e-5)
+        assert _decay(0.1, 10.0) == pytest.approx(4.54e-5, rel=1e-2)
 
-    def test_known_values(self):
-        assert discrete_attraction_prob(0.1, 2.0) == pytest.approx(0.67032, abs=1e-5)
-        assert discrete_attraction_prob(0.1, 10.0) == pytest.approx(4.54e-5, rel=1e-2)
-
-    def test_strictly_decreasing_in_r(self, rng):
+    def test_copy_probability_strictly_decreasing_in_r(self, rng):
         radii = np.sort(rng.uniform(0.0, 5.0, size=50))
-        values = [discrete_attraction_prob(0.1, r) for r in radii]
+        values = [_decay(0.1, r) for r in radii]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -361,6 +371,74 @@ def test_alpha_step_categorical_runs_once_per_move(algo, categorical, budget, mo
     assert calls == moves
 
 
+def _count_sweeps(monkeypatch) -> dict:
+    """Wrap `_sweep`, which the firefly loop looks up at call time; the dict
+    returned counts its sweeps and its attracting moves, the yields with a
+    brighter firefly."""
+    seen = {"sweeps": 0, "moves": 0}
+    sweep = firefly._sweep
+
+    def counting(fitness, budget):
+        seen["sweeps"] += 1
+        for i, j in sweep(fitness, budget):
+            seen["moves"] += j is not None
+            yield i, j
+
+    monkeypatch.setattr(firefly, "_sweep", counting)
+    return seen
+
+
+class _CountingMath:
+    """`math`, counting the calls of its ``exp``."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "famv-h-adaptive"])
+@pytest.mark.parametrize("dims", [
+    [Continuous(-1.0, 2.0)] * 2,
+    [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))],
+], ids=["continuous", "mixed"])
+def test_one_exp_per_attracting_move(algo, dims, monkeypatch):
+    # one decay e per move gives both beta and the copy probability; the
+    # other exp of a sweep is replacement_prob's
+    seen = _count_sweeps(monkeypatch)
+    counting = _CountingMath()
+    monkeypatch.setattr(firefly, "math", counting)
+    run_algorithm(algo, Bowl(dims), 300, 0)
+    assert seen["moves"] > 0
+    assert counting.exp_calls == seen["moves"] + seen["sweeps"]
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
+@pytest.mark.parametrize("budget", [1, 26, 300])
+def test_attractiveness_runs_once_per_attracting_move(algo, budget, monkeypatch):
+    # bench/run.py counts this name's calls and reads the beta each returns
+    seen = _count_sweeps(monkeypatch)
+    calls = []
+
+    def recording(beta0, e):
+        beta = attractiveness(beta0, e)
+        calls.append((beta0, e, beta))
+        return beta
+
+    monkeypatch.setattr(firefly, "attractiveness", recording)
+    dims = [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))]
+    run_algorithm(algo, Bowl(dims), budget, 0)
+    assert len(calls) == seen["moves"]
+    assert seen["moves"] > 0 or budget < 300
+    beta0 = FireflyConfig(max_fe=budget).beta0
+    assert all(b0 == beta0 and 0.0 <= e <= 1.0 and beta == beta0 * e for b0, e, beta in calls)
+
+
 class TestReplacementProb:
     def test_adaptive_midpoint(self):
         for k in (0.5, 1.0, 5.0, 20.0):
@@ -663,8 +741,9 @@ def _staged_famv(problem, config: FireflyConfig):
     uniforms from the stream in the engine's order.  With m the number of
     differing codes: the distance (||d|| + m) / dim for mixed-EH or
     (sum |d| / range + m) / dim for Gower, d = xj - xi; the move
-    xi + beta d + alpha (u - 1/2); one copy uniform per differing code, in
-    order, copying xj's code when it is below p; the integer step
+    xi + beta d + alpha (u - 1/2) with beta = beta0 exp(-gamma r^2); one
+    copy uniform per differing code, in order, copying xj's code when it is
+    below p = exp(-gamma r^2); the integer step
     round(c + alpha (2u - 1)) on every code, halves away from zero, then
     np.clip; each categorical code then keeps its pre-step value or, for a
     uniform below p_alpha, is redrawn as floor(u * size)."""
@@ -695,9 +774,9 @@ def _staged_famv(problem, config: FireflyConfig):
                 else:
                     span = space.cont_hi - space.cont_lo
                     r = (float(np.sum(np.abs(d) / span)) + m) / space.dim
-                beta = attractiveness(config.beta0, gamma, r)
+                beta = config.beta0 * math.exp(-gamma * r * r)
                 cont = xi + beta * d + alpha * (rng.random(space.n_c) - 0.5)
-                p = discrete_attraction_prob(gamma, r)
+                p = math.exp(-gamma * r * r)
                 for k in range(space.n_d):
                     if ci[k] != cj[k] and rng.random(1)[0] < p:
                         disc[k] = cj[k]
@@ -715,7 +794,8 @@ def _staged_famv(problem, config: FireflyConfig):
 
 def _staged_fa(problem, config: FireflyConfig):
     """run_classical_fa written from the formulas: the move
-    xi + beta d + alpha (u - 1/2) with beta from ||d||, d = xj - xi, then
+    xi + beta d + alpha (u - 1/2) with beta = beta0 exp(-gamma r^2) at
+    r = ||d||, d = xj - xi, then
     np.clip into the bounds; a discrete slot of the clipped position rounds
     half away from zero."""
     space = problem.space
@@ -737,7 +817,8 @@ def _staged_fa(problem, config: FireflyConfig):
                 position = xi + config.alpha * (rng.random(space.dim) - 0.5)
             else:
                 d = positions[j] - xi
-                beta = attractiveness(config.beta0, config.gamma, math.sqrt(d.dot(d)))
+                r = math.sqrt(d.dot(d))
+                beta = config.beta0 * math.exp(-config.gamma * r * r)
                 position = xi + beta * d + config.alpha * (rng.random(space.dim) - 0.5)
             positions[i] = np.clip(position, lo, hi)
             fitness[i] = evaluate(positions[i])
