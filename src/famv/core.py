@@ -5,14 +5,16 @@ numpy vector and its discrete components (integer values or category
 symbols) in a tuple.  Continuous components come first, discrete second;
 both follow the order in which their dimensions appear in the search space.
 
-The engines hold only arrays: a continuous vector and an int64 *code*
-vector, whose codes are an integer's value or a category's index in
-``values``.  Only `SearchSpace` knows that layout (`decode`, index and bound
-arrays).  `Recorder` is the evaluation path every engine shares:
-it charges one function evaluation (FE) of the run's budget, decodes the
-codes and calls the objective with a `MixedSolution` of values and symbols,
-for one point (`Recorder.evaluate`) or for each row of a batch in order
-(`Recorder.evaluate_rows`).
+The engines hold a continuous vector and an int64 *code* vector, whose
+codes are an integer's value or a category's index in ``values``.  Only
+`SearchSpace` knows that layout (`decode`, index and bound arrays).
+`Recorder` is the evaluation path every engine shares: it charges one
+function evaluation (FE) of the run's budget, decodes the codes and calls
+the objective with a `MixedSolution` of values and symbols, for one point
+(`Recorder.evaluate`) or for each row of a batch in order
+(`Recorder.evaluate_rows`).  famv keeps the codes of a small integer-only
+space as a tuple of ints, which is already the value tuple, and passes it to
+the same per-FE step without decoding.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Continuous:
 @dataclass(frozen=True)
 class IntegerRange:
     """A compact (consecutive) integer dimension of at most 2**53 values:
-    -2**53 <= lo <= hi <= 2**53 and hi - lo < 2**53."""
+    -2**52 <= lo <= hi <= 2**52 and hi - lo < 2**53."""
 
     lo: int
     hi: int
@@ -51,10 +53,10 @@ class IntegerRange:
     def __post_init__(self):
         if not all(math.isfinite(b) and b == math.floor(b) for b in (self.lo, self.hi)):
             raise ValueError(f"integer bounds must be whole numbers, got [{self.lo}, {self.hi}]")
-        # steps use float64, which holds every integer up to 2**53 exactly, and
+        # steps round v + 1/2 in float64, which is exact while |v| <= 2**52, and
         # a draw floor(u * size) reaches every code only while size <= 2**53
-        if not (-2 ** 53 <= self.lo <= self.hi <= 2 ** 53 and self.hi - self.lo < 2 ** 53):
-            raise ValueError(f"integer dimension needs -2**53 <= lo <= hi <= 2**53 "
+        if not (-2 ** 52 <= self.lo <= self.hi <= 2 ** 52 and self.hi - self.lo < 2 ** 53):
+            raise ValueError(f"integer dimension needs -2**52 <= lo <= hi <= 2**52 "
                              f"and hi - lo < 2**53, got [{self.lo}, {self.hi}]")
 
 

@@ -47,12 +47,14 @@ class TestDimensionSpecs:
 
     def test_integer_range_bounds_fit_a_float64(self):
         for lo, hi in ((0, 2 ** 63 - 1), (-2 ** 53 - 1, 0), (2 ** 53 + 1, 2 ** 53 + 2),
-                       (-2 ** 53, 2 ** 53), (0, 2 ** 53), (-2 ** 53, 0)):
-            with pytest.raises(ValueError, match=rf"2\*\*53.*\[{lo}, {hi}\]"):
+                       (-2 ** 53, 2 ** 53), (0, 2 ** 53), (-2 ** 53, 0),
+                       (1, 2 ** 53), (-2 ** 53, -1), (-2 ** 52, 2 ** 52),
+                       (2 ** 52 + 1, 2 ** 52 + 1), (-2 ** 52 - 1, -2 ** 52 - 1)):
+            with pytest.raises(ValueError, match=rf"2\*\*52.*2\*\*53.*\[{lo}, {hi}\]"):
                 IntegerRange(lo, hi)
-        # the widest ranges: 2**53 values each
-        assert IntegerRange(1, 2 ** 53).hi == 2 ** 53
-        assert IntegerRange(-2 ** 53, -1).lo == -2 ** 53
+        # the widest ranges: 2**53 values each, every one within 2**52 of zero
+        assert IntegerRange(1 - 2 ** 52, 2 ** 52).hi == 2 ** 52
+        assert IntegerRange(-2 ** 52, 2 ** 52 - 1).lo == -2 ** 52
 
     def test_categorical_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -196,9 +198,9 @@ class TestRandomSolution:
         assert type(sol.disc[0]) is int
 
     def test_stream_endpoints_on_the_widest_integer_range(self):
-        # 2**53 codes at either end of the float64 integers: the smallest
-        # and largest u draw the two bounds
-        for lo, hi in ((1, 2 ** 53), (-2 ** 53, -1)):
+        # 2**53 codes, reaching 2**52 at either end: the smallest and
+        # largest u draw the two bounds
+        for lo, hi in ((1 - 2 ** 52, 2 ** 52), (-2 ** 52, 2 ** 52 - 1)):
             space = SearchSpace([IntegerRange(lo, hi)])
             assert random_solution(space, _Constant(0.0)).disc == (lo,)
             assert random_solution(space, _Constant(np.nextafter(1.0, 0.0))).disc == (hi,)

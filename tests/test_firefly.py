@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from famv import firefly
 from famv.core import Recorder
 from famv.distances import DistanceKind
 from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step,
-                          _round_codes, _sweep, adapt_parameters, alpha_step_categorical,
-                          attractiveness, beta_step, replacement_prob)
+                          _integer_step_ints, _round_codes, _sweep, adapt_parameters,
+                          alpha_step_categorical, attractiveness, beta_step,
+                          replacement_prob)
 
 
 def _decay(gamma, r):
@@ -204,6 +206,14 @@ class TestUniforms:
         assert step.tobytes() == (0.5 * (2.0 * u[3:] - 1.0)).tobytes()
 
 
+def _admitted(code: int) -> bool:
+    try:
+        IntegerRange(code, code)
+    except ValueError:
+        return False
+    return True
+
+
 class TestAlphaStepInteger:
     """`_integer_step(codes, lo, hi, alpha (2u - 1))` is round(codes + alpha
     (2u - 1)), halves away from zero, clipped into [lo, hi]."""
@@ -235,6 +245,35 @@ class TestAlphaStepInteger:
         eps = np.array([0.25, -0.25, 0.25, -0.25, 0.25, -0.25, 0.2, -0.2])
         out = _integer_step(codes, np.full(8, -10), np.full(8, 10), 2.0 * eps)
         np.testing.assert_array_equal(out, [-5, -6, 6, 5, 1, -1, -5, 5])
+
+    @pytest.mark.parametrize("form", ["array", "tuple"])
+    def test_zero_step_keeps_every_code_of_the_widest_ranges(self, form):
+        # the codes an IntegerRange admits nearest the float64 limits, stepped by
+        # zero inside bounds wider than any of them: rounding v + 1/2 is exact
+        # only within 2**52, so no admitted code may move
+        codes = [c for b in (2 ** 52, 2 ** 53) for c in (b - 1, b, b + 1, 1 - b, -b, -b - 1)
+                 if _admitted(c)]
+        assert sorted(codes) == [-2 ** 52, 1 - 2 ** 52, 2 ** 52 - 1, 2 ** 52]
+        zero, lo, hi = np.zeros(len(codes)), [-2 ** 53] * len(codes), [2 ** 53] * len(codes)
+        if form == "array":
+            stepped = _integer_step(np.array(codes), np.array(lo, float), np.array(hi, float), zero)
+            assert stepped.tolist() == codes
+        else:
+            assert _integer_step_ints(tuple(codes), lo, hi, zero) == tuple(codes)
+
+
+@pytest.mark.parametrize("problem", [
+    get_problem("vessel"),                                       # codes as tuples
+    get_problem("rastrigin", dim=20),                            # 10 codes: arrays
+    Bowl([Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))]),
+], ids=lambda p: p.name + str(p.space.n_d))
+def test_huge_alpha_runs_without_overflow(problem):
+    # alpha (2u - 1) is past every int64: the sum is clipped before it is
+    # rounded and cast, so no cast overflows and every code stays in bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run_famv(problem, FireflyConfig(max_fe=200, alpha=1e19))
+    assert trace.final.solution.conforms(problem.space)
 
 
 class _LargestUniform:
@@ -409,13 +448,15 @@ class _CountingMath:
 ], ids=["continuous", "mixed"])
 def test_one_exp_per_attracting_move(algo, dims, monkeypatch):
     # one decay e per move gives both beta and the copy probability; the
-    # other exp of a sweep is replacement_prob's
+    # other exp of a sweep is replacement_prob's, which only famv computes,
+    # and only on a space with a categorical code
     seen = _count_sweeps(monkeypatch)
     counting = _CountingMath()
     monkeypatch.setattr(firefly, "math", counting)
     run_algorithm(algo, Bowl(dims), 300, 0)
     assert seen["moves"] > 0
-    assert counting.exp_calls == seen["moves"] + seen["sweeps"]
+    categorical = algo != "fa" and any(isinstance(d, Categorical) for d in dims)
+    assert counting.exp_calls == seen["moves"] + seen["sweeps"] * categorical
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
@@ -431,12 +472,18 @@ def test_attractiveness_runs_once_per_attracting_move(algo, budget, monkeypatch)
         return beta
 
     monkeypatch.setattr(firefly, "attractiveness", recording)
-    dims = [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))]
-    run_algorithm(algo, Bowl(dims), budget, 0)
-    assert len(calls) == seen["moves"]
-    assert seen["moves"] > 0 or budget < 300
     beta0 = FireflyConfig(max_fe=budget).beta0
-    assert all(b0 == beta0 and 0.0 <= e <= 1.0 and beta == beta0 * e for b0, e, beta in calls)
+    # a mixed space, whose codes are arrays, and an integer-only one, whose
+    # codes famv keeps as tuples
+    for dims in ([Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))],
+                 [Continuous(-1.0, 2.0), IntegerRange(-3, 3), IntegerRange(0, 9)]):
+        calls.clear()
+        seen.update(moves=0)
+        run_algorithm(algo, Bowl(dims), budget, 0)
+        assert len(calls) == seen["moves"]
+        assert seen["moves"] > 0 or budget < 300
+        assert all(b0 == beta0 and 0.0 <= e <= 1.0 and beta == beta0 * e
+                   for b0, e, beta in calls)
 
 
 class TestReplacementProb:
@@ -669,6 +716,30 @@ def test_fa_does_no_code_work(algo, monkeypatch):
         assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
 
 
+@pytest.mark.parametrize("problem, arrays", [
+    (get_problem("vessel"), False),
+    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), True),
+], ids=["vessel", "30-integers"])
+def test_code_form_follows_the_size_rule(problem, arrays, monkeypatch):
+    # famv steps vessel's two codes as a tuple of ints, and a 30-integer
+    # space's as an array: one step of the run's form per move, none of the other
+    calls = {"_integer_step": 0, "_integer_step_ints": 0}
+
+    def counting(name):
+        original = getattr(firefly, name)
+
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(firefly, name, counting(name))
+    run_algorithm("famv-h", problem, 300, 0)
+    moves = 300 - FireflyConfig(max_fe=300).pop_size
+    assert calls == {"_integer_step": moves * arrays, "_integer_step_ints": moves * (not arrays)}
+
+
 @pytest.mark.parametrize("dims, rounds", [
     ([Continuous(-1.0, 2.0)] * 3, 0),
     ([Continuous(-1.0, 2.0), IntegerRange(-3, 3)], 300),
@@ -848,3 +919,58 @@ def test_fused_moves_equal_the_staged_stages(algo, dims, budget, seed):
         mp.setattr(harness, "run_classical_fa", _staged_fa)
         staged = run_algorithm(algo, Bowl(dims), budget, seed)
     assert _bits(fused) == _bits(staged)
+
+
+def _wide_integer(lo):
+    """An IntegerRange from ``lo`` of any admitted width."""
+    return st.builds(lambda width: IntegerRange(lo, lo + width),
+                     st.integers(0, min(2 ** 52 - lo, 2 ** 53 - 1)))
+
+
+_integer_dims = st.one_of(
+    st.builds(lambda lo, width: IntegerRange(lo, lo + width), st.integers(-3, 3),
+              st.integers(0, 6)),
+    st.integers(-2 ** 52, 2 ** 52).flatmap(_wide_integer))
+
+
+class _Recording:
+    """Every point it is called with, as bytes and values; NaN on each call
+    whose number is a multiple of ``nan_every``, else a bowl scaled to the
+    bounds."""
+
+    name, reference_optimum = "recording", 0.0
+
+    def __init__(self, dims, nan_every):
+        self.space, self.nan_every, self.points = SearchSpace(dims), nan_every, []
+
+    def __call__(self, sol):
+        self.points.append((sol.cont.tobytes(), sol.disc, [type(v) for v in sol.disc]))
+        if len(self.points) % self.nan_every == 0:
+            return math.nan
+        return float(sol.cont.dot(sol.cont)) + sum(abs(v) / 2.0 ** 52 for v in sol.disc)
+
+
+@given(ints=st.lists(_integer_dims, min_size=1, max_size=firefly._TUPLE_CODES + 3),
+       n_c=st.integers(0, 2),
+       algo=st.sampled_from([n for n in harness.ALGORITHMS if n.startswith("famv-")]),
+       alpha=st.one_of(st.floats(0.01, 10.0), st.sampled_from([1e6, 1e19])),
+       budget=st.one_of(st.integers(1, 300), st.sampled_from([1, 24, 25, 26, 137])),
+       nan_every=st.sampled_from([1, 2, 7, 10 ** 6]), seed=st.integers(0, 2 ** 16))
+@example(ints=[IntegerRange(1, 99)] * 2, n_c=2, algo="famv-h", alpha=1.5, budget=300,
+         nan_every=10 ** 6, seed=0)
+@example(ints=[IntegerRange(-2 ** 52, 2 ** 52 - 1), IntegerRange(1 - 2 ** 52, 2 ** 52)],
+         n_c=1, algo="famv-g-adaptive", alpha=1e19, budget=137, nan_every=7, seed=1)
+@settings(max_examples=60, deadline=None)
+def test_tuple_codes_equal_array_codes(ints, n_c, algo, alpha, budget, nan_every, seed):
+    # an integer-only space run with its codes forced to arrays and then to
+    # tuples: the same objective calls, bit for bit, and the same trace
+    dims = [Continuous(-1.0, 2.0)] * n_c + ints
+    runs = []
+    for tuple_codes in (0, 10 ** 6):
+        problem = _Recording(dims, nan_every)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(firefly, "_TUPLE_CODES", tuple_codes)
+            trace = run_algorithm(algo, problem, budget, seed, {"alpha": alpha})
+        assert trace.final.solution.conforms(problem.space)
+        runs.append((problem.points, _bits(trace)))
+    assert runs[0] == runs[1]
