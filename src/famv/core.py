@@ -7,14 +7,14 @@ both follow the order in which their dimensions appear in the search space.
 
 The engines hold a continuous vector and an int64 *code* vector, whose
 codes are an integer's value or a category's index in ``values``.  Only
-`SearchSpace` knows that layout (`decode`, index and bound arrays).
-`Recorder` is the evaluation path every engine shares: it charges one
-function evaluation (FE) of the run's budget, decodes the codes and calls
-the objective with a `MixedSolution` of values and symbols, for one point
-(`Recorder.evaluate`) or for each row of a batch in order
-(`Recorder.evaluate_rows`).  famv keeps the codes of a small integer-only
-space as a tuple of ints, which is already the value tuple, and passes it to
-the same per-FE step without decoding.
+`SearchSpace` knows that layout (index and bound arrays), and its `decode`
+turns codes into the tuple of values and symbols.  `Recorder` is the
+evaluation path every engine shares: `Recorder.evaluate` takes a point's
+continuous vector and value tuple, charges one function evaluation (FE) of
+the run's budget and calls the objective with a `MixedSolution`;
+`Recorder.evaluate_rows` decodes a batch of code rows and evaluates each row
+in order.  famv keeps the codes of a small integer-only space as a tuple of
+ints, which is already the value tuple, and decodes nothing.
 """
 
 from __future__ import annotations
@@ -257,28 +257,15 @@ class Recorder:
     def __init__(self, problem: ObjectiveFunction, max_fe: int):
         self.problem = problem
         self.space = problem.space
-        self._decode = self.space.decode
         self.budget = EvaluationBudget(max_fe)
         self.best: Firefly | None = None
         self.samples: list[tuple[int, float]] = []
 
-    def evaluate(self, cont: np.ndarray, codes: np.ndarray) -> float:
-        """Charge one FE and return the objective value of the point."""
-        return self._evaluate(cont, self._decode(codes))
-
-    def evaluate_rows(self, cont: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Evaluate the rows of an ``(n, n_c)`` and an ``(n, n_d)`` matrix in
-        order, one FE each, as `evaluate` would row by row, and return their
-        objective values.  A row past the budget raises before its objective
-        call, after the rows before it were evaluated."""
-        step = self._evaluate
-        return np.array([step(x, disc)
-                         for x, disc in zip(cont, self.space.decode_rows(codes))])
-
-    def _evaluate(self, cont: np.ndarray, disc: tuple) -> float:
+    def evaluate(self, cont: np.ndarray, disc: tuple) -> float:
         """The one per-FE step: charge the FE (a RuntimeError past the
         budget, before the objective call), call the objective with a
-        `MixedSolution` and record a new best."""
+        `MixedSolution` of ``cont`` and the value tuple ``disc``, record a
+        new best and return the objective value."""
         budget = self.budget
         if not budget.consume():
             raise RuntimeError(f"evaluation past the budget of {budget.max_fe} FE")
@@ -291,6 +278,16 @@ class Recorder:
             self.best = Firefly(solution, fitness)
             self.samples.append((budget.consumed, fitness))
         return fitness
+
+    def evaluate_rows(self, cont: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Evaluate the rows of an ``(n, n_c)`` and an ``(n, n_d)`` code
+        matrix in order, one FE each, as `evaluate` would each row and its
+        decoded codes, and return their objective values.  A row past the
+        budget raises before its objective call, after the rows before it
+        were evaluated."""
+        step = self.evaluate
+        return np.array([step(x, disc)
+                         for x, disc in zip(cont, self.space.decode_rows(codes))])
 
     def build(self) -> RunTrace:
         if self.best is None:

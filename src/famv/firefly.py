@@ -28,16 +28,18 @@ step unless its flag is below the replacement probability, in which case it
 is redrawn as floor(u * size) from the same stream.  Every random number of
 a run, the first population included, is a double of that one stream.
 
-A run keeps each firefly's codes in one of two forms, chosen once from the
-space.  With 1 to K = `_TUPLE_CODES` codes, all integers, they are a tuple
-of Python ints, which is also the decoded value tuple, and the differ, copy
-and integer steps are short Python loops; every other space keeps an int64
-array and numpy steps.  Both forms do the same double operations in the same
-order, so a run's stream and trace do not depend on the form.  K is the
-largest n_d at which tuples were faster on both problems below: CPU time of
-a famv-h run of 2000 FE with tuples over the same run with arrays, on
-sphere and rastrigin with n_d integer and n_d continuous dimensions (median
-of 21 alternated pairs, 2-core Xeon VM, Python 3.11.7, numpy 2.4.6):
+A run keeps each firefly's codes in one of two forms, which `_fly` alone
+chooses, once, from the space.  With 0 to K = `_TUPLE_CODES` codes, all
+integers, they are a tuple of Python ints, which is already the value tuple,
+and the differ, copy and integer steps are short Python loops; every other
+space keeps an int64 array and numpy steps, and the loop decodes it with
+`SearchSpace.decode` at each FE.  Either way the loop hands the `Recorder`
+values.  Both forms do the same double operations in the same order, so a
+run's stream and trace do not depend on the form.  K is the largest n_d at
+which tuples were faster on both problems below: CPU time of a famv-h run
+of 2000 FE with tuples over the same run with arrays, on sphere and
+rastrigin with n_d integer and n_d continuous dimensions (median of 21
+alternated pairs, 2-core Xeon VM, Python 3.11.7, numpy 2.4.6):
 
     n_d         1     2     3     4     5     6     7     8     9     10    12    25
     sphere      0.79  0.82  0.83  0.89  0.91  0.94  0.97  0.98  1.00  1.03  1.06  1.28
@@ -320,19 +322,20 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
             yield i, None
 
 
-_EMPTY = np.empty(0, np.int64)
-# fa's code layout: a space's code attributes that the loop reads, all empty
+# fa's code layout: a space's code attributes that the loop reads, all empty,
+# so its codes are the tuple (), already the value tuple
 _NO_CODES = SimpleNamespace(**dict.fromkeys(
-    ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes"), _EMPTY))
+    ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes"), np.empty(0, np.int64)))
 # K: the most codes that `_fly` keeps as a tuple of ints (the break-even
 # table in the module docstring)
 _TUPLE_CODES = 8
 
 
 def _int_tuples(layout) -> bool:
-    """Whether `_fly` keeps the codes of ``layout`` as tuples of Python ints:
-    1 to `_TUPLE_CODES` codes, none of them categorical."""
-    return 0 < len(layout.disc_lo) <= _TUPLE_CODES and not len(layout.cat_idx)
+    """Whether `_fly` keeps the codes of ``layout`` as tuples of Python ints,
+    which are also the value tuples: 0 to `_TUPLE_CODES` codes, none of them
+    categorical."""
+    return len(layout.disc_lo) <= _TUPLE_CODES and not len(layout.cat_idx)
 
 
 def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np.ndarray,
@@ -341,9 +344,11 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     positions move in the box [``lo``, ``hi``] and code vectors in the code
     layout of ``layout``, a `SearchSpace` or `_NO_CODES`, with which the
     loop does no code work.  ``distance(d, m)`` is r for ``d = xj - xi``
-    and m differing codes; ``evaluate(x, codes)`` charges one FE, with codes
-    in the loop's form: a tuple of ints where `_int_tuples` holds, else an
-    int64 array."""
+    and m differing codes; ``evaluate(x, disc)`` charges one FE of the
+    point with value tuple ``disc``.  The loop alone picks the code form:
+    tuples of ints where `_int_tuples` holds, which it hands to
+    ``evaluate`` as they are, else int64 arrays, which it decodes with
+    ``layout.decode``."""
     n, n_d, cat_idx = len(lo), len(layout.disc_lo), layout.cat_idx
     n_cat, width = len(cat_idx), hi - lo
     cat_sizes = layout.cat_sizes.astype(float)   # exact up to 2**53; u * size is then one dtype
@@ -364,9 +369,9 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     for _ in range(min(config.pop_size, config.max_fe)):
         u = rng.random(n + n_d)
         xs.append(lo + u[:n] * width)
-        first = layout.disc_lo + (u[n:] * layout.disc_sizes).astype(np.int64) if n_d else _EMPTY
+        first = layout.disc_lo + (u[n:] * layout.disc_sizes).astype(np.int64)
         codes.append(tuple(first.tolist()) if tuples else first)
-        fitness.append(evaluate(xs[-1], codes[-1]))
+        fitness.append(evaluate(xs[-1], codes[-1] if tuples else layout.decode(first)))
 
     alpha, gamma = config.alpha, config.gamma
     while not budget.exhausted:
@@ -387,7 +392,7 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
                 x = xi + noise
             else:
                 d, cj = xs[j] - xi, codes[j]
-                differ = differing(disc, cj) if n_d else _EMPTY
+                differ = differing(disc, cj) if n_d else ()
                 m = len(differ)
                 r = distance(d, m)
                 noise, u, step, flags = rng.move(n, m, n_d, n_cat)
@@ -402,19 +407,18 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
                     alpha_step_categorical(stepped, cat_idx, cat_sizes, flags, p_alpha, rng)
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
-            fitness[i] = evaluate(x, codes[i])
+            fitness[i] = evaluate(x, codes[i] if tuples else layout.decode(codes[i]))
 
 
 def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     """Mixed-variable firefly run under a function-evaluation budget: the
     firefly loop on the continuous box and the codes of the space, with r
-    from the configured distance; the `Recorder` decodes array codes, and
-    evaluates tuple codes, already the values, as they are."""
+    from the configured distance, handing each point's values to the
+    `Recorder`."""
     space = problem.space
     rec = Recorder(problem, config.max_fe)
-    evaluate = rec._evaluate if _int_tuples(space) else rec.evaluate
     _fly(config, rec.budget, space.cont_lo, space.cont_hi,
-         partial(CODE_DISTANCES[config.distance], space), evaluate, space)
+         partial(CODE_DISTANCES[config.distance], space), rec.evaluate, space)
     return rec.build()
 
 
@@ -440,8 +444,9 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
 
 def _relaxed_evaluate(rec: Recorder):
     """fa's evaluation map: a clipped relaxed position's discrete slots
-    round to codes, and the codes the loop passes are ignored."""
-    cont_pos, disc_pos = rec.space.cont_pos, rec.space.disc_pos
-    if not len(disc_pos):   # the position is the point, and the loop's codes are empty
+    round to codes, which the space decodes, and the values the loop passes
+    are ignored."""
+    cont_pos, disc_pos, decode = rec.space.cont_pos, rec.space.disc_pos, rec.space.decode
+    if not len(disc_pos):   # the position is the point, and the loop passes ()
         return rec.evaluate
-    return lambda x, _: rec.evaluate(x[cont_pos], _round_codes(x[disc_pos]))
+    return lambda x, _: rec.evaluate(x[cont_pos], decode(_round_codes(x[disc_pos])))

@@ -5,6 +5,7 @@ pipeline."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -199,9 +200,9 @@ def compare_directory(out_dir: str | Path) -> list[ResultRow]:
 
     summary.csv is checked before anything is written: a header without a
     ``problem``, ``algorithm`` or ``ae`` column, a row with a missing field
-    or a non-numeric ``ae``, and a last row without its line terminator (a
-    file cut short) each raise a ValueError naming the file, and the line
-    for a row."""
+    or an ``ae`` that is not a number or is NaN (+inf is legal), and a last
+    row without its line terminator (a file cut short) each raise a
+    ValueError naming the file, and the line for a row."""
     out = Path(out_dir)
     summary = out / "summary.csv"
     if not summary.exists():
@@ -220,7 +221,9 @@ def compare_directory(out_dir: str | Path) -> list[ResultRow]:
         try:
             ae = float(record["ae"])
         except ValueError:
-            raise ValueError(f"{where}: ae {record['ae']!r} is not a number") from None
+            ae = math.nan
+        if math.isnan(ae):   # +inf is legal: a run's non-finite objective
+            raise ValueError(f"{where}: ae {record['ae']!r} is not a number")
         groups = ae_by_problem.setdefault(record["problem"], {})
         groups.setdefault(record["algorithm"], []).append(ae)
     # `_write_csv` ends every row with one, so its absence means a cut file

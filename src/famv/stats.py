@@ -54,15 +54,17 @@ _Ranking = tuple[dict[str, np.ndarray], dict[str, float], float, int]
 
 
 def _rank(groups: SampleSet, least: int) -> _Ranking:
-    """Check that there are ``least`` or more groups and none is empty, then
-    rank the pooled sample once: each group's mid-ranks, each group's mean
-    rank, the tie term sum(t^3 - t) and the pooled n."""
+    """Check that there are ``least`` or more groups and none is empty or
+    holds a NaN (+inf is a value), then rank the pooled sample once: each
+    group's mid-ranks, each group's mean rank, the tie term sum(t^3 - t) and
+    the pooled n."""
     if len(groups) < least:
         raise ValueError(f"need {least} or more groups, got {len(groups)}")
-    for name, values in groups.items():
-        if len(values) == 0:
-            raise ValueError(f"group {name!r} is empty")
-    pooled = np.concatenate([np.asarray(v, dtype=float) for v in groups.values()])
+    arrays = [np.asarray(v, dtype=float) for v in groups.values()]
+    for name, values in zip(groups, arrays):
+        if len(values) == 0 or np.isnan(values).any():
+            raise ValueError(f"group {name!r} {'holds a NaN' if len(values) else 'is empty'}")
+    pooled = np.concatenate(arrays)
     _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
     ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
     ends = np.cumsum([len(v) for v in groups.values()])

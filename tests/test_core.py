@@ -244,7 +244,7 @@ class TestRecorder:
 
     def test_non_finite_values_are_inf_and_never_best(self):
         recorder, _ = self._recorder([math.nan, 3.0, -math.inf, math.nan, 2.0])
-        stored = [recorder.evaluate(np.zeros(1), np.array([0])) for _ in range(5)]
+        stored = [recorder.evaluate(np.zeros(1), ("a",)) for _ in range(5)]
         assert stored == [math.inf, 3.0, math.inf, math.inf, 2.0]
         assert recorder.budget.consumed == 5
         trace = recorder.build()
@@ -253,17 +253,17 @@ class TestRecorder:
 
     def test_objective_gets_decoded_symbols(self):
         recorder, calls = self._recorder([1.0])
-        recorder.evaluate(np.array([0.25]), np.array([1]))
+        recorder.evaluate(np.array([0.25]), self.SPACE.decode(np.array([1])))
         assert calls == [MixedSolution(np.array([0.25]), ("b",))]
         assert recorder.best.solution == calls[0]
 
     def test_evaluation_past_budget_raises(self):
         recorder, calls = self._recorder([1.0, 2.0, 3.0], max_fe=2)
         for _ in range(2):
-            recorder.evaluate(np.zeros(1), np.array([0]))
+            recorder.evaluate(np.zeros(1), ("a",))
         assert recorder.budget.exhausted
         with pytest.raises(RuntimeError, match="past the budget"):
-            recorder.evaluate(np.zeros(1), np.array([0]))
+            recorder.evaluate(np.zeros(1), ("a",))
         assert len(calls) == 2 and recorder.budget.consumed == 2
 
 
@@ -299,7 +299,7 @@ class TestEvaluateRows:
         by_row = Recorder(self.Objective(self.SPACE), 50)
         head = by_rows.evaluate_rows(cont[:15], codes[:15])
         values = [*head, *by_rows.evaluate_rows(cont[15:], codes[15:])]
-        expected = [by_row.evaluate(x, c) for x, c in zip(cont, codes)]
+        expected = [by_row.evaluate(x, self.SPACE.decode(c)) for x, c in zip(cont, codes)]
         assert values == expected
         assert head.dtype == np.float64 and head.shape == (15,)
         assert by_rows.problem.calls == by_row.problem.calls

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from conftest import encode, random_point
 from test_engine_properties import Bowl, _dims
@@ -716,28 +716,37 @@ def test_fa_does_no_code_work(algo, monkeypatch):
         assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
 
 
-@pytest.mark.parametrize("problem, arrays", [
-    (get_problem("vessel"), False),
-    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), True),
-], ids=["vessel", "30-integers"])
-def test_code_form_follows_the_size_rule(problem, arrays, monkeypatch):
+@pytest.mark.parametrize("problem, form", [
+    (get_problem("vessel"), "_integer_step_ints"),
+    (get_problem("beam"), None),
+    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), "_integer_step"),
+], ids=["vessel", "beam", "30-integers"])
+def test_code_form_follows_the_size_rule(problem, form, monkeypatch):
     # famv steps vessel's two codes as a tuple of ints, and a 30-integer
-    # space's as an array: one step of the run's form per move, none of the other
-    calls = {"_integer_step": 0, "_integer_step_ints": 0}
+    # space's as an array: one step of the run's form per move, none of the
+    # other; beam has no code to step.  Only array codes and fa's rounded
+    # slots are decoded, once per FE
+    calls = {"_integer_step": 0, "_integer_step_ints": 0, "decode": 0}
 
-    def counting(name):
-        original = getattr(firefly, name)
-
+    def counting(name, original):
         def count(*args):
             calls[name] += 1
             return original(*args)
         return count
 
-    for name in calls:
-        monkeypatch.setattr(firefly, name, counting(name))
-    run_algorithm("famv-h", problem, 300, 0)
+    for name in ("_integer_step", "_integer_step_ints"):
+        monkeypatch.setattr(firefly, name, counting(name, getattr(firefly, name)))
+    monkeypatch.setattr(SearchSpace, "decode", counting("decode", SearchSpace.decode))
     moves = 300 - FireflyConfig(max_fe=300).pop_size
-    assert calls == {"_integer_step": moves * arrays, "_integer_step_ints": moves * (not arrays)}
+    steps = {name: moves * (name == form) for name in ("_integer_step", "_integer_step_ints")}
+    for algo in ("famv-h", "famv-g"):
+        calls.update(dict.fromkeys(calls, 0))
+        run_algorithm(algo, problem, 300, 0)
+        assert calls == {**steps, "decode": 300 * (form == "_integer_step")}
+    calls.update(dict.fromkeys(calls, 0))
+    run_algorithm("fa", problem, 300, 0)
+    assert calls == {"_integer_step": 0, "_integer_step_ints": 0,
+                     "decode": 300 * bool(problem.space.n_d)}
 
 
 @pytest.mark.parametrize("dims, rounds", [
@@ -826,7 +835,7 @@ def _staged_famv(problem, config: FireflyConfig):
         cont, code = random_point(space, rng)
         conts.append(cont)
         codes.append(code)
-        fitness.append(rec.evaluate(cont, code))
+        fitness.append(rec.evaluate(cont, space.decode(code)))
     alpha, gamma, cats = config.alpha, config.gamma, space.cat_idx
     while not rec.budget.exhausted:
         a, g = adapt_parameters(config.alpha, config.gamma, rec.budget)
@@ -859,7 +868,7 @@ def _staged_famv(problem, config: FireflyConfig):
                 new[k] = math.floor(next(redraws) * size) if redrawn else disc[k]
             codes[i] = new
             conts[i] = np.clip(cont, space.cont_lo, space.cont_hi)
-            fitness[i] = rec.evaluate(conts[i], codes[i])
+            fitness[i] = rec.evaluate(conts[i], space.decode(codes[i]))
     return rec.build()
 
 
@@ -877,7 +886,7 @@ def _staged_fa(problem, config: FireflyConfig):
     def evaluate(position):
         x = np.clip(position, lo, hi)
         codes = _round_half_away(x[space.disc_pos]).astype(np.int64)
-        return rec.evaluate(x[space.cont_pos], codes)
+        return rec.evaluate(x[space.cont_pos], space.decode(codes))
 
     positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
     fitness = [evaluate(pos) for pos in positions[:config.max_fe]]
@@ -950,7 +959,7 @@ class _Recording:
         return float(sol.cont.dot(sol.cont)) + sum(abs(v) / 2.0 ** 52 for v in sol.disc)
 
 
-@given(ints=st.lists(_integer_dims, min_size=1, max_size=firefly._TUPLE_CODES + 3),
+@given(ints=st.lists(_integer_dims, max_size=firefly._TUPLE_CODES + 3),
        n_c=st.integers(0, 2),
        algo=st.sampled_from([n for n in harness.ALGORITHMS if n.startswith("famv-")]),
        alpha=st.one_of(st.floats(0.01, 10.0), st.sampled_from([1e6, 1e19])),
@@ -960,13 +969,16 @@ class _Recording:
          nan_every=10 ** 6, seed=0)
 @example(ints=[IntegerRange(-2 ** 52, 2 ** 52 - 1), IntegerRange(1 - 2 ** 52, 2 ** 52)],
          n_c=1, algo="famv-g-adaptive", alpha=1e19, budget=137, nan_every=7, seed=1)
+@example(ints=[], n_c=2, algo="famv-g", alpha=1.5, budget=300, nan_every=10 ** 6, seed=2)
 @settings(max_examples=60, deadline=None)
 def test_tuple_codes_equal_array_codes(ints, n_c, algo, alpha, budget, nan_every, seed):
-    # an integer-only space run with its codes forced to arrays and then to
-    # tuples: the same objective calls, bit for bit, and the same trace
+    # an integer-only space, codeless ones included, run with its codes
+    # forced to arrays and then to tuples: the same objective calls, bit for
+    # bit, and the same trace
+    assume(ints or n_c)
     dims = [Continuous(-1.0, 2.0)] * n_c + ints
     runs = []
-    for tuple_codes in (0, 10 ** 6):
+    for tuple_codes in (-1, 10 ** 6):
         problem = _Recording(dims, nan_every)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(firefly, "_TUPLE_CODES", tuple_codes)

@@ -373,6 +373,22 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             compare_directory(tmp_path)
 
+    def test_a_nan_ae_exits_2_and_inf_is_legal(self, tmp_path, capsys):
+        # a NaN mean would let compare's min keep an arbitrary group best;
+        # run_experiment writes a non-finite objective as inf, never NaN
+        summary = tmp_path / "summary.csv"
+        rows = "problem,algorithm,ae\nsphere,fa,1.0\nsphere,fa,{}\nsphere,ga,3.0\nsphere,ga,4.0\n"
+        summary.write_text(rows.format("nan"))
+        with pytest.raises(ValueError, match=r"line 3: ae 'nan' is not a number"):
+            compare_directory(tmp_path)
+        capsys.readouterr()
+        assert cli_main(["compare", "--in", str(tmp_path)]) == 2
+        assert f"{summary}, line 3" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+        summary.write_text(rows.format("inf"))
+        best = [(row.algorithm, row.is_best) for row in compare_directory(tmp_path)]
+        assert best == [("fa", False), ("ga", True)]
+
 
 class TestCli:
     def test_list(self, capsys):

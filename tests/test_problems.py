@@ -415,9 +415,9 @@ class TestDegenerateConstraints:
                 return self.value, (math.nan,) if sol.cont[0] > 0.5 else (-1.0,)
 
         recorder = Recorder(HalfNaN(1.0, None), 10)
-        assert recorder.evaluate(np.array([0.9]), np.array([], dtype=np.int64)) == math.inf
-        assert recorder.evaluate(np.array([0.2]), np.array([], dtype=np.int64)) == 1.0
-        assert recorder.evaluate(np.array([0.7]), np.array([], dtype=np.int64)) == math.inf
+        assert recorder.evaluate(np.array([0.9]), ()) == math.inf
+        assert recorder.evaluate(np.array([0.2]), ()) == 1.0
+        assert recorder.evaluate(np.array([0.7]), ()) == math.inf
         assert recorder.best.fitness == 1.0 and recorder.best.solution.cont[0] == 0.2
         assert recorder.samples == [(1, math.inf), (2, 1.0)]
 

@@ -179,6 +179,15 @@ class TestCompare:
         with pytest.raises(ValueError):
             compare({"a": [1.0], "b": []})
 
+    def test_rejects_a_nan_naming_its_group(self):
+        # a NaN mean would let the best-group min keep an arbitrary group
+        with pytest.raises(ValueError, match="group 'fa' holds a NaN"):
+            compare({"fa": [1.0, math.nan], "ga": [3.0, 4.0]})
+        with pytest.raises(ValueError, match="group 'ga' holds a NaN"):
+            kruskal_wallis({"fa": [1.0, 2.0], "ga": [math.nan, 4.0]})
+        # +inf is a value, ranked last
+        assert compare({"fa": [1.0, math.inf], "ga": [3.0, 4.0]}).best_group == "ga"
+
 
 def _random_group_sets(count, seed):
     """Seeded group sets: tie-heavy integers, values with +inf, continuous
