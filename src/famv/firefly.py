@@ -14,19 +14,24 @@ evaluation time.
 The schedule comes from `_sweep` (Yang 2009): fireflies move one at a time,
 each toward every brighter one in turn from its updated position, one FE per
 move, and a firefly with no brighter one takes a uniform random step.  Each
-move is one draw from the run's stream and one pass of numpy operations over
-the vectors.  famv computes ``d = xj - xi`` and the indices of the m
-differing codes once, for the distance, the continuous move and the copy
-step, and one decay e = exp(-gamma r^2), which gives both beta = beta0 e and
-the copy probability e; it draws n_c + m + n_d + n_cat doubles: continuous
-noise, copy uniforms, the integer step and one replacement flag per
-categorical code.
-fa computes ``d`` once, clips once and rounds its discrete slots.  famv's
-exploration step is one pass over the whole code vector: the integer step
-on every code, then each categorical code keeps its value from before the
-step unless its flag is below the replacement probability, in which case it
-is redrawn as floor(u * size) from the same stream.  Every random number of
-a run, the first population included, is a double of that one stream.
+move, an idle walk included, reads one row of w = n_c + 2 n_d + 2 n_cat
+doubles of the run's stream, whatever the positions: continuous noise (n_c),
+one copy uniform per code (n_d), the integer step (n_d), one replacement
+flag per categorical code (n_cat) and one redraw per categorical code
+(n_cat).  fa has no code vector, so its row is the n doubles of its noise.
+Each move is one pass of numpy operations over the vectors.  famv computes
+``d = xj - xi`` and the indices of the m differing codes once, for the
+distance, the continuous move and the copy step, and one decay
+e = exp(-gamma r^2), which gives both beta = beta0 e and the copy
+probability e; code k is copied when it differs and its copy uniform is
+below e.  fa computes ``d`` once, clips once and rounds its discrete slots.
+famv's exploration step is one pass over the whole code vector: the integer
+step on every code, then each categorical code keeps its value from before
+the step unless its flag is below the replacement probability, in which
+case it is redrawn as floor(u * size) from its redraw column.  Every random
+number of a run is a double of that one stream: the first population is
+one draw of n + n_d doubles per firefly, the position first, and the rows
+follow.
 
 A run keeps each firefly's codes in one of two forms, which `_fly` alone
 chooses, once, from the space.  With 0 to K = `_TUPLE_CODES` codes, all
@@ -59,71 +64,63 @@ from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace, Sear
                    check_integer, check_real)
 from .distances import CODE_DISTANCES, DistanceKind
 
-_BLOCK = 4096   # doubles drawn ahead by _Uniforms
+_BLOCK = 4096   # doubles drawn ahead by _Uniforms, in whole rows
 _HALF = np.array(0.5)   # 0-d: numpy 2 takes a slower path for a Python float operand
 
 
 class _Uniforms:
-    """The uniform stream of ``rng``, served from blocks drawn ahead.
+    """The rows of the uniform stream of ``rng`` that a firefly run's moves
+    read, drawn ahead in blocks.
 
-    Each double of ``Generator.random`` comes from one 64-bit draw, so
-    ``random(n)`` calls give exactly the doubles one ``rng.random(total)``
-    call would, however they are chunked, at a slice's cost instead of a
-    ``Generator`` call's; ``move`` serves them in the forms one firefly
-    move uses, scaled by the alpha last given to ``scale``.  Blocks are
-    read-only, so no stage can write into its uniforms.  The firefly loop
-    wraps its generator before its first draw, so a firefly run takes only
-    doubles from it, codes included.  Once wrapped, ``rng`` must not be
-    drawn from directly.
+    Every move, an idle walk included, reads one row of
+    w = n_c + 2 n_d + 2 n_cat doubles u: n_c of continuous noise, one copy
+    uniform per code, n_d of the integer step, one replacement flag per
+    categorical code and one redraw per categorical code, in that order.  A
+    block is ``max(1, _BLOCK // w)`` rows from one ``rng.random((rows, w))``
+    call.  Each double of ``Generator.random`` comes from one 64-bit draw,
+    so the rows are the doubles of one flat ``rng.random`` call, reshaped,
+    however the blocks fall.  The noise and step columns are also kept as
+    alpha (u - 1/2) and alpha (2u - 1) for the alpha last given to
+    ``scale``.  Every view is read-only, so no stage can write into its
+    uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._rng, self._pos, self._alpha = rng, 0, 1.0
-        self._set_block(np.empty(0))
+    def __init__(self, rng: np.random.Generator, n_c: int, n_d: int, n_cat: int):
+        width = n_c + 2 * n_d + 2 * n_cat
+        self._rng, self._shape, self._alpha = rng, (max(1, _BLOCK // width), width), 1.0
+        self._edges = np.cumsum([n_c, n_d, n_d, n_cat])   # where each later column group starts
+        self._set_block(np.empty((0, width)))
 
     def _set_block(self, block: np.ndarray) -> None:
-        self._block = block
+        self._block, self._next = block, 0
         block.flags.writeable = False
         self._rescale()
 
     def scale(self, alpha: float) -> None:
-        """Keep each double u of the block also as alpha (u - 1/2) and
-        alpha (2u - 1), the forms a move uses, computed once per block and
-        alpha by the expressions a move would apply to its slice: the same
+        """Keep the noise and step columns u of the block also as
+        alpha (u - 1/2) and alpha (2u - 1), computed once per block and
+        alpha by the expressions a move would apply to its row: the same
         doubles.  An unchanged alpha keeps the forms it already has."""
         if alpha != self._alpha:
             self._alpha = alpha
             self._rescale()
 
     def _rescale(self) -> None:
+        a, b, c, d = self._edges
         alpha, block = self._alpha, self._block
-        self._half, self._sym = alpha * (block - 0.5), alpha * (2.0 * block - 1.0)
-        self._half.flags.writeable = self._sym.flags.writeable = False
+        half, sym = alpha * (block[:, :a] - 0.5), alpha * (2.0 * block[:, b:c] - 1.0)
+        half.flags.writeable = sym.flags.writeable = False
+        self._columns = half, block[:, a:b], sym, block[:, c:d], block[:, d:]
 
-    def _take(self, n: int) -> int:
-        """Where the next ``n`` doubles start in the current block."""
-        end = self._pos + n
-        if end > len(self._block):
-            self._set_block(np.concatenate((self._block[self._pos:],
-                                            self._rng.random(max(_BLOCK, n)))))
-            self._pos, end = 0, n
-        start, self._pos = self._pos, end
-        return start
-
-    def random(self, n: int) -> np.ndarray:
-        """The next ``n`` doubles in [0, 1), as a read-only array."""
-        start = self._take(n)
-        return self._block[start:start + n]
-
-    def move(self, n_c: int, m: int, n_d: int,
-             n_cat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The next ``n_c + m + n_d + n_cat`` doubles u of one firefly move:
-        alpha (u - 1/2) for the first ``n_c`` (continuous noise), u for the
-        next ``m`` (copy uniforms), alpha (2u - 1) for the next ``n_d`` (the
-        integer step) and u for the last ``n_cat`` (categorical flags)."""
-        a = self._take(n_c + m + n_d + n_cat)
-        b, c, d = a + n_c, a + n_c + m, a + n_c + m + n_d
-        return self._half[a:b], self._block[b:c], self._sym[c:d], self._block[d:d + n_cat]
+    def move(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The next row, as five read-only views: the noise alpha (u - 1/2),
+        the copy uniforms u, the integer step alpha (2u - 1), the
+        categorical flags u and the categorical redraws u."""
+        if self._next == len(self._block):
+            self._set_block(self._rng.random(self._shape))
+        t, self._next = self._next, self._next + 1
+        half, copy, sym, flags, redraw = self._columns
+        return half[t], copy[t], sym[t], flags[t], redraw[t]
 
 
 @dataclass(frozen=True)
@@ -200,9 +197,9 @@ def _round_codes(v: np.ndarray) -> np.ndarray:
 
 def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarray,
                     prob: float, u: np.ndarray) -> np.ndarray:
-    """Copy ``xj_codes[k]`` for each k of ``differ`` whose uniform is below
-    ``prob``; with no code copied, ``xi_codes`` itself comes back."""
-    copied = differ[u < prob]
+    """Copy ``xj_codes[k]`` for each k of ``differ`` whose uniform ``u[k]``
+    is below ``prob``; with no code copied, ``xi_codes`` itself comes back."""
+    copied = differ[u[differ] < prob]
     if not len(copied):
         return xi_codes
     out = xi_codes.copy()
@@ -213,11 +210,11 @@ def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarr
 def _copy_differing_ints(xi_codes, xj_codes, differ: list, prob: float,
                          u: np.ndarray) -> list:
     """`_copy_differing` on code tuples: a list of ``xi_codes`` with
-    ``xj_codes[k]`` copied for each k of ``differ`` whose uniform is below
-    ``prob``."""
-    out = list(xi_codes)
-    for k, v in zip(differ, u.tolist()):
-        if v < prob:
+    ``xj_codes[k]`` copied for each k of ``differ`` whose uniform ``u[k]``
+    is below ``prob``."""
+    out, u = list(xi_codes), u.tolist()
+    for k in differ:
+        if u[k] < prob:
             out[k] = xj_codes[k]
     return out
 
@@ -236,14 +233,15 @@ def _differ_ints(xi_codes, xj_codes) -> list:
 def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
               rng: np.random.Generator) -> np.ndarray:
     """Copy each differing discrete component from the brighter firefly with
-    probability ``prob``; agreeing components never change.  One uniform is
-    drawn per differing component, in order; with none copied, ``xi_codes``
-    itself comes back."""
+    probability ``prob``; agreeing components never change.  As in a
+    firefly move, one uniform is drawn per component, in order, and only a
+    differing component's is read; with none copied, ``xi_codes`` itself
+    comes back."""
     xi_codes, xj_codes = np.asarray(xi_codes), np.asarray(xj_codes)
     if len(xi_codes) != space.n_d or len(xj_codes) != space.n_d:
         raise ValueError("discrete parts do not conform to the space")
-    differ = _differ(xi_codes, xj_codes)
-    return _copy_differing(xi_codes, xj_codes, differ, prob, rng.random(len(differ)))
+    return _copy_differing(xi_codes, xj_codes, _differ(xi_codes, xj_codes), prob,
+                           rng.random(space.n_d))
 
 
 def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -271,14 +269,16 @@ def _integer_step_ints(codes, lo: list, hi: list, step: np.ndarray) -> tuple:
 # a categorical dimension.
 def alpha_step_categorical(codes: np.ndarray, cat_idx: np.ndarray, sizes: np.ndarray,
                            flags: np.ndarray, p_alpha: float,
-                           rng: np.random.Generator) -> np.ndarray:
+                           redraw: np.ndarray) -> np.ndarray:
     """Redraw in place, and return, ``codes``: each categorical code
-    ``codes[cat_idx[k]]`` whose flag, a uniform, is below ``p_alpha`` is
-    redrawn uniformly over its ``sizes[k]`` symbols (the current one may be
-    redrawn).  The redraw truncates u * size for a fresh u in [0, 1) from
-    ``rng``, which stays below ``size`` for every u < 1."""
+    ``codes[cat_idx[k]]`` whose flag ``flags[k]``, a uniform, is below
+    ``p_alpha`` is redrawn uniformly over its ``sizes[k]`` symbols (the
+    current one may be redrawn).  The redraw truncates u * size for the
+    code's own uniform u = ``redraw[k]`` in [0, 1), which stays below
+    ``size`` for every u < 1.  The flag is not reused: rescaled as
+    flag * (1 / p_alpha) it can round to 1 and give ``size``."""
     hit = (flags < p_alpha).nonzero()[0]
-    codes[cat_idx[hit]] = (rng.random(len(hit)) * sizes[hit]).astype(np.int64)
+    codes[cat_idx[hit]] = (redraw[hit] * sizes[hit]).astype(np.int64)
     return codes
 
 
@@ -349,10 +349,9 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     tuples of ints where `_int_tuples` holds, which it hands to
     ``evaluate`` as they are, else int64 arrays, which it decodes with
     ``layout.decode``."""
-    n, n_d, cat_idx = len(lo), len(layout.disc_lo), layout.cat_idx
-    n_cat, width = len(cat_idx), hi - lo
-    cat_sizes = layout.cat_sizes.astype(float)   # exact up to 2**53; u * size is then one dtype
-    rng = _Uniforms(np.random.default_rng(config.seed))
+    n, n_d, n_cat = len(lo), len(layout.disc_lo), len(layout.cat_idx)
+    # float sizes are exact up to 2**53, and u * size is then one dtype
+    cat_idx, cat_sizes = layout.cat_idx, layout.cat_sizes.astype(float)
     # the code-step pieces of the run's code form; float bounds keep the
     # array step's clip in one dtype, which is exact within 2**52
     tuples = _int_tuples(layout)
@@ -363,15 +362,16 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
         differing, copy, step_codes = _differ, _copy_differing, _integer_step
         code_lo, code_hi = layout.disc_lo.astype(float), layout.disc_hi.astype(float)
 
-    # the first population: n + n_d doubles each, the position first; a code
-    # is disc_lo + floor(u * size), below its bound for every u < 1
-    xs, codes, fitness = [], [], []
-    for _ in range(min(config.pop_size, config.max_fe)):
-        u = rng.random(n + n_d)
-        xs.append(lo + u[:n] * width)
-        first = layout.disc_lo + (u[n:] * layout.disc_sizes).astype(np.int64)
-        codes.append(tuple(first.tolist()) if tuples else first)
-        fitness.append(evaluate(xs[-1], codes[-1] if tuples else layout.decode(first)))
+    # the first population: one row of n + n_d doubles per firefly, the
+    # position first; a code is disc_lo + floor(u * size), below its bound
+    # for every u < 1.  Every move then reads one row of `_Uniforms`
+    rng = np.random.default_rng(config.seed)
+    pop = rng.random((min(config.pop_size, config.max_fe), n + n_d))
+    rows = _Uniforms(rng, n, n_d, n_cat)
+    xs = list(lo + pop[:, :n] * (hi - lo))
+    first = layout.disc_lo + (pop[:, n:] * layout.disc_sizes).astype(np.int64)
+    codes = [tuple(c) for c in first.tolist()] if tuples else list(first)
+    fitness = [evaluate(x, c if tuples else layout.decode(c)) for x, c in zip(xs, codes)]
 
     alpha, gamma = config.alpha, config.gamma
     while not budget.exhausted:
@@ -381,30 +381,26 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
             gamma = g if config.adapt_gamma else gamma
         if n_cat:   # only a categorical code reads it
             p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
-        rng.scale(alpha)
+        rows.scale(alpha)
 
-        # one draw per move: the position's noise, a copy uniform per differing
-        # code, the integer step and the categorical flags; the redraws follow
         for i, j in _sweep(fitness, budget):
+            noise, u, step, flags, redraw = rows.move()
             xi, disc = xs[i], codes[i]
             if j is None:
-                noise, _, step, flags = rng.move(n, 0, n_d, n_cat)
                 x = xi + noise
             else:
                 d, cj = xs[j] - xi, codes[j]
                 differ = differing(disc, cj) if n_d else ()
-                m = len(differ)
-                r = distance(d, m)
-                noise, u, step, flags = rng.move(n, m, n_d, n_cat)
+                r = distance(d, len(differ))
                 e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
                 x = _attract(xi, d, attractiveness(config.beta0, e), noise)
-                if m:
+                if len(differ):
                     disc = copy(disc, cj, differ, e, u)
             if n_d:
                 stepped = step_codes(disc, code_lo, code_hi, step)
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
                     stepped[cat_idx] = disc[cat_idx]
-                    alpha_step_categorical(stepped, cat_idx, cat_sizes, flags, p_alpha, rng)
+                    alpha_step_categorical(stepped, cat_idx, cat_sizes, flags, p_alpha, redraw)
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
             fitness[i] = evaluate(x, codes[i] if tuples else layout.decode(codes[i]))

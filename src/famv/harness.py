@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -68,14 +69,18 @@ def run_algorithm(name: str, problem: ObjectiveFunction, max_fe: int, seed: int,
 class ExperimentSpec:
     """An experiment grid and the defaults of every run setting; the CLI
     passes only the settings a user gave.  Bad settings are rejected here,
-    before any output is written, each naming the setting: an empty problem
-    or algorithm list or output directory, a repeated or unknown problem or
-    algorithm name, ``runs``, ``budget`` or ``stride`` below 1, a negative
-    ``base_seed``, or a non-integer one of these four."""
+    before any output is written, each naming the setting.  A TypeError:
+    ``problems`` or ``algorithms`` that is not a list or tuple of str (a
+    bare string included), ``out_dir`` that is not a str or an
+    ``os.PathLike``, or a non-integer ``runs``, ``budget``, ``stride``,
+    ``base_seed`` or ``dim``.  A ValueError: an empty problem or algorithm
+    list or output directory, a repeated or unknown problem or algorithm
+    name, ``runs``, ``budget`` or ``stride`` below 1, a negative
+    ``base_seed``, or ``dim`` below 2."""
 
     problems: list[str] = field(default_factory=list)
     algorithms: list[str] = field(default_factory=list)
-    out_dir: str = ""
+    out_dir: str | os.PathLike = ""
     runs: int = 30
     budget: int | None = None       # None: per-problem default
     base_seed: int = 0
@@ -83,17 +88,22 @@ class ExperimentSpec:
     dim: int = SYNTHETIC_DIM        # synthetic problems only
 
     def __post_init__(self):
+        for name in ("problems", "algorithms"):
+            names = getattr(self, name)
+            if not isinstance(names, (list, tuple)) or not all(isinstance(v, str) for v in names):
+                raise TypeError(f"{name} must be a list or tuple of str, got {names!r}")
+            for k, value in enumerate(names):
+                if value in names[:k]:
+                    raise ValueError(f"{name} repeats {value!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise TypeError(f"out_dir must be a str or an os.PathLike, got {self.out_dir!r}")
         for name in ("problems", "algorithms", "out_dir"):
             if not getattr(self, name):
                 raise ValueError(f"no {name} given")
         for name, least in (("runs", 1), ("budget", 1), ("stride", 1), ("base_seed", 0)):
             if getattr(self, name) is not None:
                 check_integer(name, getattr(self, name), least)
-        for name in ("problems", "algorithms"):
-            names = getattr(self, name)
-            for k, value in enumerate(names):
-                if value in names[:k]:
-                    raise ValueError(f"{name} repeats {value!r}")
+        check_integer("dim", self.dim, 2)
         for name in self.problems:
             get_problem(name, dim=self.dim)
         for name in self.algorithms:

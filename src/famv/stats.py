@@ -30,11 +30,14 @@ def chi2_sf(x: float, df: int) -> float:
     """P(X >= x) for a chi-square variable with a positive integer df, the
     only kind Kruskal-Wallis has.  With y = x/2 the tail is a finite sum:
     sum_{i<m} e^-y y^i / i! for df = 2m, and
-    erfc(sqrt y) + sum_{i<m} e^-y y^(i+1/2) / Gamma(i+3/2) for df = 2m+1."""
+    erfc(sqrt y) + sum_{i<m} e^-y y^(i+1/2) / Gamma(i+3/2) for df = 2m+1.
+    The tail is 1 at x = 0 and 0 at x = +inf, where the sum would be NaN."""
     if not x >= 0 or df < 1 or df != int(df):
         raise ValueError(f"need x >= 0 and an integer df >= 1, got x={x}, df={df}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     y = x / 2.0
     m, odd = divmod(int(df), 2)
     a = 0.5 * odd

@@ -23,14 +23,6 @@ def encode(space: SearchSpace, disc) -> np.ndarray:
                      for v, d in zip(disc, space.discrete)], dtype=np.int64)
 
 
-def random_point(space: SearchSpace, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The continuous vector and code vector that `famv.random_solution`
-    draws: ``space.dim`` doubles of ``rng.random``, continuous first."""
-    u = rng.random(space.dim)
-    cont = space.cont_lo + u[:space.n_c] * space.cont_range
-    return cont, space.disc_lo + (u[space.n_c:] * space.disc_sizes).astype(np.int64)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

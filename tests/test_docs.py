@@ -50,7 +50,7 @@ def _private_names() -> set[str]:
 
 def test_readme_names_no_private_famv_name():
     private = _private_names()
-    assert {"_fly", "_sweep", "_Uniforms", "_take"} <= private
+    assert {"_fly", "_sweep", "_Uniforms", "_rescale"} <= private
     spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```$", "", README,
                                               flags=re.MULTILINE | re.DOTALL))
     named = {n for span in spans for n in re.findall(r"\b_\w+", span)}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from conftest import encode, random_point
+from conftest import encode
 from test_engine_properties import Bowl, _dims
 
 from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
@@ -123,87 +123,128 @@ class TestBetaStep:
             assert all(o in (a, b) for o, a, b in zip(out, xi, xj))
 
 
-class TestUniforms:
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2 ** 32),
-           st.lists(st.one_of(st.integers(0, 40), st.integers(_BLOCK - 3, 2 * _BLOCK + 3)),
-                    max_size=12))
-    def test_chunks_are_one_read_only_stream(self, seed, sizes):
-        uniforms = _Uniforms(np.random.default_rng(seed))
-        chunks = [uniforms.random(n) for n in sizes]
-        assert [len(c) for c in chunks] == sizes
-        assert not any(c.flags.writeable for c in chunks)
-        np.testing.assert_array_equal(np.concatenate([np.empty(0), *chunks]),
-                                      np.random.default_rng(seed).random(sum(sizes)))
+def _columns(row, n_c, n_d, n_cat):
+    """A move's row split into its noise, copy, step, flag and redraw columns."""
+    return np.split(row, np.cumsum([n_c, n_d, n_d, n_cat]))
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2 ** 32),
-           st.lists(st.tuples(st.one_of(st.none(), st.floats(1e-3, 1e3)), st.integers(0, 5),
-                              st.one_of(st.integers(0, 40), st.integers(_BLOCK - 3, _BLOCK + 3)),
-                              st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
-                    max_size=12))
-    # alpha changes mid-block, then a move crosses the block boundary under
-    # it, then alpha changes again in the new block
-    @example(seed=3, calls=[(None, 1, 10, 2, 5, 3), (0.25, 0, 7, 4, 6, 2),
-                            (None, 2, _BLOCK - 20, 3, 8, 4), (7.5, 3, 5, 1, 9, 2)])
-    def test_move_forms_come_from_the_same_stream(self, seed, calls):
-        # each call: scale(alpha) unless alpha is None, random(k), then
-        # move(n_c, m, n_d, n_cat)
-        uniforms = _Uniforms(np.random.default_rng(seed))
-        u = np.random.default_rng(seed).random(sum(sum(c[1:]) for c in calls))
-        pos, alpha = 0, 1.0
-        for new_alpha, k, n_c, m, n_d, n_cat in calls:
+
+class TestUniforms:
+    """`_Uniforms(rng, n_c, n_d, n_cat).move()` serves one row of
+    w = n_c + 2 n_d + 2 n_cat doubles per call, the noise and step columns
+    scaled by the alpha last given to ``scale``."""
+
+    @staticmethod
+    def _assert_rows(seed, widths, calls):
+        """Run ``calls``, each ``(alpha, moves)``: scale(alpha) unless alpha
+        is None, then that many moves; every row must be the next w doubles
+        of one flat draw, read-only, its noise and step columns in their
+        alpha forms."""
+        n_c, n_d, n_cat = widths
+        width = n_c + 2 * n_d + 2 * n_cat
+        uniforms = _Uniforms(np.random.default_rng(seed), n_c, n_d, n_cat)
+        flat = np.random.default_rng(seed).random(sum(k for _, k in calls) * width)
+        rows = iter(flat.reshape(-1, width))
+        alpha = 1.0
+        for new_alpha, moves in calls:
             if new_alpha is not None:
                 uniforms.scale(new_alpha)
                 alpha = new_alpha
-            assert uniforms.random(k).tobytes() == u[pos:pos + k].tobytes()
-            a = pos + k
-            b, c, d = a + n_c, a + n_c + m, a + n_c + m + n_d
-            noise, copy, step, flags = uniforms.move(n_c, m, n_d, n_cat)
-            assert not any(x.flags.writeable for x in (noise, copy, step, flags))
-            assert noise.tobytes() == (alpha * (u[a:b] - 0.5)).tobytes()
-            assert copy.tobytes() == u[b:c].tobytes()
-            assert step.tobytes() == (alpha * (2.0 * u[c:d] - 1.0)).tobytes()
-            assert flags.tobytes() == u[d:d + n_cat].tobytes()
-            pos = d + n_cat
+            for _ in range(moves):
+                noise, copy, step, flags, redraw = uniforms.move()
+                assert not any(x.flags.writeable
+                               for x in (noise, copy, step, flags, redraw))
+                u_noise, u_copy, u_step, u_flags, u_redraw = _columns(next(rows), *widths)
+                assert noise.tobytes() == (alpha * (u_noise - 0.5)).tobytes()
+                assert copy.tobytes() == u_copy.tobytes()
+                assert step.tobytes() == (alpha * (2.0 * u_step - 1.0)).tobytes()
+                assert flags.tobytes() == u_flags.tobytes()
+                assert redraw.tobytes() == u_redraw.tobytes()
+
+    def test_chunks_are_one_read_only_stream(self):
+        # three blocks and a row of a fourth, at the default alpha; a row
+        # wider than a block makes a block of one row
+        for widths in [(1, 0, 0), (0, 1, 1), (3, 2, 1), (_BLOCK + 3, 1, 1)]:
+            rows = max(1, _BLOCK // (widths[0] + 2 * widths[1] + 2 * widths[2]))
+            self._assert_rows(5, widths, [(None, 3 * rows + 1)])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.tuples(st.integers(0, 40), st.integers(0, 12), st.integers(0, 6)),
+           st.lists(st.tuples(st.one_of(st.none(), st.floats(1e-3, 1e3)), st.integers(0, 300)),
+                    max_size=8))
+    # alpha changes mid-block, then moves cross the block boundary under it,
+    # then alpha changes again in the new block
+    @example(seed=3, widths=(10, 5, 3), calls=[(None, 2), (0.25, 100), (None, 40), (7.5, 3)])
+    def test_move_forms_come_from_the_same_stream(self, seed, widths, calls):
+        assume(sum(widths))
+        self._assert_rows(seed, widths, calls)
 
     def test_writing_into_uniforms_raises(self):
-        with pytest.raises(ValueError):
-            _Uniforms(np.random.default_rng(0)).random(3)[0] = 0.5
+        uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 1)
+        uniforms.scale(0.5)
+        for view in uniforms.move():
+            with pytest.raises(ValueError):
+                view[0] = 0.5
 
     def test_repeated_scale_keeps_the_forms(self):
-        uniforms = _Uniforms(np.random.default_rng(0))
-        uniforms.random(1)
+        uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 1)
+        uniforms.move()
         uniforms.scale(0.5)
-        half, sym = uniforms._half, uniforms._sym
+        half, _, sym, _, _ = uniforms._columns
         uniforms.scale(0.5)
-        assert uniforms._half is half and uniforms._sym is sym
+        assert uniforms._columns[0] is half and uniforms._columns[2] is sym
 
     def test_new_alpha_recomputes_the_forms(self):
-        uniforms = _Uniforms(np.random.default_rng(0))
-        u = uniforms.random(1)
+        uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 1)
+        uniforms.move()
         uniforms.scale(0.5)
-        half = uniforms._half
+        half = uniforms._columns[0]
         uniforms.scale(0.25)
-        assert uniforms._half is not half
-        noise, _, step, _ = uniforms.move(2, 0, 2, 0)
-        block = np.random.default_rng(0).random(5)
-        assert u.tobytes() == block[:1].tobytes()
-        assert noise.tobytes() == (0.25 * (block[1:3] - 0.5)).tobytes()
-        assert step.tobytes() == (0.25 * (2.0 * block[3:5] - 1.0)).tobytes()
+        assert uniforms._columns[0] is not half
+        noise, _, step, _, _ = uniforms.move()
+        row = np.random.default_rng(0).random(2 * 8)[8:]   # w = 2 + 2 * 2 + 2 * 1
+        assert noise.tobytes() == (0.25 * (row[:2] - 0.5)).tobytes()
+        assert step.tobytes() == (0.25 * (2.0 * row[4:6] - 1.0)).tobytes()
 
     def test_block_crossing_after_a_skipped_scale(self):
         # the first block is scaled by 0.5 once, the repeat is skipped, and
-        # the move that crosses into the next block must get its forms at 0.5
-        uniforms = _Uniforms(np.random.default_rng(0))
-        uniforms.random(1)
+        # the move that starts the next block must get its forms at 0.5
+        n_c, n_d = 3, 3
+        rows = _BLOCK // (n_c + 2 * n_d)
+        uniforms = _Uniforms(np.random.default_rng(0), n_c, n_d, 0)
         uniforms.scale(0.5)
-        uniforms.random(_BLOCK - 3)
+        for _ in range(rows):
+            uniforms.move()
         uniforms.scale(0.5)
-        noise, _, step, _ = uniforms.move(3, 0, 3, 0)
-        u = np.random.default_rng(0).random(_BLOCK + 4)[_BLOCK - 2:]
-        assert noise.tobytes() == (0.5 * (u[:3] - 0.5)).tobytes()
-        assert step.tobytes() == (0.5 * (2.0 * u[3:] - 1.0)).tobytes()
+        noise, _, step, _, _ = uniforms.move()
+        u = np.random.default_rng(0).random((rows + 1) * (n_c + 2 * n_d))[-(n_c + 2 * n_d):]
+        assert noise.tobytes() == (0.5 * (u[:n_c] - 0.5)).tobytes()
+        assert step.tobytes() == (0.5 * (2.0 * u[n_c + n_d:] - 1.0)).tobytes()
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "famv-h-adaptive"])
+@given(dims=st.lists(_dims, min_size=1, max_size=6), budget=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 16))
+@example(dims=[IntegerRange(5, 5), Categorical(("x",)), Categorical(("x", "y", "z")),
+               Continuous(0.0, 1.0)], budget=300, seed=0)
+@settings(max_examples=20, deadline=None)
+def test_one_row_of_w_doubles_per_move(algo, dims, budget, seed):
+    # after the first population every FE reads one row of the stream, of a
+    # width fixed by the space: n for fa's relaxed box, n_c + 2 n_d + 2 n_cat
+    # for famv, whatever the positions
+    space = SearchSpace(dims)
+    width = space.dim if algo == "fa" else space.n_c + 2 * space.n_d + 2 * len(space.cat_idx)
+    move, widths = _Uniforms.move, []
+
+    def recording(self):
+        row = move(self)
+        widths.append(sum(len(column) for column in row))
+        return row
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Uniforms, "move", recording)
+        run_algorithm(algo, Bowl(dims), budget, seed)
+    assert widths == [width] * (budget - min(FireflyConfig(max_fe=budget).pop_size, budget))
 
 
 def _admitted(code: int) -> bool:
@@ -276,52 +317,38 @@ def test_huge_alpha_runs_without_overflow(problem):
     assert trace.final.solution.conforms(problem.space)
 
 
-class _LargestUniform:
-    """A stand-in generator whose every uniform is the largest double below 1."""
-
-    def random(self, n):
-        return np.full(n, np.nextafter(1.0, 0.0))
-
-
-class _Replay:
-    """A stand-in generator that serves the given uniforms."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u
+_LARGEST = np.nextafter(1.0, 0.0)   # the largest uniform, just below 1
 
 
 class TestAlphaStepCategorical:
-    """`alpha_step_categorical(codes, cat_idx, sizes, flags, p, rng)` redraws
-    ``codes[cat_idx[k]]`` in place as floor(u * sizes[k]), u from ``rng``,
+    """`alpha_step_categorical(codes, cat_idx, sizes, flags, p, redraw)`
+    redraws ``codes[cat_idx[k]]`` in place as floor(redraw[k] * sizes[k])
     for each flag below p."""
 
     def test_zero_probability_keeps_value(self, rng):
         codes = np.array([0, 2, 1])
         out = alpha_step_categorical(codes.copy(), np.arange(3), np.array([3, 3, 3]),
-                                     rng.random(3), 0.0, rng)
+                                     rng.random(3), 0.0, rng.random(3))
         np.testing.assert_array_equal(out, codes)
 
     def test_uniform_replacement(self, rng):
         trials = 30_000
         out = alpha_step_categorical(np.zeros(trials, dtype=np.int64), np.arange(trials),
-                                     np.full(trials, 3), np.zeros(trials), 1.0, rng)
+                                     np.full(trials, 3), np.zeros(trials), 1.0,
+                                     rng.random(trials))
         for share in np.bincount(out, minlength=3) / trials:
             assert abs(share - 1.0 / 3.0) < 0.02
 
-    def test_singleton_forced(self, rng):
+    def test_singleton_forced(self):
         out = alpha_step_categorical(np.array([0]), np.arange(1), np.array([1]),
-                                     np.zeros(1), 1.0, rng)
+                                     np.zeros(1), 1.0, np.full(1, _LARGEST))
         np.testing.assert_array_equal(out, [0])
 
     def test_largest_uniform_redraws_the_last_symbol(self):
         sizes = np.array([1, 2, 3, 201, 1201, 2 ** 22 - 1, 2 ** 53 - 1, 2 ** 53])
         out = alpha_step_categorical(np.zeros(len(sizes), dtype=np.int64),
                                      np.arange(len(sizes)), sizes, np.zeros(len(sizes)), 1.0,
-                                     _LargestUniform())
+                                     np.full(len(sizes), _LARGEST))
         assert out.dtype == np.int64
         np.testing.assert_array_equal(out, sizes - 1)
 
@@ -329,22 +356,34 @@ class TestAlphaStepCategorical:
         # the firefly loop passes its sizes as float64: exact up to 2**53, so
         # u * size is the same double and every redrawn code the same
         sizes = np.array([1, 2, 3, 201, 1201, 2 ** 22 - 1, 2 ** 53 - 1, 2 ** 53])
-        for source in (_LargestUniform(), np.random.default_rng(7)):
-            stream = source.random(len(sizes))
+        for redraw in (np.full(len(sizes), _LARGEST), np.random.default_rng(7).random(len(sizes))):
             codes = [alpha_step_categorical(np.zeros(len(sizes), dtype=np.int64),
                                             np.arange(len(sizes)), s, np.zeros(len(sizes)),
-                                            1.0, _Replay(stream))
+                                            1.0, redraw)
                      for s in (sizes, sizes.astype(float))]
             assert codes[1].dtype == np.int64
             np.testing.assert_array_equal(codes[1], codes[0])
 
     def test_flags_pick_the_codes_redrawn_in_place(self):
-        # codes 1, 3 and 4 are categorical; only code 4's flag is below p
+        # codes 1, 3 and 4 are categorical; only code 4's flag is below p,
+        # and code 4 is redrawn from its own redraw double
         codes = np.array([5, 0, 7, 1, 0])
         out = alpha_step_categorical(codes, np.array([1, 3, 4]), np.array([4, 2, 6]),
-                                     np.array([0.5, 0.25, 0.2]), 0.25, _LargestUniform())
+                                     np.array([0.5, 0.25, 0.2]), 0.25,
+                                     np.array([0.9, 0.9, _LARGEST]))
         assert out is codes
         np.testing.assert_array_equal(out, [5, 0, 7, 1, 5])
+
+    def test_a_flag_just_below_p_redraws_below_size(self):
+        # the flag rescaled as flag * (1 / p) rounds to 1 here, which would
+        # give the code `size`; the code's own redraw double keeps it below
+        p, size = 0.8158535541215322, 3.0
+        flag = np.nextafter(p, 0.0)
+        assert math.floor(flag * (1.0 / p) * size) == size
+        out = alpha_step_categorical(np.zeros(1, dtype=np.int64), np.arange(1),
+                                     np.array([size]), np.array([flag]), p,
+                                     np.full(1, _LARGEST))
+        np.testing.assert_array_equal(out, [size - 1])
 
 
 class TestAlphaStepAll:
@@ -362,7 +401,7 @@ class TestAlphaStepAll:
             stepped = _integer_step(codes, space.disc_lo, space.disc_hi, step)
             stepped[space.cat_idx] = codes[space.cat_idx]
             out = alpha_step_categorical(stepped, space.cat_idx, space.cat_sizes.astype(float),
-                                         rng.random(2), 0.0, rng)
+                                         rng.random(2), 0.0, rng.random(2))
             np.testing.assert_array_equal(out[space.cat_idx], codes[space.cat_idx])
             assert MixedSolution(np.zeros(1), space.decode(out)).conforms(space)
         assert set(out[[0, 2]]) <= {-2, 4, 7}
@@ -817,35 +856,38 @@ def _round_half_away(v):
 
 
 def _staged_famv(problem, config: FireflyConfig):
-    """run_famv written from the formulas, each stage drawing its own
-    uniforms from the stream in the engine's order.  With m the number of
-    differing codes: the distance (||d|| + m) / dim for mixed-EH or
-    (sum |d| / range + m) / dim for Gower, d = xj - xi; the move
-    xi + beta d + alpha (u - 1/2) with beta = beta0 exp(-gamma r^2); one
-    copy uniform per differing code, in order, copying xj's code when it is
-    below p = exp(-gamma r^2); the integer step
+    """run_famv written from the formulas, on a plain generator: the first
+    population is one draw of ``dim`` doubles per firefly, continuous first,
+    and every move then draws one row of n_c + 2 n_d + 2 n_cat doubles,
+    read column by column.  With m the number of differing codes: the
+    distance (||d|| + m) / dim for mixed-EH or (sum |d| / range + m) / dim
+    for Gower, d = xj - xi; the move xi + beta d + alpha (u - 1/2) with
+    beta = beta0 exp(-gamma r^2); code k copies xj's code when it differs
+    and its copy uniform is below p = exp(-gamma r^2); the integer step
     round(c + alpha (2u - 1)) on every code, halves away from zero, then
     np.clip; each categorical code then keeps its pre-step value or, for a
-    uniform below p_alpha, is redrawn as floor(u * size)."""
+    flag below p_alpha, is redrawn as floor(u * size) from its redraw
+    uniform."""
     space = problem.space
-    rng = _Uniforms(np.random.default_rng(config.seed))
+    n_c, n_d, cats = space.n_c, space.n_d, space.cat_idx
+    rng = np.random.default_rng(config.seed)
     rec = Recorder(problem, config.max_fe)
-    conts, codes, fitness = [], [], []
-    for _ in range(min(config.pop_size, config.max_fe)):
-        cont, code = random_point(space, rng)
-        conts.append(cont)
-        codes.append(code)
-        fitness.append(rec.evaluate(cont, space.decode(code)))
-    alpha, gamma, cats = config.alpha, config.gamma, space.cat_idx
+    first = rng.random((min(config.pop_size, config.max_fe), space.dim))
+    conts = [space.cont_lo + u[:n_c] * space.cont_range for u in first]
+    codes = [space.disc_lo + (u[n_c:] * space.disc_sizes).astype(np.int64) for u in first]
+    fitness = [rec.evaluate(cont, space.decode(code)) for cont, code in zip(conts, codes)]
+    alpha, gamma = config.alpha, config.gamma
     while not rec.budget.exhausted:
         a, g = adapt_parameters(config.alpha, config.gamma, rec.budget)
         alpha, gamma = (a if config.adapt_alpha else alpha), (g if config.adapt_gamma else gamma)
         p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
         for i, j in _sweep(fitness, rec.budget):
+            row = rng.random(n_c + 2 * n_d + 2 * len(cats))
+            noise, u, eps, flags, redraws = _columns(row, n_c, n_d, len(cats))
             xi, ci = conts[i], codes[i]
             disc = ci.copy()
             if j is None:
-                cont = xi + alpha * (rng.random(space.n_c) - 0.5)
+                cont = xi + alpha * (noise - 0.5)
             else:
                 xj, cj = conts[j], codes[j]
                 d, m = xj - xi, int(np.count_nonzero(ci != cj))
@@ -855,17 +897,15 @@ def _staged_famv(problem, config: FireflyConfig):
                     span = space.cont_hi - space.cont_lo
                     r = (float(np.sum(np.abs(d) / span)) + m) / space.dim
                 beta = config.beta0 * math.exp(-gamma * r * r)
-                cont = xi + beta * d + alpha * (rng.random(space.n_c) - 0.5)
+                cont = xi + beta * d + alpha * (noise - 0.5)
                 p = math.exp(-gamma * r * r)
-                for k in range(space.n_d):
-                    if ci[k] != cj[k] and rng.random(1)[0] < p:
+                for k in range(n_d):
+                    if ci[k] != cj[k] and u[k] < p:
                         disc[k] = cj[k]
-            stepped = _round_half_away(disc + alpha * (2.0 * rng.random(space.n_d) - 1.0))
+            stepped = _round_half_away(disc + alpha * (2.0 * eps - 1.0))
             new = np.clip(stepped, space.disc_lo, space.disc_hi).astype(np.int64)
-            hit = rng.random(len(cats)) < p_alpha   # every flag first, then the redraws
-            redraws = iter(rng.random(np.count_nonzero(hit)))
-            for k, size, redrawn in zip(cats, space.cat_sizes, hit):
-                new[k] = math.floor(next(redraws) * size) if redrawn else disc[k]
+            for k, size, flag, v in zip(cats, space.cat_sizes, flags, redraws):
+                new[k] = math.floor(v * size) if flag < p_alpha else disc[k]
             codes[i] = new
             conts[i] = np.clip(cont, space.cont_lo, space.cont_hi)
             fitness[i] = rec.evaluate(conts[i], space.decode(codes[i]))
@@ -873,13 +913,15 @@ def _staged_famv(problem, config: FireflyConfig):
 
 
 def _staged_fa(problem, config: FireflyConfig):
-    """run_classical_fa written from the formulas: the move
+    """run_classical_fa written from the formulas, on a plain generator: the
+    first population is one draw of ``dim`` doubles per firefly, and every
+    move then draws ``dim`` doubles of noise.  The move
     xi + beta d + alpha (u - 1/2) with beta = beta0 exp(-gamma r^2) at
     r = ||d||, d = xj - xi, then
     np.clip into the bounds; a discrete slot of the clipped position rounds
     half away from zero."""
     space = problem.space
-    rng = _Uniforms(np.random.default_rng(config.seed))
+    rng = np.random.default_rng(config.seed)
     rec = Recorder(problem, config.max_fe)
     lo, hi = space.lo, space.hi
 
@@ -888,18 +930,20 @@ def _staged_fa(problem, config: FireflyConfig):
         codes = _round_half_away(x[space.disc_pos]).astype(np.int64)
         return rec.evaluate(x[space.cont_pos], space.decode(codes))
 
-    positions = [lo + rng.random(space.dim) * (hi - lo) for _ in range(config.pop_size)]
-    fitness = [evaluate(pos) for pos in positions[:config.max_fe]]
+    first = rng.random((min(config.pop_size, config.max_fe), space.dim))
+    positions = [lo + u * (hi - lo) for u in first]
+    fitness = [evaluate(pos) for pos in positions]
     while not rec.budget.exhausted:
         for i, j in _sweep(fitness, rec.budget):
             xi = positions[i]
+            noise = config.alpha * (rng.random(space.dim) - 0.5)
             if j is None:
-                position = xi + config.alpha * (rng.random(space.dim) - 0.5)
+                position = xi + noise
             else:
                 d = positions[j] - xi
                 r = math.sqrt(d.dot(d))
                 beta = config.beta0 * math.exp(-config.gamma * r * r)
-                position = xi + beta * d + config.alpha * (rng.random(space.dim) - 0.5)
+                position = xi + beta * d + noise
             positions[i] = np.clip(position, lo, hi)
             fitness[i] = evaluate(positions[i])
     return rec.build()

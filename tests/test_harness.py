@@ -197,6 +197,23 @@ class TestBudgets:
         with pytest.raises(TypeError, match=f"^{setting} must be an integer, got "):
             ExperimentSpec(**spec)
 
+    @pytest.mark.parametrize("setting, value, error", [
+        ("problems", "sphere", TypeError), ("problems", "csd", TypeError),
+        ("problems", ["sphere", 3], TypeError), ("algorithms", "fa", TypeError),
+        ("algorithms", ("fa", None), TypeError), ("out_dir", 123, TypeError),
+        ("out_dir", None, TypeError), ("dim", "abc", TypeError), ("dim", None, TypeError),
+        ("dim", 1, ValueError)])
+    def test_rejects_a_setting_of_the_wrong_type_by_name(self, setting, value, error):
+        # only engineering problems are listed, so dim is read by no problem
+        spec = dict(problems=["vessel", "csd"], algorithms=["fa"], out_dir="unused")
+        spec[setting] = value
+        with pytest.raises(error, match=f"^{setting} must be "):
+            ExperimentSpec(**spec)
+
+    def test_takes_tuples_and_a_path(self, tmp_path):
+        spec = ExperimentSpec(("csd",), ("fa", "ga"), out_dir=tmp_path / "out", dim=3)
+        assert spec.budget_for("csd") == DEFAULT_ENGINEERING_BUDGET
+
 
 class TestEmitTrace:
     def _trace(self, toy_problem, max_fe=600, seed=0):
@@ -314,8 +331,9 @@ class TestRunExperiment:
 
     # sha256 of every file of a 2 problems x 2 algorithms x 2 runs grid (path
     # and bytes, in path order), taken from the harness that opened each
-    # table on its own; a change to any file's bytes or name shows here
-    GRID_DIGEST = "210308f08e71a288841cd2c5b104d6f181e5cca6ba5fd92ae8eb13c15ac8b812"
+    # table on its own and re-taken when each famv move came to read one row
+    # of the stream; a change to any file's bytes or name shows here
+    GRID_DIGEST = "f2c368b9ae852b5cfcc5c29ea184e8c0a114222e65e4046c51468275f118e319"
 
     def test_grid_files_digest(self, tmp_path):
         spec = self._spec(tmp_path, problems=["sphere", "vessel"],
@@ -542,13 +560,15 @@ GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
 # or to the arithmetic of a move on these spaces (no categorical dimension)
 # shows here, under that algorithm's name.  ga's digests were re-taken when
 # its operators moved to one batch per generation, and famv's when its first
-# population's codes came from the uniform stream: deliberate stream changes.
-# Every entry was re-taken when sphere's shift left run seed 0's stream
+# population's codes came from the uniform stream, and again when each famv
+# move came to read one row of the stream whatever the positions: deliberate
+# stream changes.  Every entry was re-taken when sphere's shift left run seed
+# 0's stream
 GOLDEN_DIGEST = {
     "fa": "a2401a31398f281c23f0f5b669f3d422eca346ef5fd50ee8eb360c0b861ab13f",
-    "famv-h": "aeb58757bdbfb5c01e86820bd8469b74f52aecad5d3ba7d258c75fd3eebf843d",
-    "famv-g": "7e5642da95e4ded845f98805580f2e7f3693208ee76c4a1fa3ba9666c8e4b7f1",
-    "famv-h-adaptive": "01cd4d2fe3557d61ec012c37afb52117657887311eccec7a7fde7ae9ddc13266",
+    "famv-h": "d60f10eeb2526ce02fe092819488fb1fece7de7358626191cdb49d753c8b047d",
+    "famv-g": "a26cc13acdb878cd249e7ffcf8b3a7dcb5a0715122c494d74ec22c881039bf23",
+    "famv-h-adaptive": "337ba607957b31e7939b3f6d85e7da59eddf1243c12369f3f66efdefb1d03ef9",
     "ga": "f0c5d72f078298f4f66bef21a868269b66c2fe1d2fd7f5ed75484ab1ea9dfa45",
 }
 
@@ -590,12 +610,13 @@ class MixedCategorical:
 
 # the same digests on MixedCategorical; taken from the engines before the
 # firefly schedule moved into `firefly._sweep`, and famv's re-taken when the
-# categorical redraw, then the first population, came from the uniform stream
+# categorical redraw, then the first population, came from the uniform stream,
+# and when each move came to read one row of it whatever the positions
 CATEGORICAL_DIGEST = {
     "fa": "b7b76947cbaf7c174e8e9fd33dc4affee8ffead38582cc8a9c931889b3d4473a",
-    "famv-h": "a0e679396a935089ae869766fa2bc248badf17fc9709c1ff6d1f7cc3d73dcad8",
-    "famv-g": "35cbf767144a8682d8b95e4f4ed093e532260920973fe7609e8a10213a1ea5a0",
-    "famv-h-adaptive": "8540d809966dd46ae38f206585665f1ef11ac2389e2c434964b4372546c5d9f7",
+    "famv-h": "304561bcdc66bfc7d63ef0afc3f5eff5c2b7e4f0242cbe0f0f7d16c1662b57c9",
+    "famv-g": "56d45ac80ed14e544b759964ca7b6e2599cef71c683ed0f6efe53d897d2dc235",
+    "famv-h-adaptive": "52a3ebbeab77330880f29e635bf9b0136be39ef48f42f76bc3f0ab5be52d18bb",
     "ga": "9755a3ee944a081aa7305279a96f726b0b8b2887e6c53402c397e34a93b871e2",
 }
 

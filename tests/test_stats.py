@@ -20,6 +20,13 @@ class TestTailFunctions:
         from scipy import stats as scipy_stats
         assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), abs=1e-12)
 
+    @pytest.mark.parametrize("df", range(1, 7))
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 1e3, 1e308, math.inf])
+    def test_chi2_at_the_ends_against_scipy(self, x, df):
+        # at +inf the finite sum would take 0 * log(inf), a NaN
+        from scipy import stats as scipy_stats
+        assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), abs=1e-12)
+
     @pytest.mark.parametrize("x,df", [(1.0, 0), (1.0, 2.5), (-1.0, 2)])
     def test_chi2_rejects_bad_arguments(self, x, df):
         with pytest.raises(ValueError):
