@@ -62,14 +62,25 @@ class IntegerRange:
 
 @dataclass(frozen=True)
 class Categorical:
-    """A finite ordered set of distinct symbols."""
+    """A finite ordered set of distinct symbols, kept as a tuple whatever
+    iterable of them is given.  A bare str or bytes, whose items would be
+    its letters, or a symbol that is not hashable is a TypeError."""
 
     values: tuple[Hashable, ...]
 
     def __post_init__(self):
+        if isinstance(self.values, (str, bytes)):
+            raise TypeError(f"categorical values must be a collection of symbols, "
+                            f"not one {type(self.values).__name__}, got {self.values!r}")
+        try:
+            object.__setattr__(self, "values", tuple(self.values))
+            distinct = len(set(self.values))
+        except TypeError:
+            raise TypeError(f"categorical values must be an iterable of hashable symbols, "
+                            f"got {self.values!r}") from None
         if len(self.values) == 0:
             raise ValueError("categorical dimension needs at least one value")
-        if len(set(self.values)) != len(self.values):
+        if distinct != len(self.values):
             raise ValueError(f"categorical values must be distinct, got {self.values}")
 
 
@@ -85,13 +96,18 @@ class SearchSpace:
     ``dims``; ``cat_idx`` picks the categorical codes.  Code k lies in
     [``disc_lo[k]``, ``disc_hi[k]``] and takes ``disc_sizes[k]`` values
     (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
-    dimension in ``dims`` order.
+    dimension in ``dims`` order.  A dimension that is not a `Continuous`,
+    `IntegerRange` or `Categorical` is a TypeError naming its place.
     """
 
     def __init__(self, dims: Iterable[DimensionSpec]):
         self.dims: tuple[DimensionSpec, ...] = tuple(dims)
         if not self.dims:
             raise ValueError("search space needs at least one dimension")
+        for k, d in enumerate(self.dims):
+            if not isinstance(d, (Continuous, IntegerRange, Categorical)):
+                raise TypeError(f"dimension {k} must be a Continuous, IntegerRange or "
+                                f"Categorical, got {d!r}")
         self.discrete: tuple[Union[IntegerRange, Categorical], ...] = tuple(
             d for d in self.dims if not isinstance(d, Continuous))
         self.dim = len(self.dims)

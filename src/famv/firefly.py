@@ -14,11 +14,13 @@ evaluation time.
 The schedule comes from `_sweep` (Yang 2009): fireflies move one at a time,
 each toward every brighter one in turn from its updated position, one FE per
 move, and a firefly with no brighter one takes a uniform random step.  Each
-move, an idle walk included, reads one row of w = n_c + 2 n_d + 2 n_cat
-doubles of the run's stream, whatever the positions: continuous noise (n_c),
-one copy uniform per code (n_d), the integer step (n_d), one replacement
-flag per categorical code (n_cat) and one redraw per categorical code
-(n_cat).  fa has no code vector, so its row is the n doubles of its noise.
+move, an idle walk included, gets one read-only row of
+w = n_c + 2 n_d + 2 n_cat doubles of the run's stream from `_Uniforms`,
+whatever the positions: continuous noise (n_c), one copy uniform per code
+(n_d), the integer step (n_d), one replacement flag per categorical code
+(n_cat) and one redraw per categorical code (n_cat), the noise and step
+already in their alpha forms.  fa has no code vector, so its row is the n
+doubles of its noise.
 Each move is one pass of numpy operations over the vectors.  famv computes
 ``d = xj - xi`` and the indices of the m differing codes once, for the
 distance, the continuous move and the copy step, and one decay
@@ -36,15 +38,17 @@ follow.
 A run keeps each firefly's codes in one of two forms, which `_fly` alone
 chooses, once, from the space.  With 0 to K = `_TUPLE_CODES` codes, all
 integers, they are a tuple of Python ints, which is already the value tuple,
-and the differ, copy and integer steps are short Python loops; every other
-space keeps an int64 array and numpy steps, and the loop decodes it with
-`SearchSpace.decode` at each FE.  Either way the loop hands the `Recorder`
-values.  Both forms do the same double operations in the same order, so a
-run's stream and trace do not depend on the form.  K is the largest n_d at
-which tuples were faster on both problems below: CPU time of a famv-h run
-of 2000 FE with tuples over the same run with arrays, on sphere and
-rastrigin with n_d integer and n_d continuous dimensions (median of 21
-alternated pairs, 2-core Xeon VM, Python 3.11.7, numpy 2.4.6):
+and the differ, copy and integer steps are short Python loops over lists,
+for which a move converts its row with one ``tolist()``; every other space
+keeps an int64 array and numpy steps on views of the row, and the loop
+decodes it with `SearchSpace.decode` at each FE.  Either way the loop hands
+the `Recorder` values.  Both forms do the same double operations in the
+same order, so a run's stream and trace do not depend on the form.  K is
+the largest n_d at which tuples were faster on both problems below: CPU
+time of a famv-h run of 2000 FE with tuples over the same run with arrays,
+on sphere and rastrigin with n_d integer and n_d continuous dimensions
+(median of 21 alternated pairs, 2-core Xeon VM, Python 3.11.7, numpy
+2.4.6):
 
     n_d         1     2     3     4     5     6     7     8     9     10    12    25
     sphere      0.79  0.82  0.83  0.89  0.91  0.94  0.97  0.98  1.00  1.03  1.06  1.28
@@ -72,55 +76,52 @@ class _Uniforms:
     """The rows of the uniform stream of ``rng`` that a firefly run's moves
     read, drawn ahead in blocks.
 
-    Every move, an idle walk included, reads one row of
-    w = n_c + 2 n_d + 2 n_cat doubles u: n_c of continuous noise, one copy
+    Every move, an idle walk included, gets one read-only row of
+    w = n_c + 2 n_d + 2 n_cat doubles: n_c of continuous noise, one copy
     uniform per code, n_d of the integer step, one replacement flag per
     categorical code and one redraw per categorical code, in that order.  A
     block is ``max(1, _BLOCK // w)`` rows from one ``rng.random((rows, w))``
     call.  Each double of ``Generator.random`` comes from one 64-bit draw,
     so the rows are the doubles of one flat ``rng.random`` call, reshaped,
-    however the blocks fall.  The noise and step columns are also kept as
-    alpha (u - 1/2) and alpha (2u - 1) for the alpha last given to
-    ``scale``.  Every view is read-only, so no stage can write into its
-    uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
+    however the blocks fall.  The rows come from the block in its alpha
+    form, for the alpha last given to ``scale``: the noise columns hold
+    alpha (u - 1/2), the step columns alpha (2u - 1) and every other column
+    u.  ``columns`` holds the five column groups as slices, in that order;
+    `_fly` slices them out of the row, and the tuple code form converts the
+    row to a list once.  The block is read-only, so no stage can write into
+    its uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
     """
 
     def __init__(self, rng: np.random.Generator, n_c: int, n_d: int, n_cat: int):
-        width = n_c + 2 * n_d + 2 * n_cat
+        edges = np.cumsum([0, n_c, n_d, n_d, n_cat, n_cat]).tolist()
+        self.columns = tuple(map(slice, edges[:-1], edges[1:]))
+        width = edges[-1]
         self._rng, self._shape, self._alpha = rng, (max(1, _BLOCK // width), width), 1.0
-        self._edges = np.cumsum([n_c, n_d, n_d, n_cat])   # where each later column group starts
-        self._set_block(np.empty((0, width)))
-
-    def _set_block(self, block: np.ndarray) -> None:
-        self._block, self._next = block, 0
-        block.flags.writeable = False
-        self._rescale()
+        self._raw, self._next = np.empty((0, width)), 0
 
     def scale(self, alpha: float) -> None:
-        """Keep the noise and step columns u of the block also as
-        alpha (u - 1/2) and alpha (2u - 1), computed once per block and
-        alpha by the expressions a move would apply to its row: the same
-        doubles.  An unchanged alpha keeps the forms it already has."""
+        """Form the block for ``alpha``, once per block and alpha, by the
+        expressions a move would apply to its row: the same doubles.  An
+        unchanged alpha keeps the block it already has."""
         if alpha != self._alpha:
             self._alpha = alpha
             self._rescale()
 
     def _rescale(self) -> None:
-        a, b, c, d = self._edges
-        alpha, block = self._alpha, self._block
-        half, sym = alpha * (block[:, :a] - 0.5), alpha * (2.0 * block[:, b:c] - 1.0)
-        half.flags.writeable = sym.flags.writeable = False
-        self._columns = half, block[:, a:b], sym, block[:, c:d], block[:, d:]
+        raw, (noise, _, step, _, _) = self._raw, self.columns
+        block = raw.copy()
+        block[:, noise] = self._alpha * (raw[:, noise] - 0.5)
+        block[:, step] = self._alpha * (2.0 * raw[:, step] - 1.0)
+        block.flags.writeable = False
+        self._block = block
 
-    def move(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The next row, as five read-only views: the noise alpha (u - 1/2),
-        the copy uniforms u, the integer step alpha (2u - 1), the
-        categorical flags u and the categorical redraws u."""
-        if self._next == len(self._block):
-            self._set_block(self._rng.random(self._shape))
+    def move(self) -> np.ndarray:
+        """The next row, read-only, in the block's alpha form."""
+        if self._next == len(self._raw):
+            self._raw, self._next = self._rng.random(self._shape), 0
+            self._rescale()
         t, self._next = self._next, self._next + 1
-        half, copy, sym, flags, redraw = self._columns
-        return half[t], copy[t], sym[t], flags[t], redraw[t]
+        return self._block[t]
 
 
 @dataclass(frozen=True)
@@ -207,12 +208,11 @@ def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarr
     return out
 
 
-def _copy_differing_ints(xi_codes, xj_codes, differ: list, prob: float,
-                         u: np.ndarray) -> list:
-    """`_copy_differing` on code tuples: a list of ``xi_codes`` with
-    ``xj_codes[k]`` copied for each k of ``differ`` whose uniform ``u[k]``
-    is below ``prob``."""
-    out, u = list(xi_codes), u.tolist()
+def _copy_differing_ints(xi_codes, xj_codes, differ: list, prob: float, u: list) -> list:
+    """`_copy_differing` on code tuples and a list of uniforms: a list of
+    ``xi_codes`` with ``xj_codes[k]`` copied for each k of ``differ`` whose
+    uniform ``u[k]`` is below ``prob``."""
+    out = list(xi_codes)
     for k in differ:
         if u[k] < prob:
             out[k] = xj_codes[k]
@@ -253,12 +253,12 @@ def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return _round_codes(_clip(codes + step, lo, hi))
 
 
-def _integer_step_ints(codes, lo: list, hi: list, step: np.ndarray) -> tuple:
-    """`_integer_step` on a code sequence of Python ints, with bound lists:
-    the same doubles c + s, clipped, then rounded as ``int(v + copysign(1/2,
-    v))``; a value at or past a bound is that bound."""
+def _integer_step_ints(codes, lo: list, hi: list, step: list) -> tuple:
+    """`_integer_step` on a code sequence of Python ints, with bound and
+    step lists: the same doubles c + s, clipped, then rounded as
+    ``int(v + copysign(1/2, v))``; a value at or past a bound is that bound."""
     out = []
-    for c, a, b, s in zip(codes, lo, hi, step.tolist()):
+    for c, a, b, s in zip(codes, lo, hi, step):
         v = c + s
         out.append(a if v <= a else b if v >= b else int(v + math.copysign(0.5, v)))
     return tuple(out)
@@ -368,6 +368,7 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     rng = np.random.default_rng(config.seed)
     pop = rng.random((min(config.pop_size, config.max_fe), n + n_d))
     rows = _Uniforms(rng, n, n_d, n_cat)
+    noise, copy_u, step_u, flags, redraw = rows.columns
     xs = list(lo + pop[:, :n] * (hi - lo))
     first = layout.disc_lo + (pop[:, n:] * layout.disc_sizes).astype(np.int64)
     codes = [tuple(c) for c in first.tolist()] if tuples else list(first)
@@ -384,23 +385,25 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
         rows.scale(alpha)
 
         for i, j in _sweep(fitness, budget):
-            noise, u, step, flags, redraw = rows.move()
+            row = rows.move()
+            u = row.tolist() if tuples and n_d else row   # the tuple form's one conversion
             xi, disc = xs[i], codes[i]
             if j is None:
-                x = xi + noise
+                x = xi + row[noise]
             else:
                 d, cj = xs[j] - xi, codes[j]
                 differ = differing(disc, cj) if n_d else ()
                 r = distance(d, len(differ))
                 e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
-                x = _attract(xi, d, attractiveness(config.beta0, e), noise)
+                x = _attract(xi, d, attractiveness(config.beta0, e), row[noise])
                 if len(differ):
-                    disc = copy(disc, cj, differ, e, u)
+                    disc = copy(disc, cj, differ, e, u[copy_u])
             if n_d:
-                stepped = step_codes(disc, code_lo, code_hi, step)
+                stepped = step_codes(disc, code_lo, code_hi, u[step_u])
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
                     stepped[cat_idx] = disc[cat_idx]
-                    alpha_step_categorical(stepped, cat_idx, cat_sizes, flags, p_alpha, redraw)
+                    alpha_step_categorical(stepped, cat_idx, cat_sizes, row[flags], p_alpha,
+                                           row[redraw])
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
             fitness[i] = evaluate(x, codes[i] if tuples else layout.decode(codes[i]))

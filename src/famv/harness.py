@@ -135,9 +135,9 @@ def _write_csv(path: str | Path, header: list[str], rows: Iterable) -> None:
 
 
 def emit_trace(trace: RunTrace, path: str | Path, stride: int) -> None:
-    """Write a `fe,best` CSV: samples thinned to the stride plus the final point."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    """Write a `fe,best` CSV: samples thinned to the stride plus the final
+    point.  ``stride`` goes through `check_integer` with least 1."""
+    stride = check_integer("stride", stride, 1)
     rows = []
     last_fe = None
     for fe, best in trace.samples[:-1]:

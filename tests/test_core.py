@@ -62,6 +62,24 @@ class TestDimensionSpecs:
         with pytest.raises(ValueError):
             Categorical(("a", "a"))
 
+    def test_categorical_keeps_its_values_as_a_tuple(self):
+        for given in (["a", "b"], ("a", "b"), iter("ab"), {"a": 0, "b": 1}):
+            dim = Categorical(given)
+            assert dim.values == ("a", "b") and type(dim.values) is tuple
+            assert dim == Categorical(("a", "b"))
+            assert hash(dim) == hash(Categorical(("a", "b")))
+
+    @pytest.mark.parametrize("values, match", [
+        ("abc", "not one str, got 'abc'"),
+        (b"ab", "not one bytes, got b'ab'"),
+        ((["a"], ["b"]), r"hashable symbols, got \(\['a'\], \['b'\]\)"),
+        ((1, {2}), r"hashable symbols, got \(1, \{2\}\)"),
+        (5, "hashable symbols, got 5"),
+    ], ids=["str", "bytes", "lists", "a-set", "an-int"])
+    def test_categorical_rejects_a_str_and_unhashable_symbols(self, values, match):
+        with pytest.raises(TypeError, match=match):
+            Categorical(values)
+
 
 class TestSearchSpace:
     def test_layout_split(self, mixed_space):
@@ -74,6 +92,16 @@ class TestSearchSpace:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             SearchSpace([])
+
+    @pytest.mark.parametrize("dims, match", [
+        ([5], "dimension 0 .* got 5"),
+        ([Continuous(0.0, 1.0), None], "dimension 1 .* got None"),
+        ([IntegerRange(0, 3), Continuous(0.0, 1.0), (0, 1)], r"dimension 2 .* got \(0, 1\)"),
+        ([Continuous], "dimension 0 .* got <class"),
+    ], ids=["int", "none", "tuple", "class"])
+    def test_rejects_a_dimension_of_another_type(self, dims, match):
+        with pytest.raises(TypeError, match=match):
+            SearchSpace(dims)
 
     def test_code_layout(self):
         space = SearchSpace([IntegerRange(-2, 4), Continuous(0.0, 1.0),

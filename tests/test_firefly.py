@@ -129,16 +129,17 @@ def _columns(row, n_c, n_d, n_cat):
 
 
 class TestUniforms:
-    """`_Uniforms(rng, n_c, n_d, n_cat).move()` serves one row of
+    """`_Uniforms(rng, n_c, n_d, n_cat).move()` serves one read-only row of
     w = n_c + 2 n_d + 2 n_cat doubles per call, the noise and step columns
-    scaled by the alpha last given to ``scale``."""
+    formed by the alpha last given to ``scale`` and raw u elsewhere."""
 
     @staticmethod
     def _assert_rows(seed, widths, calls):
         """Run ``calls``, each ``(alpha, moves)``: scale(alpha) unless alpha
         is None, then that many moves; every row must be the next w doubles
         of one flat draw, read-only, its noise and step columns in their
-        alpha forms."""
+        alpha forms and its other columns raw, and ``columns`` must slice
+        the row into its five groups."""
         n_c, n_d, n_cat = widths
         width = n_c + 2 * n_d + 2 * n_cat
         uniforms = _Uniforms(np.random.default_rng(seed), n_c, n_d, n_cat)
@@ -150,9 +151,9 @@ class TestUniforms:
                 uniforms.scale(new_alpha)
                 alpha = new_alpha
             for _ in range(moves):
-                noise, copy, step, flags, redraw = uniforms.move()
-                assert not any(x.flags.writeable
-                               for x in (noise, copy, step, flags, redraw))
+                row = uniforms.move()
+                assert not row.flags.writeable and row.shape == (width,)
+                noise, copy, step, flags, redraw = (row[s] for s in uniforms.columns)
                 u_noise, u_copy, u_step, u_flags, u_redraw = _columns(next(rows), *widths)
                 assert noise.tobytes() == (alpha * (u_noise - 0.5)).tobytes()
                 assert copy.tobytes() == u_copy.tobytes()
@@ -182,29 +183,30 @@ class TestUniforms:
     def test_writing_into_uniforms_raises(self):
         uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 1)
         uniforms.scale(0.5)
-        for view in uniforms.move():
+        row = uniforms.move()
+        for k in range(len(row)):   # every column group: w = 2 + 2 * 2 + 2 * 1
             with pytest.raises(ValueError):
-                view[0] = 0.5
+                row[k] = 0.5
 
     def test_repeated_scale_keeps_the_forms(self):
         uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 1)
         uniforms.move()
         uniforms.scale(0.5)
-        half, _, sym, _, _ = uniforms._columns
+        block = uniforms._block
         uniforms.scale(0.5)
-        assert uniforms._columns[0] is half and uniforms._columns[2] is sym
+        assert uniforms._block is block
 
     def test_new_alpha_recomputes_the_forms(self):
         uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 1)
         uniforms.move()
         uniforms.scale(0.5)
-        half = uniforms._columns[0]
+        block = uniforms._block
         uniforms.scale(0.25)
-        assert uniforms._columns[0] is not half
-        noise, _, step, _, _ = uniforms.move()
-        row = np.random.default_rng(0).random(2 * 8)[8:]   # w = 2 + 2 * 2 + 2 * 1
-        assert noise.tobytes() == (0.25 * (row[:2] - 0.5)).tobytes()
-        assert step.tobytes() == (0.25 * (2.0 * row[4:6] - 1.0)).tobytes()
+        assert uniforms._block is not block
+        row = uniforms.move()
+        u = np.random.default_rng(0).random(2 * 8)[8:]   # w = 2 + 2 * 2 + 2 * 1
+        assert row[:2].tobytes() == (0.25 * (u[:2] - 0.5)).tobytes()
+        assert row[4:6].tobytes() == (0.25 * (2.0 * u[4:6] - 1.0)).tobytes()
 
     def test_block_crossing_after_a_skipped_scale(self):
         # the first block is scaled by 0.5 once, the repeat is skipped, and
@@ -216,10 +218,10 @@ class TestUniforms:
         for _ in range(rows):
             uniforms.move()
         uniforms.scale(0.5)
-        noise, _, step, _, _ = uniforms.move()
+        row = uniforms.move()
         u = np.random.default_rng(0).random((rows + 1) * (n_c + 2 * n_d))[-(n_c + 2 * n_d):]
-        assert noise.tobytes() == (0.5 * (u[:n_c] - 0.5)).tobytes()
-        assert step.tobytes() == (0.5 * (2.0 * u[n_c + n_d:] - 1.0)).tobytes()
+        assert row[:n_c].tobytes() == (0.5 * (u[:n_c] - 0.5)).tobytes()
+        assert row[n_c + n_d:].tobytes() == (0.5 * (2.0 * u[n_c + n_d:] - 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "famv-h-adaptive"])
@@ -238,7 +240,7 @@ def test_one_row_of_w_doubles_per_move(algo, dims, budget, seed):
 
     def recording(self):
         row = move(self)
-        widths.append(sum(len(column) for column in row))
+        widths.append(len(row))
         return row
 
     with pytest.MonkeyPatch.context() as mp:
@@ -763,9 +765,10 @@ def test_fa_does_no_code_work(algo, monkeypatch):
 def test_code_form_follows_the_size_rule(problem, form, monkeypatch):
     # famv steps vessel's two codes as a tuple of ints, and a 30-integer
     # space's as an array: one step of the run's form per move, none of the
-    # other; beam has no code to step.  Only array codes and fa's rounded
+    # other; beam has no code to step.  Only the tuple form converts its
+    # row, with one tolist() per move.  Only array codes and fa's rounded
     # slots are decoded, once per FE
-    calls = {"_integer_step": 0, "_integer_step_ints": 0, "decode": 0}
+    calls = {"_integer_step": 0, "_integer_step_ints": 0, "decode": 0, "tolist": 0}
 
     def counting(name, original):
         def count(*args):
@@ -773,19 +776,31 @@ def test_code_form_follows_the_size_rule(problem, form, monkeypatch):
             return original(*args)
         return count
 
+    class Row(np.ndarray):
+        """A row whose tolist() calls, its slices' included, are counted;
+        what a ufunc makes of it is a plain array."""
+        tolist = counting("tolist", np.ndarray.tolist)
+
+        def __array_wrap__(self, arr, context=None, return_scalar=False):
+            arr = arr.view(np.ndarray)
+            return arr[()] if return_scalar else arr
+
     for name in ("_integer_step", "_integer_step_ints"):
         monkeypatch.setattr(firefly, name, counting(name, getattr(firefly, name)))
     monkeypatch.setattr(SearchSpace, "decode", counting("decode", SearchSpace.decode))
+    move = _Uniforms.move
+    monkeypatch.setattr(_Uniforms, "move", lambda self: move(self).view(Row))
     moves = 300 - FireflyConfig(max_fe=300).pop_size
     steps = {name: moves * (name == form) for name in ("_integer_step", "_integer_step_ints")}
     for algo in ("famv-h", "famv-g"):
         calls.update(dict.fromkeys(calls, 0))
         run_algorithm(algo, problem, 300, 0)
-        assert calls == {**steps, "decode": 300 * (form == "_integer_step")}
+        assert calls == {**steps, "decode": 300 * (form == "_integer_step"),
+                         "tolist": steps["_integer_step_ints"]}
     calls.update(dict.fromkeys(calls, 0))
     run_algorithm("fa", problem, 300, 0)
     assert calls == {"_integer_step": 0, "_integer_step_ints": 0,
-                     "decode": 300 * bool(problem.space.n_d)}
+                     "decode": 300 * bool(problem.space.n_d), "tolist": 0}
 
 
 @pytest.mark.parametrize("dims, rounds", [

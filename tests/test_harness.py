@@ -252,6 +252,10 @@ class TestEmitTrace:
     def test_invalid_stride(self, toy_problem, tmp_path):
         with pytest.raises(ValueError):
             emit_trace(self._trace(toy_problem), tmp_path / "t.csv", stride=0)
+        for stride in (2.5, True):
+            with pytest.raises(TypeError, match="stride must be an integer"):
+                emit_trace(self._trace(toy_problem), tmp_path / "t.csv", stride=stride)
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestEmitResultsTable:
