@@ -13,8 +13,9 @@ evaluation path every engine shares: `Recorder.evaluate` takes a point's
 continuous vector and value tuple, charges one function evaluation (FE) of
 the run's budget and calls the objective with a `MixedSolution`;
 `Recorder.evaluate_rows` decodes a batch of code rows and evaluates each row
-in order.  famv keeps the codes of a small integer-only space as a tuple of
-ints, which is already the value tuple, and decodes nothing.
+in order.  On a small space with no categorical dimension the firefly
+engines keep codes as tuples of ints, which are already the value tuples,
+and decode nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Continuous:
-    """A real-valued dimension with finite bounds, lo < hi."""
+    """A real-valued dimension with finite bounds, lo < hi, whose width
+    hi - lo is a finite double too: a move scales differences of positions,
+    and an infinite one would make positions NaN."""
 
     lo: float
     hi: float
@@ -40,6 +43,9 @@ class Continuous:
             raise ValueError(f"continuous bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"continuous dimension needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(float(self.hi) - float(self.lo)):
+            raise ValueError(f"continuous width hi - lo must be finite, "
+                             f"got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)

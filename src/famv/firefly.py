@@ -1,15 +1,15 @@
 """Firefly engines for mixed search spaces.
 
-Both engines are callers of one firefly loop, `_fly`, which moves
-positions in a box of real intervals and code vectors in a code layout.
-`run_famv` moves fireflies with type-aware operators: the classical
-attraction rule on the continuous box, and a two-phase discrete update (a
-probabilistic copy of differing components from the brighter firefly, then a
-random exploration step) on the code vectors of `famv.core`.
-`run_classical_fa` is the continuous baseline applied through relaxation:
-the loop runs on the relaxed box, where every dimension is a real interval,
-with no code vector, and discrete values are decoded by rounding at
-evaluation time.
+Both engines are callers of one firefly loop, which moves positions in a
+box of real intervals and code vectors in a code layout, in one of two
+forms (below).  `run_famv` moves fireflies with type-aware operators: the
+classical attraction rule on the continuous box, and a two-phase discrete
+update (a probabilistic copy of differing components from the brighter
+firefly, then a random exploration step) on the code vectors of
+`famv.core`.  `run_classical_fa` is the continuous baseline applied through
+relaxation: the loop runs on the relaxed box, where every dimension is a
+real interval, with no code vector, and discrete values are decoded by
+rounding at evaluation time.
 
 The schedule comes from `_sweep` (Yang 2009): fireflies move one at a time,
 each toward every brighter one in turn from its updated position, one FE per
@@ -20,13 +20,11 @@ whatever the positions: continuous noise (n_c), one copy uniform per code
 (n_d), the integer step (n_d), one replacement flag per categorical code
 (n_cat) and one redraw per categorical code (n_cat), the noise and step
 already in their alpha forms.  fa has no code vector, so its row is the n
-doubles of its noise.
-Each move is one pass of numpy operations over the vectors.  famv computes
-``d = xj - xi`` and the indices of the m differing codes once, for the
-distance, the continuous move and the copy step, and one decay
-e = exp(-gamma r^2), which gives both beta = beta0 e and the copy
+doubles of its noise.  famv reads ``d = xj - xi`` and the m differing
+codes for the distance, the continuous move and the copy step, and computes
+one decay e = exp(-gamma r^2), which gives both beta = beta0 e and the copy
 probability e; code k is copied when it differs and its copy uniform is
-below e.  fa computes ``d`` once, clips once and rounds its discrete slots.
+below e.  fa clips once and rounds its discrete slots.
 famv's exploration step is one pass over the whole code vector: the integer
 step on every code, then each categorical code keeps its value from before
 the step unless its flag is below the replacement probability, in which
@@ -35,29 +33,33 @@ number of a run is a double of that one stream: the first population is
 one draw of n + n_d doubles per firefly, the position first, and the rows
 follow.
 
-A run keeps each firefly's codes in one of two forms, which `_fly` alone
-chooses, once, from the space.  With 0 to K = `_TUPLE_CODES` codes, all
-integers, they are a tuple of Python ints, which is already the value tuple,
-and the differ, copy and integer steps are short Python loops over lists,
-for which a move converts its row with one ``tolist()``; every other space
-keeps an int64 array and numpy steps on views of the row, and the loop
-decodes it with `SearchSpace.decode` at each FE.  Either way the loop hands
-the `Recorder` values.  Both forms do the same double operations in the
-same order, so a run's stream and trace do not depend on the form.  K is
-the largest n_d at which tuples were faster on both problems below: CPU
-time of a famv-h run of 2000 FE with tuples over the same run with arrays,
-on sphere and rastrigin with n_d integer and n_d continuous dimensions
-(median of 21 alternated pairs, 2-core Xeon VM, Python 3.11.7, numpy
-2.4.6):
+Each engine picks the form of a run, once, from the space with `_scalar`.
+A space with at most K' = `_SCALAR_DIMS` dimensions, none of them
+categorical, runs `_fly_floats`: a position is a list of Python floats and
+a code vector a tuple of Python ints, which is already the value tuple; a
+move converts its row with one ``tolist()``, and moves and clips the
+position in one list comprehension.  Every other space runs `_fly`, one
+pass of numpy operations per move over float64 positions and int64 codes,
+which it decodes with `SearchSpace.decode` at each FE.  Both forms do the
+same double operations in the same order, r's left-to-right sum included
+(`famv.distances`), so a run's stream and trace do not depend on the form.
+K' = 14 is the largest dimension count at which the scalar form was not
+slower for either engine on either problem below: CPU time of a run of 2000
+FE in the scalar form over the same run in the array form, on sphere and
+rastrigin with k continuous and k integer dimensions (median of 9 alternated
+pairs, 2-core Xeon VM, Python 3.11.7, numpy 2.4.6):
 
-    n_d         1     2     3     4     5     6     7     8     9     10    12    25
-    sphere      0.79  0.82  0.83  0.89  0.91  0.94  0.97  0.98  1.00  1.03  1.06  1.28
-    rastrigin   0.80  0.82  0.82  0.85  0.87  0.90  0.94  0.94  0.96  0.99  1.02  1.21
+    dimensions 2k       2     4     6     8     10    12    14    16    20    24    50
+    famv-h sphere       0.54  0.62  0.67  0.74  0.76  0.82  0.85  0.87  0.98  1.06  1.45
+    famv-h rastrigin    0.63  0.66  0.65  0.74  0.77  0.80  0.84  0.88  0.94  1.01  1.38
+    fa sphere           0.69  0.71  0.80  0.85  0.84  0.93  0.99  1.04  1.11  1.21  1.53
+    fa rastrigin        0.73  0.77  0.81  0.86  0.91  0.96  0.99  1.02  1.12  1.15  1.56
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import partial
 from types import SimpleNamespace
@@ -66,7 +68,7 @@ import numpy as np
 
 from .core import (EvaluationBudget, ObjectiveFunction, Recorder, RunTrace, SearchSpace,
                    check_integer, check_real)
-from .distances import CODE_DISTANCES, DistanceKind
+from .distances import CODE_DISTANCES, DistanceKind, float_distance, norm, norm_floats
 
 _BLOCK = 4096   # doubles drawn ahead by _Uniforms, in whole rows
 _HALF = np.array(0.5)   # 0-d: numpy 2 takes a slower path for a Python float operand
@@ -86,10 +88,11 @@ class _Uniforms:
     however the blocks fall.  The rows come from the block in its alpha
     form, for the alpha last given to ``scale``: the noise columns hold
     alpha (u - 1/2), the step columns alpha (2u - 1) and every other column
-    u.  ``columns`` holds the five column groups as slices, in that order;
-    `_fly` slices them out of the row, and the tuple code form converts the
-    row to a list once.  The block is read-only, so no stage can write into
-    its uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
+    u.  A new alpha forms only the rows not yet read.  ``columns`` holds the
+    five column groups as slices, in that order; `_fly` slices them out of
+    the row, and `_fly_floats` converts the row to a list once.  The block
+    is read-only, so no stage can write into its uniforms.  Once wrapped,
+    ``rng`` must not be drawn from directly.
     """
 
     def __init__(self, rng: np.random.Generator, n_c: int, n_d: int, n_cat: int):
@@ -100,15 +103,17 @@ class _Uniforms:
         self._raw, self._next = np.empty((0, width)), 0
 
     def scale(self, alpha: float) -> None:
-        """Form the block for ``alpha``, once per block and alpha, by the
-        expressions a move would apply to its row: the same doubles.  An
-        unchanged alpha keeps the block it already has."""
+        """Form the block's unread rows for ``alpha``, once per block and
+        alpha, by the expressions a move would apply to its row: the same
+        doubles.  An unchanged alpha keeps the block it already has."""
         if alpha != self._alpha:
             self._alpha = alpha
             self._rescale()
 
     def _rescale(self) -> None:
-        raw, (noise, _, step, _, _) = self._raw, self.columns
+        """Drop the rows already read and form the others for the alpha."""
+        raw, (noise, _, step, _, _) = self._raw[self._next:], self.columns
+        self._raw, self._next = raw, 0
         block = raw.copy()
         block[:, noise] = self._alpha * (raw[:, noise] - 0.5)
         block[:, step] = self._alpha * (2.0 * raw[:, step] - 1.0)
@@ -208,25 +213,9 @@ def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarr
     return out
 
 
-def _copy_differing_ints(xi_codes, xj_codes, differ: list, prob: float, u: list) -> list:
-    """`_copy_differing` on code tuples and a list of uniforms: a list of
-    ``xi_codes`` with ``xj_codes[k]`` copied for each k of ``differ`` whose
-    uniform ``u[k]`` is below ``prob``."""
-    out = list(xi_codes)
-    for k in differ:
-        if u[k] < prob:
-            out[k] = xj_codes[k]
-    return out
-
-
 def _differ(xi_codes: np.ndarray, xj_codes: np.ndarray) -> np.ndarray:
     """The indices of the codes in which two code vectors differ, in order."""
     return (xi_codes != xj_codes).nonzero()[0]
-
-
-def _differ_ints(xi_codes, xj_codes) -> list:
-    """`_differ` on code tuples."""
-    return [k for k in range(len(xi_codes)) if xi_codes[k] != xj_codes[k]]
 
 
 # Draws its own uniforms because acceptance criterion 4 calls it with a Generator.
@@ -257,11 +246,8 @@ def _integer_step_ints(codes, lo: list, hi: list, step: list) -> tuple:
     """`_integer_step` on a code sequence of Python ints, with bound and
     step lists: the same doubles c + s, clipped, then rounded as
     ``int(v + copysign(1/2, v))``; a value at or past a bound is that bound."""
-    out = []
-    for c, a, b, s in zip(codes, lo, hi, step):
-        v = c + s
-        out.append(a if v <= a else b if v >= b else int(v + math.copysign(0.5, v)))
-    return tuple(out)
+    return tuple([a if (v := c + s) <= a else b if v >= b else int(v + math.copysign(0.5, v))
+                  for c, a, b, s in zip(codes, lo, hi, step)])
 
 
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on
@@ -323,90 +309,130 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
 
 
 # fa's code layout: a space's code attributes that the loop reads, all empty,
-# so its codes are the tuple (), already the value tuple
-_NO_CODES = SimpleNamespace(**dict.fromkeys(
+# and the decode of its empty code vectors, the empty value tuple
+_NO_CODES = SimpleNamespace(decode=tuple, **dict.fromkeys(
     ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes"), np.empty(0, np.int64)))
-# K: the most codes that `_fly` keeps as a tuple of ints (the break-even
-# table in the module docstring)
-_TUPLE_CODES = 8
+# K': the most dimensions of a space that the engines move in Python floats
+# (the break-even table in the module docstring)
+_SCALAR_DIMS = 14
 
 
-def _int_tuples(layout) -> bool:
-    """Whether `_fly` keeps the codes of ``layout`` as tuples of Python ints,
-    which are also the value tuples: 0 to `_TUPLE_CODES` codes, none of them
-    categorical."""
-    return len(layout.disc_lo) <= _TUPLE_CODES and not len(layout.cat_idx)
+def _scalar(space: SearchSpace) -> bool:
+    """Whether both engines run ``space`` in the scalar form: at most
+    `_SCALAR_DIMS` dimensions, none of them categorical."""
+    return space.dim <= _SCALAR_DIMS and not len(space.cat_idx)
+
+
+def _start(config: FireflyConfig, lo: np.ndarray, hi: np.ndarray, layout):
+    """A run's first population and the `_Uniforms` of its moves.  The
+    population is one row of n + n_d doubles per firefly, the position
+    first; a code is disc_lo + floor(u * size), below its bound for every
+    u < 1.  Returns the positions and codes as matrices, one row each."""
+    n, n_d = len(lo), len(layout.disc_lo)
+    rng = np.random.default_rng(config.seed)
+    pop = rng.random((min(config.pop_size, config.max_fe), n + n_d))
+    codes = layout.disc_lo + (pop[:, n:] * layout.disc_sizes).astype(np.int64)
+    return lo + pop[:, :n] * (hi - lo), codes, _Uniforms(rng, n, n_d, len(layout.cat_idx))
+
+
+def _schedule(config: FireflyConfig, budget: EvaluationBudget) -> tuple[float, float]:
+    """alpha and gamma for the next sweep: each one decayed with the budget's
+    progress if its flag is set, else as configured."""
+    if not (config.adapt_alpha or config.adapt_gamma):
+        return config.alpha, config.gamma
+    a, g = adapt_parameters(config.alpha, config.gamma, budget)
+    return (a if config.adapt_alpha else config.alpha), (g if config.adapt_gamma else config.gamma)
 
 
 def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np.ndarray,
          distance, evaluate, layout) -> None:
-    """The firefly loop of both engines, run until ``budget`` is spent:
-    positions move in the box [``lo``, ``hi``] and code vectors in the code
-    layout of ``layout``, a `SearchSpace` or `_NO_CODES`, with which the
-    loop does no code work.  ``distance(d, m)`` is r for ``d = xj - xi``
-    and m differing codes; ``evaluate(x, disc)`` charges one FE of the
-    point with value tuple ``disc``.  The loop alone picks the code form:
-    tuples of ints where `_int_tuples` holds, which it hands to
-    ``evaluate`` as they are, else int64 arrays, which it decodes with
-    ``layout.decode``."""
-    n, n_d, n_cat = len(lo), len(layout.disc_lo), len(layout.cat_idx)
-    # float sizes are exact up to 2**53, and u * size is then one dtype
+    """The array form of the firefly loop of both engines, run until
+    ``budget`` is spent: positions move in the box [``lo``, ``hi``] and
+    int64 code vectors in the code layout of ``layout``, a `SearchSpace` or
+    `_NO_CODES`, with which the loop does no code work.  ``distance(d, m)``
+    is r for ``d = xj - xi`` and m differing codes; ``evaluate(x, disc)``
+    charges one FE of the point with value tuple ``disc``, which the loop
+    decodes with ``layout.decode``."""
+    n_d, n_cat = len(layout.disc_lo), len(layout.cat_idx)
+    # float sizes are exact up to 2**53, and u * size is then one dtype; float
+    # bounds keep the step's clip in one dtype, which is exact within 2**52
     cat_idx, cat_sizes = layout.cat_idx, layout.cat_sizes.astype(float)
-    # the code-step pieces of the run's code form; float bounds keep the
-    # array step's clip in one dtype, which is exact within 2**52
-    tuples = _int_tuples(layout)
-    if tuples:
-        differing, copy, step_codes = _differ_ints, _copy_differing_ints, _integer_step_ints
-        code_lo, code_hi = layout.disc_lo.tolist(), layout.disc_hi.tolist()
-    else:
-        differing, copy, step_codes = _differ, _copy_differing, _integer_step
-        code_lo, code_hi = layout.disc_lo.astype(float), layout.disc_hi.astype(float)
-
-    # the first population: one row of n + n_d doubles per firefly, the
-    # position first; a code is disc_lo + floor(u * size), below its bound
-    # for every u < 1.  Every move then reads one row of `_Uniforms`
-    rng = np.random.default_rng(config.seed)
-    pop = rng.random((min(config.pop_size, config.max_fe), n + n_d))
-    rows = _Uniforms(rng, n, n_d, n_cat)
+    code_lo, code_hi = layout.disc_lo.astype(float), layout.disc_hi.astype(float)
+    first, first_codes, rows = _start(config, lo, hi, layout)
+    xs, codes = list(first), list(first_codes)
     noise, copy_u, step_u, flags, redraw = rows.columns
-    xs = list(lo + pop[:, :n] * (hi - lo))
-    first = layout.disc_lo + (pop[:, n:] * layout.disc_sizes).astype(np.int64)
-    codes = [tuple(c) for c in first.tolist()] if tuples else list(first)
-    fitness = [evaluate(x, c if tuples else layout.decode(c)) for x, c in zip(xs, codes)]
+    fitness = [evaluate(x, layout.decode(c)) for x, c in zip(xs, codes)]
 
-    alpha, gamma = config.alpha, config.gamma
     while not budget.exhausted:
-        if config.adapt_alpha or config.adapt_gamma:
-            a, g = adapt_parameters(config.alpha, config.gamma, budget)
-            alpha = a if config.adapt_alpha else alpha
-            gamma = g if config.adapt_gamma else gamma
+        alpha, gamma = _schedule(config, budget)
         if n_cat:   # only a categorical code reads it
             p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
         rows.scale(alpha)
 
         for i, j in _sweep(fitness, budget):
             row = rows.move()
-            u = row.tolist() if tuples and n_d else row   # the tuple form's one conversion
             xi, disc = xs[i], codes[i]
             if j is None:
                 x = xi + row[noise]
             else:
                 d, cj = xs[j] - xi, codes[j]
-                differ = differing(disc, cj) if n_d else ()
+                differ = _differ(disc, cj) if n_d else ()
                 r = distance(d, len(differ))
                 e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
                 x = _attract(xi, d, attractiveness(config.beta0, e), row[noise])
                 if len(differ):
-                    disc = copy(disc, cj, differ, e, u[copy_u])
+                    disc = _copy_differing(disc, cj, differ, e, row[copy_u])
             if n_d:
-                stepped = step_codes(disc, code_lo, code_hi, u[step_u])
+                stepped = _integer_step(disc, code_lo, code_hi, row[step_u])
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
                     stepped[cat_idx] = disc[cat_idx]
                     alpha_step_categorical(stepped, cat_idx, cat_sizes, row[flags], p_alpha,
                                            row[redraw])
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
-            fitness[i] = evaluate(x, codes[i] if tuples else layout.decode(codes[i]))
+            fitness[i] = evaluate(x, layout.decode(codes[i]))
+
+
+def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
+                hi: np.ndarray, distance, evaluate, layout) -> None:
+    """The scalar form of the firefly loop, for a space where `_scalar`
+    holds: `_fly`'s double operations in the same order, on a position list
+    of floats and a code tuple of ints, which is already the value tuple.
+    Each move converts its row with one ``tolist()`` and moves and clips
+    the position in one comprehension.  ``distance(xi, xj, m)`` takes two
+    position lists, and ``evaluate(x, disc)`` a position list."""
+    n, n_d = len(lo), len(layout.disc_lo)
+    first, first_codes, rows = _start(config, lo, hi, layout)
+    xs, codes = first.tolist(), [tuple(c) for c in first_codes.tolist()]
+    lo, hi = lo.tolist(), hi.tolist()
+    code_lo, code_hi = layout.disc_lo.tolist(), layout.disc_hi.tolist()
+    fitness = [evaluate(x, c) for x, c in zip(xs, codes)]
+
+    while not budget.exhausted:
+        alpha, gamma = _schedule(config, budget)
+        rows.scale(alpha)
+
+        for i, j in _sweep(fitness, budget):
+            u = rows.move().tolist()   # noise, copy uniforms, integer step
+            xi, disc = xs[i], codes[i]
+            # the clip is np.minimum(np.maximum(lo, x), hi), ties to the second operand
+            if j is None:
+                x = [a if a > (v := p + s) else v if v < b else b
+                     for a, b, p, s in zip(lo, hi, xi, u)]
+            else:   # d = xj - xi, formed where it is read
+                xj, cj = xs[j], codes[j]
+                m = sum(map(operator.ne, disc, cj))
+                r = distance(xi, xj, m)
+                e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
+                beta = attractiveness(config.beta0, e)
+                x = [a if a > (v := p + beta * (q - p) + s) else v if v < b else b
+                     for a, b, p, q, s in zip(lo, hi, xi, xj, u)]
+                if m:
+                    disc = [c if c == t or w >= e else t for c, t, w in zip(disc, cj, u[n:])]
+            if n_d:
+                codes[i] = disc = _integer_step_ints(disc, code_lo, code_hi, u[n + n_d:])
+            xs[i] = x
+            fitness[i] = evaluate(x, disc)
 
 
 def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
@@ -416,8 +442,13 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     `Recorder`."""
     space = problem.space
     rec = Recorder(problem, config.max_fe)
-    _fly(config, rec.budget, space.cont_lo, space.cont_hi,
-         partial(CODE_DISTANCES[config.distance], space), rec.evaluate, space)
+    if _scalar(space):
+        _fly_floats(config, rec.budget, space.cont_lo, space.cont_hi,
+                    float_distance(config.distance, space),
+                    lambda x, disc: rec.evaluate(np.array(x), disc), space)
+    else:
+        _fly(config, rec.budget, space.cont_lo, space.cont_hi,
+             partial(CODE_DISTANCES[config.distance], space), rec.evaluate, space)
     return rec.build()
 
 
@@ -435,17 +466,36 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
     for f in fields(FireflyConfig):
         if f.name not in _FA_SETTINGS and getattr(config, f.name) != f.default:
             raise ValueError(f"fa has no setting {f.name}, got {getattr(config, f.name)!r}")
-    rec = Recorder(problem, config.max_fe)
-    _fly(config, rec.budget, problem.space.lo, problem.space.hi,
-         lambda d, m: math.sqrt(d.dot(d)), _relaxed_evaluate(rec), _NO_CODES)
+    rec, space = Recorder(problem, config.max_fe), problem.space
+    if _scalar(space):
+        _fly_floats(config, rec.budget, space.lo, space.hi,
+                    lambda xi, xj, m: norm_floats(xi, xj), _relaxed_floats(rec), _NO_CODES)
+    else:
+        _fly(config, rec.budget, space.lo, space.hi, lambda d, m: norm(d),
+             _relaxed_evaluate(rec), _NO_CODES)
     return rec.build()
 
 
 def _relaxed_evaluate(rec: Recorder):
-    """fa's evaluation map: a clipped relaxed position's discrete slots
-    round to codes, which the space decodes, and the values the loop passes
-    are ignored."""
+    """fa's evaluation map in the array form: a clipped relaxed position's
+    discrete slots round to codes, which the space decodes, and the values
+    the loop passes are ignored."""
     cont_pos, disc_pos, decode = rec.space.cont_pos, rec.space.disc_pos, rec.space.decode
     if not len(disc_pos):   # the position is the point, and the loop passes ()
         return rec.evaluate
     return lambda x, _: rec.evaluate(x[cont_pos], decode(_round_codes(x[disc_pos])))
+
+
+def _round_ints(v: list) -> tuple:
+    """`_round_codes` of a list of floats, as a tuple of ints."""
+    return tuple([int(x + math.copysign(0.5, x)) for x in v])
+
+
+def _relaxed_floats(rec: Recorder):
+    """`_relaxed_evaluate` in the scalar form, on a position list of a space
+    with no categorical dimension: the rounded codes are the values."""
+    cont_pos, disc_pos = rec.space.cont_pos.tolist(), rec.space.disc_pos.tolist()
+    if not disc_pos:
+        return lambda x, _: rec.evaluate(np.array(x), ())
+    return lambda x, _: rec.evaluate(np.array([x[k] for k in cont_pos]),
+                                     _round_ints([x[k] for k in disc_pos]))

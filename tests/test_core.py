@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,14 @@ class TestDimensionSpecs:
     def test_continuous_requires_finite_bounds(self):
         with pytest.raises(ValueError):
             Continuous(0.0, float("inf"))
+
+    def test_continuous_requires_a_finite_width(self):
+        # hi - lo overflows to inf: every difference of positions could too,
+        # and a move would hand the objective NaN positions
+        for lo, hi in ((-1e308, 1e308), (-1.7976931348623157e308, 1e300), (-10 ** 308, 10 ** 308)):
+            with pytest.raises(ValueError, match="width .*" + re.escape(f"[{lo}, {hi}]")):
+                Continuous(lo, hi)
+        assert math.isfinite(SearchSpace([Continuous(-8e307, 8e307)]).cont_range[0])
 
     def test_integer_range_allows_singleton(self):
         dim = IntegerRange(5, 5)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import encode
 from famv import (Categorical, Continuous, DistanceKind, IntegerRange,
                   MixedSolution, SearchSpace, euclidean, gower, hamming,
                   mixed_eh, random_solution)
-from famv.distances import CODE_DISTANCES
+from famv.distances import (CODE_DISTANCES, float_distance, norm, norm_floats, total,
+                            total_floats)
 
 
 class TestEuclidean:
@@ -139,3 +140,54 @@ def test_distance_axioms_property(seed):
         assert fn(space, x, y) == fn(space, y, x)
         assert fn(space, x, x) == 0.0
     assert 0.0 <= gower(space, x, y) <= 1.0
+
+
+# non-negative terms, the only kind a distance sums, from subnormal to the
+# largest double, so that long sums overflow to inf
+_terms = st.floats(0.0, 1.7976931348623157e308)
+
+
+@given(st.lists(_terms, max_size=128))
+@example([5e-324, 1.0, 5e-324])
+@example([1e308, 1e308, 1.0])
+@settings(max_examples=200, deadline=None)
+def test_scalar_sum_is_the_left_to_right_sum(v):
+    # the scalar form's sum and the array form's, np.add.accumulate's last
+    # partial sum, give one double, bit for bit; numpy warns where the sum
+    # overflows, and Python does not
+    with np.errstate(over="ignore"):
+        array = total(np.array(v, dtype=float))
+    assert total_floats(v).hex() == array.hex()
+
+
+def test_sums_run_left_to_right():
+    # (1 + u) + u rounds back to 1 twice, while 1 + (u + u) is above 1
+    u = 2.0 ** -53
+    for v in ([1.0, u, u], [u, u, 1.0]):
+        assert total(np.array(v)) == total_floats(v) == v[0] + v[1] + v[2]
+    assert total_floats([1.0, u, u]) == 1.0 < total_floats([u, u, 1.0])
+    assert total(np.empty(0)) == total_floats([]) == 0.0
+
+
+@given(st.lists(st.tuples(st.floats(-1e200, 1e200), st.floats(-1e200, 1e200)), max_size=128))
+@example([(0.0, 3.0), (4.0, 0.0)])
+@settings(max_examples=100, deadline=None)
+def test_scalar_norm_equals_the_array_norm(pairs):
+    xi, xj = [p for p, _ in pairs], [q for _, q in pairs]
+    with np.errstate(over="ignore"):   # a square past the largest double is inf
+        array = norm(np.array(xj) - np.array(xi)) if pairs else norm(np.empty(0))
+    assert norm_floats(xi, xj).hex() == array.hex()
+
+
+@given(seed=st.integers(0, 2 ** 31), n_c=st.integers(0, 20), n_d=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_float_distance_equals_the_code_distance(seed, n_c, n_d):
+    # each measure's scalar kernel gives the array kernel's double
+    assume(n_c + n_d)
+    space = SearchSpace([Continuous(-5.0, 1e3)] * n_c + [IntegerRange(0, 9)] * n_d)
+    rng = np.random.default_rng(seed)
+    xi, xj = (-5.0 + rng.uniform(0.0, 1.0, (2, n_c)) ** 8 * 1005.0)
+    m = int(rng.integers(0, n_d + 1))
+    for kind in DistanceKind:
+        assert float_distance(kind, space)(xi.tolist(), xj.tolist(), m).hex() == \
+            CODE_DISTANCES[kind](space, xj - xi, m).hex()

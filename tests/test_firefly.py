@@ -208,6 +208,27 @@ class TestUniforms:
         assert row[:2].tobytes() == (0.25 * (u[:2] - 0.5)).tobytes()
         assert row[4:6].tobytes() == (0.25 * (2.0 * u[4:6] - 1.0)).tobytes()
 
+    def test_a_new_alpha_forms_only_the_unread_rows(self, monkeypatch):
+        # rows formed per row read: a block is formed once when it is drawn,
+        # and a new alpha, here every 100 moves over three blocks, forms only
+        # the block's rows not yet read
+        formed, rescale = [], _Uniforms._rescale
+
+        def counting(self):
+            rescale(self)
+            formed.append(len(self._block))
+
+        monkeypatch.setattr(_Uniforms, "_rescale", counting)
+        uniforms = _Uniforms(np.random.default_rng(0), 2, 2, 0)
+        rows = _BLOCK // 6
+        for t in range(3 * rows):
+            if t % 100 == 0:
+                uniforms.scale(2.0 + t)
+            uniforms.move()
+        unread = [(rows - t % rows) % rows for t in range(0, 3 * rows, 100)]
+        assert sum(formed) == 3 * rows + sum(unread)
+        self._assert_rows(0, (2, 2, 0), [(2.0 + t, 100) for t in range(0, 3 * rows, 100)])
+
     def test_block_crossing_after_a_skipped_scale(self):
         # the first block is scaled by 0.5 once, the repeat is skipped, and
         # the move that starts the next block must get its forms at 0.5
@@ -757,17 +778,19 @@ def test_fa_does_no_code_work(algo, monkeypatch):
         assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
 
 
-@pytest.mark.parametrize("problem, form", [
-    (get_problem("vessel"), "_integer_step_ints"),
-    (get_problem("beam"), None),
-    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), "_integer_step"),
+@pytest.mark.parametrize("problem, form, scalar", [
+    (get_problem("vessel"), "_integer_step_ints", True),
+    (get_problem("beam"), None, True),
+    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), "_integer_step", False),
 ], ids=["vessel", "beam", "30-integers"])
-def test_code_form_follows_the_size_rule(problem, form, monkeypatch):
-    # famv steps vessel's two codes as a tuple of ints, and a 30-integer
-    # space's as an array: one step of the run's form per move, none of the
-    # other; beam has no code to step.  Only the tuple form converts its
-    # row, with one tolist() per move.  Only array codes and fa's rounded
-    # slots are decoded, once per FE
+def test_code_form_follows_the_size_rule(problem, form, scalar, monkeypatch):
+    # both engines run vessel and beam (4 dimensions) in the scalar form, and
+    # a 31-dimension space in the array form.  famv steps vessel's two codes
+    # as a tuple of ints and the 30 integers as an array: one step of the
+    # run's form per move, none of the other; beam has no code to step.  Only
+    # the scalar form converts its row, with one tolist() per move, fa's
+    # included.  Only the array form decodes, once per FE: famv its codes
+    # and fa its rounded slots
     calls = {"_integer_step": 0, "_integer_step_ints": 0, "decode": 0, "tolist": 0}
 
     def counting(name, original):
@@ -795,29 +818,36 @@ def test_code_form_follows_the_size_rule(problem, form, monkeypatch):
     for algo in ("famv-h", "famv-g"):
         calls.update(dict.fromkeys(calls, 0))
         run_algorithm(algo, problem, 300, 0)
-        assert calls == {**steps, "decode": 300 * (form == "_integer_step"),
-                         "tolist": steps["_integer_step_ints"]}
+        assert calls == {**steps, "decode": 300 * (not scalar), "tolist": moves * scalar}
     calls.update(dict.fromkeys(calls, 0))
     run_algorithm("fa", problem, 300, 0)
     assert calls == {"_integer_step": 0, "_integer_step_ints": 0,
-                     "decode": 300 * bool(problem.space.n_d), "tolist": 0}
+                     "decode": 300 * (not scalar), "tolist": moves * scalar}
 
 
 @pytest.mark.parametrize("dims, rounds", [
-    ([Continuous(-1.0, 2.0)] * 3, 0),
-    ([Continuous(-1.0, 2.0), IntegerRange(-3, 3)], 300),
-], ids=["continuous", "mixed"])
+    ([Continuous(-1.0, 2.0)] * 3, {"_round_codes": 0, "_round_ints": 0}),
+    ([Continuous(-1.0, 2.0), IntegerRange(-3, 3)], {"_round_codes": 0, "_round_ints": 300}),
+    ([Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y"))],
+     {"_round_codes": 300, "_round_ints": 0}),
+], ids=["continuous", "mixed", "categorical"])
 def test_fa_rounds_only_discrete_slots(dims, rounds, monkeypatch):
-    # fa rounds its discrete slots once per FE; on a space with none its
-    # position is the point, and it rounds nothing
-    calls = 0
+    # fa rounds its discrete slots once per FE, in the scalar form as a list
+    # and in the array form (here, for the categorical dimension) as an
+    # array; on a space with none its position is the point, and it rounds
+    # nothing
+    calls = dict.fromkeys(rounds, 0)
 
-    def counting(v):
-        nonlocal calls
-        calls += 1
-        return _round_codes(v)
+    def counting(name):
+        original = getattr(firefly, name)
 
-    monkeypatch.setattr(firefly, "_round_codes", counting)
+        def count(v):
+            calls[name] += 1
+            return original(v)
+        return count
+
+    for name in rounds:
+        monkeypatch.setattr(firefly, name, counting(name))
     run_algorithm("fa", Bowl(dims), 300, 0)
     assert calls == rounds
 
@@ -865,6 +895,14 @@ class TestRunClassicalFa:
         assert len(trace.samples) == 1  # only the first evaluation improves
 
 
+def _left_sum(v) -> float:
+    """((v0 + v1) + v2) + ...: the sum r is defined by, 0.0 for no term."""
+    s = 0.0
+    for x in v:
+        s += float(x)
+    return s
+
+
 def _round_half_away(v):
     """sign(v) floor(|v| + 1/2): the nearest integer, halves away from zero."""
     return np.sign(v) * np.floor(np.abs(v) + 0.5)
@@ -876,7 +914,8 @@ def _staged_famv(problem, config: FireflyConfig):
     and every move then draws one row of n_c + 2 n_d + 2 n_cat doubles,
     read column by column.  With m the number of differing codes: the
     distance (||d|| + m) / dim for mixed-EH or (sum |d| / range + m) / dim
-    for Gower, d = xj - xi; the move xi + beta d + alpha (u - 1/2) with
+    for Gower, d = xj - xi, each sum taken left to right; the move
+    xi + beta d + alpha (u - 1/2) with
     beta = beta0 exp(-gamma r^2); code k copies xj's code when it differs
     and its copy uniform is below p = exp(-gamma r^2); the integer step
     round(c + alpha (2u - 1)) on every code, halves away from zero, then
@@ -907,10 +946,10 @@ def _staged_famv(problem, config: FireflyConfig):
                 xj, cj = conts[j], codes[j]
                 d, m = xj - xi, int(np.count_nonzero(ci != cj))
                 if config.distance is DistanceKind.MIXED_EH:
-                    r = (math.sqrt(d.dot(d)) + m) / space.dim
+                    r = (math.sqrt(_left_sum(d * d)) + m) / space.dim
                 else:
                     span = space.cont_hi - space.cont_lo
-                    r = (float(np.sum(np.abs(d) / span)) + m) / space.dim
+                    r = (_left_sum(np.abs(d) / span) + m) / space.dim
                 beta = config.beta0 * math.exp(-gamma * r * r)
                 cont = xi + beta * d + alpha * (noise - 0.5)
                 p = math.exp(-gamma * r * r)
@@ -932,7 +971,7 @@ def _staged_fa(problem, config: FireflyConfig):
     first population is one draw of ``dim`` doubles per firefly, and every
     move then draws ``dim`` doubles of noise.  The move
     xi + beta d + alpha (u - 1/2) with beta = beta0 exp(-gamma r^2) at
-    r = ||d||, d = xj - xi, then
+    r = ||d||, d = xj - xi, its squares summed left to right, then
     np.clip into the bounds; a discrete slot of the clipped position rounds
     half away from zero."""
     space = problem.space
@@ -956,7 +995,7 @@ def _staged_fa(problem, config: FireflyConfig):
                 position = xi + noise
             else:
                 d = positions[j] - xi
-                r = math.sqrt(d.dot(d))
+                r = math.sqrt(_left_sum(d * d))
                 beta = config.beta0 * math.exp(-config.gamma * r * r)
                 position = xi + beta * d + noise
             positions[i] = np.clip(position, lo, hi)
@@ -1018,29 +1057,41 @@ class _Recording:
         return float(sol.cont.dot(sol.cont)) + sum(abs(v) / 2.0 ** 52 for v in sol.disc)
 
 
-@given(ints=st.lists(_integer_dims, max_size=firefly._TUPLE_CODES + 3),
-       n_c=st.integers(0, 2),
-       algo=st.sampled_from([n for n in harness.ALGORITHMS if n.startswith("famv-")]),
-       alpha=st.one_of(st.floats(0.01, 10.0), st.sampled_from([1e6, 1e19])),
+# a box dimension with a bound at 0.0 or -0.0 among them: a position clipped
+# there and moved by a zero, its sign kept or lost, is a tie of the clip
+_box_dims = st.sampled_from([Continuous(-1.0, 2.0), Continuous(0.0, 1.0), Continuous(-0.0, 1.0),
+                             Continuous(-1.0, 0.0), Continuous(-1.0, -0.0)])
+
+
+@given(dims=st.tuples(st.lists(_box_dims, max_size=firefly._SCALAR_DIMS + 3),
+                      st.lists(_integer_dims, max_size=firefly._SCALAR_DIMS + 3)
+                      ).flatmap(lambda kinds: st.permutations(kinds[0] + kinds[1])),
+       algo=st.sampled_from([n for n in harness.ALGORITHMS if n != "ga"]),
+       alpha=st.one_of(st.floats(0.01, 10.0), st.sampled_from([5e-324, 1e6, 1e19])),
        budget=st.one_of(st.integers(1, 300), st.sampled_from([1, 24, 25, 26, 137])),
        nan_every=st.sampled_from([1, 2, 7, 10 ** 6]), seed=st.integers(0, 2 ** 16))
-@example(ints=[IntegerRange(1, 99)] * 2, n_c=2, algo="famv-h", alpha=1.5, budget=300,
-         nan_every=10 ** 6, seed=0)
-@example(ints=[IntegerRange(-2 ** 52, 2 ** 52 - 1), IntegerRange(1 - 2 ** 52, 2 ** 52)],
-         n_c=1, algo="famv-g-adaptive", alpha=1e19, budget=137, nan_every=7, seed=1)
-@example(ints=[], n_c=2, algo="famv-g", alpha=1.5, budget=300, nan_every=10 ** 6, seed=2)
+@example(dims=[Continuous(-1.0, 2.0)] * 2 + [IntegerRange(1, 99)] * 2, algo="famv-h",
+         alpha=1.5, budget=300, nan_every=10 ** 6, seed=0)
+@example(dims=[Continuous(-1.0, 2.0), IntegerRange(-2 ** 52, 2 ** 52 - 1),
+               IntegerRange(1 - 2 ** 52, 2 ** 52)],
+         algo="famv-g-adaptive", alpha=1e19, budget=137, nan_every=7, seed=1)
+@example(dims=[Continuous(-1.0, 2.0)] * 2, algo="famv-g", alpha=1.5, budget=300,
+         nan_every=10 ** 6, seed=2)
+# a noise of -0.0 moves a position at the bound -0.0 to +0.0, which the
+# clip must keep, as np.maximum does on a tie
+@example(dims=[Continuous(-0.0, 1.0), Continuous(-1.0, 2.0)], algo="fa", alpha=5e-324,
+         budget=300, nan_every=10 ** 6, seed=0)
 @settings(max_examples=60, deadline=None)
-def test_tuple_codes_equal_array_codes(ints, n_c, algo, alpha, budget, nan_every, seed):
-    # an integer-only space, codeless ones included, run with its codes
-    # forced to arrays and then to tuples: the same objective calls, bit for
+def test_scalar_form_equals_array_form(dims, algo, alpha, budget, nan_every, seed):
+    # a space with no categorical dimension, small or not, run in the array
+    # form and then in the scalar form: the same objective calls, bit for
     # bit, and the same trace
-    assume(ints or n_c)
-    dims = [Continuous(-1.0, 2.0)] * n_c + ints
+    assume(dims)
     runs = []
-    for tuple_codes in (-1, 10 ** 6):
+    for scalar_dims in (-1, 10 ** 6):
         problem = _Recording(dims, nan_every)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(firefly, "_TUPLE_CODES", tuple_codes)
+            mp.setattr(firefly, "_SCALAR_DIMS", scalar_dims)
             trace = run_algorithm(algo, problem, budget, seed, {"alpha": alpha})
         assert trace.final.solution.conforms(problem.space)
         runs.append((problem.points, _bits(trace)))

@@ -1,11 +1,16 @@
 import csv
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import famv
 from famv import (ALGORITHMS, Categorical, Continuous, DistanceKind, ExperimentSpec,
                   GaConfig, IntegerRange, SearchSpace, compare, harness,
                   run_algorithm, run_experiment)
@@ -567,12 +572,13 @@ GOLDEN_PROBLEMS = ("vessel", "beam", "csd", "sphere")
 # population's codes came from the uniform stream, and again when each famv
 # move came to read one row of the stream whatever the positions: deliberate
 # stream changes.  Every entry was re-taken when sphere's shift left run seed
-# 0's stream
+# 0's stream, and fa's and the mixed-EH entries when r became a left-to-right
+# sum, the same double on every CPU (before, OpenBLAS's ddot picked its order)
 GOLDEN_DIGEST = {
-    "fa": "a2401a31398f281c23f0f5b669f3d422eca346ef5fd50ee8eb360c0b861ab13f",
-    "famv-h": "d60f10eeb2526ce02fe092819488fb1fece7de7358626191cdb49d753c8b047d",
+    "fa": "ec5faa242604bd8e56b156e337eaad185bcc66df303c7d6295d9171d2bce0861",
+    "famv-h": "e094a313bdc0d85d73ffa2638997f3c34091d9d75af053bc78f08caf272dc315",
     "famv-g": "a26cc13acdb878cd249e7ffcf8b3a7dcb5a0715122c494d74ec22c881039bf23",
-    "famv-h-adaptive": "337ba607957b31e7939b3f6d85e7da59eddf1243c12369f3f66efdefb1d03ef9",
+    "famv-h-adaptive": "ffc63ff0bdcc2d7781da58bd0a4b9946414998aa63191bb863317069cafada95",
     "ga": "f0c5d72f078298f4f66bef21a868269b66c2fe1d2fd7f5ed75484ab1ea9dfa45",
 }
 
@@ -615,9 +621,10 @@ class MixedCategorical:
 # the same digests on MixedCategorical; taken from the engines before the
 # firefly schedule moved into `firefly._sweep`, and famv's re-taken when the
 # categorical redraw, then the first population, came from the uniform stream,
-# and when each move came to read one row of it whatever the positions
+# and when each move came to read one row of it whatever the positions; fa's
+# re-taken when r became a left-to-right sum (famv's r here is one |d|)
 CATEGORICAL_DIGEST = {
-    "fa": "b7b76947cbaf7c174e8e9fd33dc4affee8ffead38582cc8a9c931889b3d4473a",
+    "fa": "c1a20f673e18db7f840ee80b675953b75cdb0e3ddb573f0e7c57b631958e7c95",
     "famv-h": "304561bcdc66bfc7d63ef0afc3f5eff5c2b7e4f0242cbe0f0f7d16c1662b57c9",
     "famv-g": "56d45ac80ed14e544b759964ca7b6e2599cef71c683ed0f6efe53d897d2dc235",
     "famv-h-adaptive": "52a3ebbeab77330880f29e635bf9b0136be39ef48f42f76bc3f0ab5be52d18bb",
@@ -627,6 +634,37 @@ CATEGORICAL_DIGEST = {
 
 def test_golden_stream_categorical():
     assert _stream_digests([MixedCategorical()]) == CATEGORICAL_DIGEST
+
+
+# each variable makes one process behave as on another CPU: another OpenBLAS
+# kernel, or numpy's kernels for a CPU without AVX-512
+CPU_VARIABLES = [("OPENBLAS_CORETYPE", "Haswell"), ("OPENBLAS_CORETYPE", "Prescott"),
+                 ("NPY_DISABLE_CPU_FEATURES", "X86_V4")]
+_CHILD = """
+import json, test_harness as t
+from famv import get_problem
+print(json.dumps([t._stream_digests([get_problem(n, dim=10) for n in t.GOLDEN_PROBLEMS]),
+                  t._stream_digests([t.MixedCategorical()])]))
+"""
+
+
+def test_golden_streams_do_not_depend_on_the_cpu():
+    # the golden streams, each run in a child of this interpreter (not a
+    # launcher script) with one variable set for that child only, equal the
+    # streams of this process.  A variable that has no effect here (no
+    # OpenBLAS, no AVX-512) leaves the child as this process
+    path = os.pathsep.join([str(Path(famv.__file__).parents[1]), str(Path(__file__).parent)])
+    children = [(f"{name}={value}", subprocess.Popen(
+        [sys.executable, "-c", _CHILD], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, name: value, "PYTHONPATH": path}))
+        for name, value in CPU_VARIABLES]
+    here = [_stream_digests([get_problem(n, dim=10) for n in GOLDEN_PROBLEMS]),
+            _stream_digests([MixedCategorical()])]
+    results = [(setting, child.communicate(timeout=120)[0], child.returncode)
+               for setting, child in children]
+    for setting, out, returncode in results:
+        assert returncode == 0, setting
+        assert json.loads(out) == here, setting
 
 
 @pytest.mark.parametrize("algo", ["famv-h", "famv-g"])
