@@ -13,9 +13,9 @@ evaluation path every engine shares: `Recorder.evaluate` takes a point's
 continuous vector and value tuple, charges one function evaluation (FE) of
 the run's budget and calls the objective with a `MixedSolution`;
 `Recorder.evaluate_rows` decodes a batch of code rows and evaluates each row
-in order.  On a small space with no categorical dimension the firefly
-engines keep codes as tuples of ints, which are already the value tuples,
-and decode nothing.
+in order.  On a small space the firefly engines keep codes as tuples of
+Python ints, which `SearchSpace.decode_ints` turns into value tuples; with
+no categorical dimension the code tuple is already the value tuple.
 """
 
 from __future__ import annotations
@@ -136,6 +136,14 @@ class SearchSpace:
     def decode(self, codes: np.ndarray) -> tuple:
         """The tuple of integer values and category symbols of a code vector."""
         disc = codes.tolist()
+        for k, values in self._symbols:
+            disc[k] = values[disc[k]]
+        return tuple(disc)
+
+    def decode_ints(self, disc: list) -> tuple:
+        """`decode` of a code list of Python ints, whose categorical codes it
+        overwrites with their symbols.  `decode` and `decode_rows` keep
+        their own copy of the loop, which spares their callers a call per FE."""
         for k, values in self._symbols:
             disc[k] = values[disc[k]]
         return tuple(disc)

@@ -33,27 +33,44 @@ number of a run is a double of that one stream: the first population is
 one draw of n + n_d doubles per firefly, the position first, and the rows
 follow.
 
-Each engine picks the form of a run, once, from the space with `_scalar`.
-A space with at most K' = `_SCALAR_DIMS` dimensions, none of them
-categorical, runs `_fly_floats`: a position is a list of Python floats and
-a code vector a tuple of Python ints, which is already the value tuple; a
-move converts its row with one ``tolist()``, and moves and clips the
-position in one list comprehension.  Every other space runs `_fly`, one
-pass of numpy operations per move over float64 positions and int64 codes,
-which it decodes with `SearchSpace.decode` at each FE.  Both forms do the
-same double operations in the same order, r's left-to-right sum included
-(`famv.distances`), so a run's stream and trace do not depend on the form.
-K' = 14 is the largest dimension count at which the scalar form was not
-slower for either engine on either problem below: CPU time of a run of 2000
-FE in the scalar form over the same run in the array form, on sphere and
-rastrigin with k continuous and k integer dimensions (median of 9 alternated
-pairs, 2-core Xeon VM, Python 3.11.7, numpy 2.4.6):
+Each engine picks the form of a run, once, from the space's dimension
+count, categorical or not.  famv runs a space of at most K'_famv =
+`_SCALAR_DIMS_FAMV` = 24 dimensions, and fa a relaxed box of at most
+K'_fa = `_SCALAR_DIMS_FA` = 14, in `_fly_floats`: a position is a list of
+Python floats and a code vector a tuple of Python ints, a categorical code
+being its symbol's index.  A move converts its row with one ``tolist()``,
+moves and clips the position in one list comprehension, steps each integer
+code in a short loop and redraws categorical codes with
+`alpha_step_categorical` on lists.  Each FE hands the `Recorder` the code
+tuple, its symbols decoded by `SearchSpace.decode_ints` where a dimension is
+categorical.  Every other space runs `_fly`, one pass of numpy operations
+per move over float64 positions and int64 codes, which it decodes with
+`SearchSpace.decode` at each FE.  Both forms do the same double operations
+in the same order, r's left-to-right sum included (`famv.distances`), so a
+run's stream and trace do not depend on the form.
 
-    dimensions 2k       2     4     6     8     10    12    14    16    20    24    50
-    famv-h sphere       0.54  0.62  0.67  0.74  0.76  0.82  0.85  0.87  0.98  1.06  1.45
-    famv-h rastrigin    0.63  0.66  0.65  0.74  0.77  0.80  0.84  0.88  0.94  1.01  1.38
-    fa sphere           0.69  0.71  0.80  0.85  0.84  0.93  0.99  1.04  1.11  1.21  1.53
-    fa rastrigin        0.73  0.77  0.81  0.86  0.91  0.96  0.99  1.02  1.12  1.15  1.56
+Each K' is the largest dimension count at which the scalar form was not
+slower for its engine on any row below: CPU time of 3 runs of 2000 FE in
+the scalar form over the same runs in the array form (median of 9
+alternated pairs, 2-core Xeon VM, Python 3.11.7, numpy 2.4.6).  The k + k
+rows are sphere and rastrigin, with k continuous and k integer dimensions,
+and a bowl of k continuous, k - 1 integer and one categorical dimension
+("+ cat"); the k + k + k rows are mixed-cat's layout, k of each kind.  At
+26 dimensions famv read 0.97-0.99 here, but famv-h 1.04 and 1.07 on sphere
+in two other runs of 9 pairs: 26 is break-even within the noise, so
+K'_famv is 24.
+
+    dimensions 2k       4     8     12    14    16    20    24    26    28
+    famv-h sphere       0.58  0.64  0.75  0.81  0.82  0.94  0.95  0.98  1.03
+    famv-h rastrigin    0.59  0.68  0.74  0.75  0.81  0.88  0.92  0.97  1.02
+    famv-g sphere       0.54  0.66  0.72  0.78  0.78  0.89  0.94  0.98  1.02
+    famv-g rastrigin    0.61  0.68  0.75  0.80  0.83  0.88  0.96  0.99  1.02
+    fa sphere           0.72  0.79  0.91  0.88  0.99  1.08  1.15  1.22  1.21
+    fa k + k + cat      0.68  0.80  0.83  0.96  1.03  1.06  1.14  1.20  1.25
+
+    dimensions 3k       6     12    18    24    30    36    42
+    famv-h k + k + k    0.61  0.70  0.81  0.83  0.90  0.96  1.03
+    famv-g k + k + k    0.62  0.68  0.78  0.83  0.90  0.98  1.05
 """
 
 from __future__ import annotations
@@ -242,29 +259,26 @@ def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     return _round_codes(_clip(codes + step, lo, hi))
 
 
-def _integer_step_ints(codes, lo: list, hi: list, step: list) -> tuple:
-    """`_integer_step` on a code sequence of Python ints, with bound and
-    step lists: the same doubles c + s, clipped, then rounded as
-    ``int(v + copysign(1/2, v))``; a value at or past a bound is that bound."""
-    return tuple([a if (v := c + s) <= a else b if v >= b else int(v + math.copysign(0.5, v))
-                  for c, a, b, s in zip(codes, lo, hi, step)])
-
-
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on
-# mixed-cat; the firefly loop looks it up at call time, once per move on a space with
-# a categorical dimension.
-def alpha_step_categorical(codes: np.ndarray, cat_idx: np.ndarray, sizes: np.ndarray,
-                           flags: np.ndarray, p_alpha: float,
-                           redraw: np.ndarray) -> np.ndarray:
+# mixed-cat; both forms of the firefly loop look it up at call time, once per
+# move on a space with a categorical dimension, and hand it lists.  The array
+# form hands it its codes as the int64 vector and the flag and redraw columns
+# from one tolist(), the fastest of the handings measured.  A move then costs
+# about 1.2 + 0.13 k us for k categorical codes, against a constant 2.5-3 us
+# for numpy's masked redraw (2-core Xeon VM, numpy 2.4.6), so past about 13
+# codes the loop is the dearer.
+def alpha_step_categorical(codes, cat_idx, sizes, flags, p_alpha: float, redraw):
     """Redraw in place, and return, ``codes``: each categorical code
     ``codes[cat_idx[k]]`` whose flag ``flags[k]``, a uniform, is below
     ``p_alpha`` is redrawn uniformly over its ``sizes[k]`` symbols (the
     current one may be redrawn).  The redraw truncates u * size for the
     code's own uniform u = ``redraw[k]`` in [0, 1), which stays below
     ``size`` for every u < 1.  The flag is not reused: rescaled as
-    flag * (1 / p_alpha) it can round to 1 and give ``size``."""
-    hit = (flags < p_alpha).nonzero()[0]
-    codes[cat_idx[hit]] = (redraw[hit] * sizes[hit]).astype(np.int64)
+    flag * (1 / p_alpha) it can round to 1 and give ``size``.  Any
+    sequences serve, and an int64 array of codes stays one."""
+    for k, size, flag, u in zip(cat_idx, sizes, flags, redraw):
+        if flag < p_alpha:
+            codes[k] = int(u * size)
     return codes
 
 
@@ -312,15 +326,28 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
 # and the decode of its empty code vectors, the empty value tuple
 _NO_CODES = SimpleNamespace(decode=tuple, **dict.fromkeys(
     ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes"), np.empty(0, np.int64)))
-# K': the most dimensions of a space that the engines move in Python floats
+# K': the most dimensions of a space that each engine moves in Python floats
 # (the break-even table in the module docstring)
-_SCALAR_DIMS = 14
+_SCALAR_DIMS_FAMV = 24
+_SCALAR_DIMS_FA = 14
 
 
-def _scalar(space: SearchSpace) -> bool:
-    """Whether both engines run ``space`` in the scalar form: at most
-    `_SCALAR_DIMS` dimensions, none of them categorical."""
-    return space.dim <= _SCALAR_DIMS and not len(space.cat_idx)
+def _quiet(f):
+    """``f`` under ``np.errstate(over="ignore")``."""
+    def quiet(*args):
+        with np.errstate(over="ignore"):
+            return f(*args)
+    return quiet
+
+
+def _wide(config: FireflyConfig, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether a move in the box [``lo``, ``hi``] can pass the largest
+    double: in r's squares, or in xi + beta * d + noise, whose size is at
+    most the largest |bound| plus beta0 ||hi - lo|| plus alpha.  Python
+    float operations overflow to inf silently."""
+    lo, hi = lo.tolist(), hi.tolist()
+    reach = max(map(abs, lo + hi), default=0.0)
+    return math.isinf(reach + config.beta0 * norm_floats(lo, hi) + config.alpha)
 
 
 def _start(config: FireflyConfig, lo: np.ndarray, hi: np.ndarray, layout):
@@ -352,15 +379,21 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     `_NO_CODES`, with which the loop does no code work.  ``distance(d, m)``
     is r for ``d = xj - xi`` and m differing codes; ``evaluate(x, disc)``
     charges one FE of the point with value tuple ``disc``, which the loop
-    decodes with ``layout.decode``."""
+    decodes with ``layout.decode``.  In a box where `_wide` holds, numpy
+    warns of an overflow that the scalar form's floats take silently, to
+    the same inf, so such a run takes r, the move and the walk under
+    `_quiet`."""
     n_d, n_cat = len(layout.disc_lo), len(layout.cat_idx)
-    # float sizes are exact up to 2**53, and u * size is then one dtype; float
-    # bounds keep the step's clip in one dtype, which is exact within 2**52
-    cat_idx, cat_sizes = layout.cat_idx, layout.cat_sizes.astype(float)
+    cat_idx, cat_list = layout.cat_idx, layout.cat_idx.tolist()
+    cat_sizes = layout.cat_sizes.astype(float).tolist()   # exact up to 2**53
+    # float bounds keep the step's clip in one dtype, which is exact within 2**52
     code_lo, code_hi = layout.disc_lo.astype(float), layout.disc_hi.astype(float)
+    walk, attract = np.add, _attract
+    if _wide(config, lo, hi):
+        distance, walk, attract = _quiet(distance), _quiet(np.add), _quiet(_attract)
     first, first_codes, rows = _start(config, lo, hi, layout)
     xs, codes = list(first), list(first_codes)
-    noise, copy_u, step_u, flags, redraw = rows.columns
+    noise, copy_u, step_u, flags, _ = rows.columns
     fitness = [evaluate(x, layout.decode(c)) for x, c in zip(xs, codes)]
 
     while not budget.exhausted:
@@ -373,21 +406,22 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
             row = rows.move()
             xi, disc = xs[i], codes[i]
             if j is None:
-                x = xi + row[noise]
+                x = walk(xi, row[noise])
             else:
                 d, cj = xs[j] - xi, codes[j]
                 differ = _differ(disc, cj) if n_d else ()
                 r = distance(d, len(differ))
                 e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
-                x = _attract(xi, d, attractiveness(config.beta0, e), row[noise])
+                x = attract(xi, d, attractiveness(config.beta0, e), row[noise])
                 if len(differ):
                     disc = _copy_differing(disc, cj, differ, e, row[copy_u])
             if n_d:
                 stepped = _integer_step(disc, code_lo, code_hi, row[step_u])
                 if n_cat:   # a categorical code keeps its pre-step value unless redrawn
                     stepped[cat_idx] = disc[cat_idx]
-                    alpha_step_categorical(stepped, cat_idx, cat_sizes, row[flags], p_alpha,
-                                           row[redraw])
+                    tail = row[flags.start:].tolist()   # the flag and redraw columns
+                    alpha_step_categorical(stepped, cat_list, cat_sizes, tail[:n_cat], p_alpha,
+                                           tail[n_cat:])
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
             fitness[i] = evaluate(x, layout.decode(codes[i]))
@@ -395,25 +429,33 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
 
 def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
                 hi: np.ndarray, distance, evaluate, layout) -> None:
-    """The scalar form of the firefly loop, for a space where `_scalar`
-    holds: `_fly`'s double operations in the same order, on a position list
-    of floats and a code tuple of ints, which is already the value tuple.
-    Each move converts its row with one ``tolist()`` and moves and clips
-    the position in one comprehension.  ``distance(xi, xj, m)`` takes two
-    position lists, and ``evaluate(x, disc)`` a position list."""
-    n, n_d = len(lo), len(layout.disc_lo)
+    """The scalar form of the firefly loop, for a space within its engine's
+    size limit: `_fly`'s double operations in the same order, on a position
+    list of floats and a code tuple of Python ints.  Each move converts its
+    row with one ``tolist()``, moves and clips the position in one
+    comprehension, steps each integer code from its ``(index, lo, hi,
+    column)`` and hands the categorical codes to `alpha_step_categorical`
+    as a list.  ``distance(xi, xj, m)`` takes two position lists, and
+    ``evaluate(x, disc)`` a position list and a code tuple."""
+    n, n_d, n_cat = len(lo), len(layout.disc_lo), len(layout.cat_idx)
     first, first_codes, rows = _start(config, lo, hi, layout)
     xs, codes = first.tolist(), [tuple(c) for c in first_codes.tolist()]
     lo, hi = lo.tolist(), hi.tolist()
-    code_lo, code_hi = layout.disc_lo.tolist(), layout.disc_hi.tolist()
+    cat_idx, cat_sizes = layout.cat_idx.tolist(), layout.cat_sizes.astype(float).tolist()
+    steps = [(k, a, b, n + n_d + k)   # an integer code's index, bounds and step column
+             for k, (a, b) in enumerate(zip(layout.disc_lo.tolist(), layout.disc_hi.tolist()))
+             if k not in cat_idx]
+    flags, redraw = rows.columns[3:]
     fitness = [evaluate(x, c) for x, c in zip(xs, codes)]
 
     while not budget.exhausted:
         alpha, gamma = _schedule(config, budget)
+        if n_cat:   # only a categorical code reads it
+            p_alpha = replacement_prob(alpha, config.alpha, config.k, config.adapt_alpha)
         rows.scale(alpha)
 
         for i, j in _sweep(fitness, budget):
-            u = rows.move().tolist()   # noise, copy uniforms, integer step
+            u = rows.move().tolist()
             xi, disc = xs[i], codes[i]
             # the clip is np.minimum(np.maximum(lo, x), hi), ties to the second operand
             if j is None:
@@ -429,8 +471,15 @@ def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
                      for a, b, p, q, s in zip(lo, hi, xi, xj, u)]
                 if m:
                     disc = [c if c == t or w >= e else t for c, t, w in zip(disc, cj, u[n:])]
-            if n_d:
-                codes[i] = disc = _integer_step_ints(disc, code_lo, code_hi, u[n + n_d:])
+            if n_d:   # `_integer_step`'s doubles; a categorical code keeps its value
+                disc = list(disc)
+                for k, a, b, c in steps:
+                    v = disc[k] + u[c]
+                    disc[k] = (a if v <= a else b if v >= b else
+                               int(v + 0.5) if v >= 0.0 else int(v - 0.5))
+                if n_cat:
+                    alpha_step_categorical(disc, cat_idx, cat_sizes, u[flags], p_alpha, u[redraw])
+                codes[i] = disc = tuple(disc)
             xs[i] = x
             fitness[i] = evaluate(x, disc)
 
@@ -442,14 +491,22 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     `Recorder`."""
     space = problem.space
     rec = Recorder(problem, config.max_fe)
-    if _scalar(space):
+    if space.dim <= _SCALAR_DIMS_FAMV:
         _fly_floats(config, rec.budget, space.cont_lo, space.cont_hi,
-                    float_distance(config.distance, space),
-                    lambda x, disc: rec.evaluate(np.array(x), disc), space)
+                    float_distance(config.distance, space), _code_floats(rec), space)
     else:
         _fly(config, rec.budget, space.cont_lo, space.cont_hi,
              partial(CODE_DISTANCES[config.distance], space), rec.evaluate, space)
     return rec.build()
+
+
+def _code_floats(rec: Recorder):
+    """famv's evaluation map in the scalar form, on a position list and a
+    code tuple: the codes, decoded where a dimension is categorical."""
+    if not len(rec.space.cat_idx):   # the code tuple is the value tuple
+        return lambda x, disc: rec.evaluate(np.array(x), disc)
+    decode = rec.space.decode_ints
+    return lambda x, disc: rec.evaluate(np.array(x), decode(list(disc)))
 
 
 # the settings fa reads; the others belong to famv's discrete step and schedule
@@ -467,7 +524,7 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
         if f.name not in _FA_SETTINGS and getattr(config, f.name) != f.default:
             raise ValueError(f"fa has no setting {f.name}, got {getattr(config, f.name)!r}")
     rec, space = Recorder(problem, config.max_fe), problem.space
-    if _scalar(space):
+    if space.dim <= _SCALAR_DIMS_FA:
         _fly_floats(config, rec.budget, space.lo, space.hi,
                     lambda xi, xj, m: norm_floats(xi, xj), _relaxed_floats(rec), _NO_CODES)
     else:
@@ -486,16 +543,18 @@ def _relaxed_evaluate(rec: Recorder):
     return lambda x, _: rec.evaluate(x[cont_pos], decode(_round_codes(x[disc_pos])))
 
 
-def _round_ints(v: list) -> tuple:
-    """`_round_codes` of a list of floats, as a tuple of ints."""
-    return tuple([int(x + math.copysign(0.5, x)) for x in v])
+def _round_ints(v: list) -> list:
+    """`_round_codes` of a list of floats, as a list of ints."""
+    return [int(x + 0.5) if x >= 0.0 else int(x - 0.5) for x in v]
 
 
 def _relaxed_floats(rec: Recorder):
-    """`_relaxed_evaluate` in the scalar form, on a position list of a space
-    with no categorical dimension: the rounded codes are the values."""
-    cont_pos, disc_pos = rec.space.cont_pos.tolist(), rec.space.disc_pos.tolist()
+    """`_relaxed_evaluate` in the scalar form, on a position list: the
+    rounded codes, decoded where a dimension is categorical."""
+    space = rec.space
+    cont_pos, disc_pos = space.cont_pos.tolist(), space.disc_pos.tolist()
     if not disc_pos:
         return lambda x, _: rec.evaluate(np.array(x), ())
+    decode = space.decode_ints if len(space.cat_idx) else tuple
     return lambda x, _: rec.evaluate(np.array([x[k] for k in cont_pos]),
-                                     _round_ints([x[k] for k in disc_pos]))
+                                     decode(_round_ints([x[k] for k in disc_pos])))

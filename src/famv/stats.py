@@ -130,12 +130,25 @@ def holm_adjust(raw_p: Sequence[float]) -> list[float]:
     return adjusted
 
 
-def _std(values: np.ndarray) -> float:
-    """+inf when any value is infinite (numpy would give NaN and warn),
-    else the sample std, 0 for one value."""
-    if np.isinf(values).any():
-        return math.inf
-    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+def _moments(values: np.ndarray) -> tuple[float, float]:
+    """The mean and the sample std (0 for one value) of a group's values.
+    A group holding an infinite value has std +inf (numpy would give NaN
+    and warn).  Where a finite group's sum or squares pass the largest
+    double, both are taken again on the values scaled by a power of two,
+    which puts the largest below 1, and scaled back: the group's finite
+    mean and std.  Every other group keeps numpy's bits."""
+    def plain(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
+
+    with np.errstate(over="ignore"):
+        if np.isinf(values).any():
+            return float(np.mean(values)), math.inf
+        mean, std = plain(values)
+        if math.isfinite(mean) and math.isfinite(std):
+            return mean, std
+        exponent = math.frexp(float(np.max(np.abs(values))))[1]
+        mean, std = plain(np.ldexp(values, -exponent))
+        return float(np.ldexp(mean, exponent)), float(np.ldexp(std, exponent))
 
 
 @dataclass
@@ -155,7 +168,8 @@ def compare(groups: SampleSet) -> ComparisonReport:
     Tests are significant below ``SIGNIFICANCE_LEVEL``.  The best group has
     the lowest mean, and among equal means (two +inf means, say) the lowest
     mean pooled rank, the ranks Kruskal-Wallis uses.
-    A group that holds an infinite value has std +inf.  The similar set is
+    A group that holds an infinite value has std +inf, and a group of
+    finite values a finite mean and std.  The similar set is
     the best plus every group whose Holm-adjusted comparison against the
     best (adjusted within the best-vs-others family) is non-significant.
     If the omnibus test is non-significant, no group is distinguishable
@@ -166,8 +180,9 @@ def compare(groups: SampleSet) -> ComparisonReport:
     ranking = _rank(groups, least=1)
     mean_rank, n = ranking[1], ranking[3]
     values = {name: np.asarray(v, dtype=float) for name, v in groups.items()}
-    means = {name: float(np.mean(v)) for name, v in values.items()}
-    stds = {name: _std(v) for name, v in values.items()}
+    moments = {name: _moments(v) for name, v in values.items()}
+    means = {name: mean for name, (mean, _) in moments.items()}
+    stds = {name: std for name, (_, std) in moments.items()}
     best = min(means, key=lambda name: (means[name], mean_rank[name]))
     h, p = _h_test(ranking) if len(groups) >= 2 and n >= 3 else (0.0, 1.0)
 

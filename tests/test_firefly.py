@@ -14,10 +14,9 @@ from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
 from famv import firefly
 from famv.core import Recorder
 from famv.distances import DistanceKind
-from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step,
-                          _integer_step_ints, _round_codes, _sweep, adapt_parameters,
-                          alpha_step_categorical, attractiveness, beta_step,
-                          replacement_prob)
+from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step, _round_codes,
+                          _round_ints, _sweep, adapt_parameters, alpha_step_categorical,
+                          attractiveness, beta_step, replacement_prob)
 
 
 def _decay(gamma, r):
@@ -314,7 +313,9 @@ class TestAlphaStepInteger:
     def test_zero_step_keeps_every_code_of_the_widest_ranges(self, form):
         # the codes an IntegerRange admits nearest the float64 limits, stepped by
         # zero inside bounds wider than any of them: rounding v + 1/2 is exact
-        # only within 2**52, so no admitted code may move
+        # only within 2**52, so no admitted code may move.  fa's scalar form
+        # rounds as `_round_ints` does, int(v + 1/2) or int(v - 1/2); famv's
+        # inline step is pinned at these codes by test_scalar_form_equals_array_form
         codes = [c for b in (2 ** 52, 2 ** 53) for c in (b - 1, b, b + 1, 1 - b, -b, -b - 1)
                  if _admitted(c)]
         assert sorted(codes) == [-2 ** 52, 1 - 2 ** 52, 2 ** 52 - 1, 2 ** 52]
@@ -323,12 +324,13 @@ class TestAlphaStepInteger:
             stepped = _integer_step(np.array(codes), np.array(lo, float), np.array(hi, float), zero)
             assert stepped.tolist() == codes
         else:
-            assert _integer_step_ints(tuple(codes), lo, hi, zero) == tuple(codes)
+            assert _round_ints([c + 0.0 for c in codes]) == codes
 
 
 @pytest.mark.parametrize("problem", [
-    get_problem("vessel"),                                       # codes as tuples
-    get_problem("rastrigin", dim=20),                            # 10 codes: arrays
+    get_problem("vessel"),                                       # the scalar form
+    get_problem("rastrigin", dim=20),                            # famv's scalar form
+    get_problem("rastrigin", dim=30),                            # the array form
     Bowl([Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))]),
 ], ids=lambda p: p.name + str(p.space.n_d))
 def test_huge_alpha_runs_without_overflow(problem):
@@ -451,8 +453,16 @@ class TestAlphaStepAll:
             assert stepped.tobytes() == where.tobytes()
 
 
+_CATEGORY_SPACES = {
+    False: [Continuous(-1.0, 2.0), IntegerRange(-3, 3)],
+    True: [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))],
+    # mixed-cat's layout and size, which famv runs in the scalar form
+    "8+8+8": [Continuous(-10.0, 10.0), IntegerRange(0, 20), Categorical(tuple("abcdef"))] * 8,
+}
+
+
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
-@pytest.mark.parametrize("categorical", [False, True])
+@pytest.mark.parametrize("categorical", list(_CATEGORY_SPACES))
 @pytest.mark.parametrize("budget", [1, 26, 300])
 def test_alpha_step_categorical_runs_once_per_move(algo, categorical, budget, monkeypatch):
     # bench/run.py counts this name's calls; run_famv makes one per move on a
@@ -465,8 +475,7 @@ def test_alpha_step_categorical_runs_once_per_move(algo, categorical, budget, mo
         return alpha_step_categorical(*args)
 
     monkeypatch.setattr(firefly, "alpha_step_categorical", counting)
-    dims = [Continuous(-1.0, 2.0), IntegerRange(-3, 3)]
-    run_algorithm(algo, Bowl(dims + [Categorical(("x", "y", "z"))] * categorical), budget, 0)
+    run_algorithm(algo, Bowl(_CATEGORY_SPACES[categorical]), budget, 0)
     pop_size = FireflyConfig(max_fe=budget).pop_size
     moves = max(0, budget - pop_size) if categorical and algo != "fa" else 0
     assert calls == moves
@@ -757,8 +766,11 @@ class TestRelaxation:
 @pytest.mark.parametrize("algo", ["fa", "famv-h"])
 def test_fa_does_no_code_work(algo, monkeypatch):
     # fa moves no code vector, so it never copies or steps a code; famv-h
-    # on the same space does both on every move
+    # on the same space does both on every move.  Both run the array form,
+    # whose code steps are functions
     calls = {"_copy_differing": 0, "_integer_step": 0}
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", -1)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", -1)
 
     def counting(name):
         original = getattr(firefly, name)
@@ -778,20 +790,26 @@ def test_fa_does_no_code_work(algo, monkeypatch):
         assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
 
 
-@pytest.mark.parametrize("problem, form, scalar", [
-    (get_problem("vessel"), "_integer_step_ints", True),
-    (get_problem("beam"), None, True),
-    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), "_integer_step", False),
-], ids=["vessel", "beam", "30-integers"])
-def test_code_form_follows_the_size_rule(problem, form, scalar, monkeypatch):
-    # both engines run vessel and beam (4 dimensions) in the scalar form, and
-    # a 31-dimension space in the array form.  famv steps vessel's two codes
-    # as a tuple of ints and the 30 integers as an array: one step of the
-    # run's form per move, none of the other; beam has no code to step.  Only
-    # the scalar form converts its row, with one tolist() per move, fa's
-    # included.  Only the array form decodes, once per FE: famv its codes
-    # and fa its rounded slots
-    calls = {"_integer_step": 0, "_integer_step_ints": 0, "decode": 0, "tolist": 0}
+_MIXED = [Continuous(-10.0, 10.0), IntegerRange(0, 20), Categorical(tuple("abcdef"))] * 8
+
+
+@pytest.mark.parametrize("problem, famv_scalar, fa_scalar", [
+    (get_problem("vessel"), True, True),
+    (get_problem("beam"), True, True),
+    (Bowl(_MIXED), True, False),
+    (Bowl(_MIXED + [Continuous(-1.0, 2.0)]), False, False),
+    (Bowl([Continuous(-1.0, 2.0)] + [IntegerRange(-3, 3)] * 30), False, False),
+], ids=["vessel", "beam", "8+8+8", "25-dims", "30-integers"])
+def test_code_form_follows_the_size_rule(problem, famv_scalar, fa_scalar, monkeypatch):
+    # famv runs a space of at most 24 dimensions in the scalar form, and fa
+    # one of at most 14, categorical or not; a larger space runs the array
+    # form.  Only the array form steps its codes with `_integer_step`, once
+    # per move, and decodes, once per FE: famv its codes and fa its rounded
+    # slots.  The scalar form converts its row with one tolist() per move,
+    # fa's included, and decodes symbols with `decode_ints` only on a space
+    # with a categorical dimension; the array form's categorical step
+    # converts its flag and redraw columns with one tolist() per move
+    calls = {"_integer_step": 0, "decode": 0, "decode_ints": 0, "tolist": 0}
 
     def counting(name, original):
         def count(*args):
@@ -808,34 +826,38 @@ def test_code_form_follows_the_size_rule(problem, form, scalar, monkeypatch):
             arr = arr.view(np.ndarray)
             return arr[()] if return_scalar else arr
 
-    for name in ("_integer_step", "_integer_step_ints"):
-        monkeypatch.setattr(firefly, name, counting(name, getattr(firefly, name)))
-    monkeypatch.setattr(SearchSpace, "decode", counting("decode", SearchSpace.decode))
+    monkeypatch.setattr(firefly, "_integer_step", counting("_integer_step", firefly._integer_step))
+    for name in ("decode", "decode_ints"):
+        monkeypatch.setattr(SearchSpace, name, counting(name, getattr(SearchSpace, name)))
     move = _Uniforms.move
     monkeypatch.setattr(_Uniforms, "move", lambda self: move(self).view(Row))
     moves = 300 - FireflyConfig(max_fe=300).pop_size
-    steps = {name: moves * (name == form) for name in ("_integer_step", "_integer_step_ints")}
-    for algo in ("famv-h", "famv-g"):
+    space = problem.space
+    n_cat = len(space.cat_idx)
+    for algo in ("famv-h", "famv-g", "fa"):
+        scalar = famv_scalar if algo != "fa" else fa_scalar
+        codes = bool(space.n_d) and algo != "fa"
         calls.update(dict.fromkeys(calls, 0))
         run_algorithm(algo, problem, 300, 0)
-        assert calls == {**steps, "decode": 300 * (not scalar), "tolist": moves * scalar}
-    calls.update(dict.fromkeys(calls, 0))
-    run_algorithm("fa", problem, 300, 0)
-    assert calls == {"_integer_step": 0, "_integer_step_ints": 0,
-                     "decode": 300 * (not scalar), "tolist": moves * scalar}
+        assert calls == {
+            "_integer_step": moves * (codes and not scalar),
+            "decode": 300 * (not scalar),
+            "decode_ints": 300 * (scalar and bool(n_cat)),
+            "tolist": moves if scalar else moves * (codes and bool(n_cat))}, algo
 
 
 @pytest.mark.parametrize("dims, rounds", [
     ([Continuous(-1.0, 2.0)] * 3, {"_round_codes": 0, "_round_ints": 0}),
     ([Continuous(-1.0, 2.0), IntegerRange(-3, 3)], {"_round_codes": 0, "_round_ints": 300}),
     ([Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y"))],
+     {"_round_codes": 0, "_round_ints": 300}),
+    ([Continuous(-1.0, 2.0)] * 14 + [Categorical(("x", "y"))],
      {"_round_codes": 300, "_round_ints": 0}),
-], ids=["continuous", "mixed", "categorical"])
+], ids=["continuous", "mixed", "categorical", "15-dims"])
 def test_fa_rounds_only_discrete_slots(dims, rounds, monkeypatch):
     # fa rounds its discrete slots once per FE, in the scalar form as a list
-    # and in the array form (here, for the categorical dimension) as an
-    # array; on a space with none its position is the point, and it rounds
-    # nothing
+    # and in the array form (here, past fa's 14 dimensions) as an array; on
+    # a space with none its position is the point, and it rounds nothing
     calls = dict.fromkeys(rounds, 0)
 
     def counting(name):
@@ -1043,7 +1065,7 @@ _integer_dims = st.one_of(
 class _Recording:
     """Every point it is called with, as bytes and values; NaN on each call
     whose number is a multiple of ``nan_every``, else a bowl scaled to the
-    bounds."""
+    bounds plus the length of each symbol's repr that is not an int."""
 
     name, reference_optimum = "recording", 0.0
 
@@ -1054,18 +1076,31 @@ class _Recording:
         self.points.append((sol.cont.tobytes(), sol.disc, [type(v) for v in sol.disc]))
         if len(self.points) % self.nan_every == 0:
             return math.nan
-        return float(sol.cont.dot(sol.cont)) + sum(abs(v) / 2.0 ** 52 for v in sol.disc)
+        return float(sol.cont.dot(sol.cont)) + sum(
+            abs(v) / 2.0 ** 52 if type(v) is int else len(repr(v)) for v in sol.disc)
+
+
+class _WideRecording(_Recording):
+    """A `_Recording` whose bowl, summed in Python floats scaled by 2**-1000,
+    stays finite on the widest boxes."""
+
+    def __call__(self, sol):
+        self.points.append((sol.cont.tobytes(), sol.disc, [type(v) for v in sol.disc]))
+        return sum(abs(x) * 2.0 ** -1000 for x in sol.cont.tolist()) + sum(sol.disc)
 
 
 # a box dimension with a bound at 0.0 or -0.0 among them: a position clipped
 # there and moved by a zero, its sign kept or lost, is a tie of the clip
 _box_dims = st.sampled_from([Continuous(-1.0, 2.0), Continuous(0.0, 1.0), Continuous(-0.0, 1.0),
                              Continuous(-1.0, 0.0), Continuous(-1.0, -0.0)])
+# a one-value categorical, whose code never moves, and symbols of mixed types
+_categorical_dims = st.sampled_from([
+    Categorical(("x",)), Categorical(("a", "b", "c")),
+    Categorical((0, "one", 2.5, None, ("t",), b"f")), Categorical(tuple(range(9)))])
 
 
-@given(dims=st.tuples(st.lists(_box_dims, max_size=firefly._SCALAR_DIMS + 3),
-                      st.lists(_integer_dims, max_size=firefly._SCALAR_DIMS + 3)
-                      ).flatmap(lambda kinds: st.permutations(kinds[0] + kinds[1])),
+@given(dims=st.lists(st.one_of(_box_dims, _integer_dims, _categorical_dims),
+                     max_size=firefly._SCALAR_DIMS_FAMV + 3),
        algo=st.sampled_from([n for n in harness.ALGORITHMS if n != "ga"]),
        alpha=st.one_of(st.floats(0.01, 10.0), st.sampled_from([5e-324, 1e6, 1e19])),
        budget=st.one_of(st.integers(1, 300), st.sampled_from([1, 24, 25, 26, 137])),
@@ -1081,18 +1116,60 @@ _box_dims = st.sampled_from([Continuous(-1.0, 2.0), Continuous(0.0, 1.0), Contin
 # clip must keep, as np.maximum does on a tie
 @example(dims=[Continuous(-0.0, 1.0), Continuous(-1.0, 2.0)], algo="fa", alpha=5e-324,
          budget=300, nan_every=10 ** 6, seed=0)
+# mixed-cat's layout at its size, under both engines
+@example(dims=[Continuous(-10.0, 10.0), IntegerRange(0, 20), Categorical(tuple("abcdef"))] * 8,
+         algo="famv-h", alpha=1.5, budget=300, nan_every=10 ** 6, seed=0)
+@example(dims=[Continuous(-10.0, 10.0), IntegerRange(0, 20), Categorical(tuple("abcdef"))] * 8,
+         algo="fa", alpha=1.5, budget=300, nan_every=10 ** 6, seed=0)
+@example(dims=[Categorical(("x",)), IntegerRange(-2, 2), Categorical((0, "one", 2.5, None))],
+         algo="famv-g-adaptive", alpha=1e19, budget=137, nan_every=7, seed=3)
+# the codes an IntegerRange admits nearest the float64 limits, held by a
+# zero step and moved by a small one: the scalar form's inline integer step
+# rounds them as `_integer_step` does
+@example(dims=[IntegerRange(2 ** 52 - 3, 2 ** 52), IntegerRange(-2 ** 52, 3 - 2 ** 52),
+               IntegerRange(2 ** 52 - 1, 2 ** 52), IntegerRange(-2 ** 52, 1 - 2 ** 52),
+               Continuous(-1.0, 2.0)],
+         algo="famv-h", alpha=5e-324, budget=300, nan_every=10 ** 6, seed=0)
+@example(dims=[IntegerRange(2 ** 52 - 3, 2 ** 52), IntegerRange(-2 ** 52, 3 - 2 ** 52),
+               IntegerRange(2 ** 52 - 1, 2 ** 52), IntegerRange(-2 ** 52, 1 - 2 ** 52),
+               Continuous(-1.0, 2.0)],
+         algo="famv-g", alpha=1.5, budget=300, nan_every=10 ** 6, seed=0)
 @settings(max_examples=60, deadline=None)
 def test_scalar_form_equals_array_form(dims, algo, alpha, budget, nan_every, seed):
-    # a space with no categorical dimension, small or not, run in the array
-    # form and then in the scalar form: the same objective calls, bit for
-    # bit, and the same trace
+    # any space, small or not, run in the array form and then in the scalar
+    # form, each forced through both engines' size limits: the same objective
+    # calls, bit for bit, and the same trace
     assume(dims)
     runs = []
     for scalar_dims in (-1, 10 ** 6):
         problem = _Recording(dims, nan_every)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(firefly, "_SCALAR_DIMS", scalar_dims)
+            mp.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+            mp.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
             trace = run_algorithm(algo, problem, budget, seed, {"alpha": alpha})
         assert trace.final.solution.conforms(problem.space)
+        runs.append((problem.points, _bits(trace)))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
+@pytest.mark.parametrize("lo, hi, alpha", [(-1e200, 1e200, 1.5), (-0.89e308, 0.89e308, 1.5),
+                                           (1e308, 1.79e308, 1.79e308)])
+def test_a_wide_box_moves_as_the_scalar_form_without_warnings(algo, lo, hi, alpha):
+    # 25 dimensions, so both engines run the array form.  r's squares pass
+    # the largest double in each box, beta * d in the second, and the best
+    # firefly's idle walk xi + alpha (u - 1/2) in the third, once the budget
+    # reaches it; numpy would warn of each, and Python floats give the same
+    # inf silently.  The run decides from its box and alpha to take them
+    # quietly, and its objective calls and trace equal the scalar form's
+    dims = [Continuous(lo, hi)] * 24 + [IntegerRange(0, 3)]
+    runs = []
+    for scalar_dims in (-1, 10 ** 6):
+        problem = _WideRecording(dims, 10 ** 6)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            mp.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+            mp.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+            trace = run_algorithm(algo, problem, 1000, 0, {"alpha": alpha})
         runs.append((problem.points, _bits(trace)))
     assert runs[0] == runs[1]

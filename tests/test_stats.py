@@ -175,6 +175,21 @@ class TestCompare:
         assert report.stds["a"] == inf and report.means["a"] == inf
         assert report.best_group == "b"
 
+    @pytest.mark.parametrize("values, mean, std", [
+        ([1e308, 1.7e308], 1.35e308, 0.7e308 / math.sqrt(2.0)),   # the sum overflows
+        ([1e155, 3e155, 2e155], 2e155, 1e155),                     # the squares overflow
+    ])
+    def test_finite_values_have_a_finite_mean_and_std(self, values, mean, std):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare({"a": values, "b": [1.0, 2.0]})
+        assert report.means["a"] == pytest.approx(mean, rel=1e-15)
+        assert report.stds["a"] == pytest.approx(std, rel=1e-15)
+        assert report.best_group == "b"
+        # a group holding +inf still has mean and std +inf
+        report = compare({"a": values + [math.inf], "b": [1.0, 2.0]})
+        assert report.means["a"] == math.inf and report.stds["a"] == math.inf
+
     def test_equal_means_go_to_the_lower_mean_rank(self):
         inf = math.inf
         assert compare({"a": [inf, 1.0], "b": [inf, 2.0]}).best_group == "a"
