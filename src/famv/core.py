@@ -13,9 +13,12 @@ evaluation path every engine shares: `Recorder.evaluate` takes a point's
 continuous vector and value tuple, charges one function evaluation (FE) of
 the run's budget and calls the objective with a `MixedSolution`;
 `Recorder.evaluate_rows` decodes a batch of code rows and evaluates each row
-in order.  On a small space the firefly engines keep codes as tuples of
-Python ints, which `SearchSpace.decode_ints` turns into value tuples; with
-no categorical dimension the code tuple is already the value tuple.
+in order.  The firefly loops hand each FE's position and codes, as they
+hold them, to their engine's evaluation map, the one place that builds the
+value tuple: `SearchSpace.decode` of an int64 code vector in the array
+form, and `SearchSpace.decode_ints` of the code tuple of Python ints that
+the scalar form keeps on a small space.  With no categorical dimension the
+codes, as Python ints, are already the value tuple.
 """
 
 from __future__ import annotations

@@ -41,13 +41,17 @@ Python floats and a code vector a tuple of Python ints, a categorical code
 being its symbol's index.  A move converts its row with one ``tolist()``,
 moves and clips the position in one list comprehension, steps each integer
 code in a short loop and redraws categorical codes with
-`alpha_step_categorical` on lists.  Each FE hands the `Recorder` the code
-tuple, its symbols decoded by `SearchSpace.decode_ints` where a dimension is
-categorical.  Every other space runs `_fly`, one pass of numpy operations
-per move over float64 positions and int64 codes, which it decodes with
-`SearchSpace.decode` at each FE.  Both forms do the same double operations
-in the same order, r's left-to-right sum included (`famv.distances`), so a
-run's stream and trace do not depend on the form.
+`alpha_step_categorical` on lists.  Every other space runs `_fly`, one
+pass of numpy operations per move over float64 positions and int64 codes.
+At each FE both forms hand the position and the code vector, as the loop
+holds them, to their engine's evaluation map, the one place that builds the
+objective's value tuple: famv's decodes the codes, with
+`SearchSpace.decode_ints` in the scalar form where a dimension is
+categorical and with `SearchSpace.decode` in the array form, and fa's
+rounds its relaxed discrete slots and decodes them where a dimension is
+categorical.  Both forms do the same double operations in the same order,
+r's left-to-right sum included (`famv.distances`), so a run's stream and
+trace do not depend on the form.
 
 Each K' is the largest dimension count at which the scalar form was not
 slower for its engine on any row below: CPU time of 3 runs of 2000 FE in
@@ -322,9 +326,8 @@ def _sweep(fitness: list[float], budget: EvaluationBudget):
             yield i, None
 
 
-# fa's code layout: a space's code attributes that the loop reads, all empty,
-# and the decode of its empty code vectors, the empty value tuple
-_NO_CODES = SimpleNamespace(decode=tuple, **dict.fromkeys(
+# fa's code layout: a space's code attributes that the loop reads, all empty
+_NO_CODES = SimpleNamespace(**dict.fromkeys(
     ("disc_lo", "disc_hi", "disc_sizes", "cat_idx", "cat_sizes"), np.empty(0, np.int64)))
 # K': the most dimensions of a space that each engine moves in Python floats
 # (the break-even table in the module docstring)
@@ -377,12 +380,12 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     ``budget`` is spent: positions move in the box [``lo``, ``hi``] and
     int64 code vectors in the code layout of ``layout``, a `SearchSpace` or
     `_NO_CODES`, with which the loop does no code work.  ``distance(d, m)``
-    is r for ``d = xj - xi`` and m differing codes; ``evaluate(x, disc)``
-    charges one FE of the point with value tuple ``disc``, which the loop
-    decodes with ``layout.decode``.  In a box where `_wide` holds, numpy
-    warns of an overflow that the scalar form's floats take silently, to
-    the same inf, so such a run takes r, the move and the walk under
-    `_quiet`."""
+    is r for ``d = xj - xi`` and m differing codes; ``evaluate(x, codes)``
+    charges one FE of the position and the int64 code vector as the loop
+    holds them, and is the engine's map that builds the value tuple.  In a
+    box where `_wide` holds, numpy warns of an overflow that the scalar
+    form's floats take silently, to the same inf, so such a run takes r,
+    the move and the walk under `_quiet`."""
     n_d, n_cat = len(layout.disc_lo), len(layout.cat_idx)
     cat_idx, cat_list = layout.cat_idx, layout.cat_idx.tolist()
     cat_sizes = layout.cat_sizes.astype(float).tolist()   # exact up to 2**53
@@ -394,7 +397,7 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     first, first_codes, rows = _start(config, lo, hi, layout)
     xs, codes = list(first), list(first_codes)
     noise, copy_u, step_u, flags, _ = rows.columns
-    fitness = [evaluate(x, layout.decode(c)) for x, c in zip(xs, codes)]
+    fitness = [evaluate(x, c) for x, c in zip(xs, codes)]
 
     while not budget.exhausted:
         alpha, gamma = _schedule(config, budget)
@@ -424,7 +427,7 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
                                            tail[n_cat:])
                 codes[i] = stepped
             xs[i] = x = _clip(x, lo, hi)
-            fitness[i] = evaluate(x, layout.decode(codes[i]))
+            fitness[i] = evaluate(x, codes[i])
 
 
 def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
@@ -442,10 +445,10 @@ def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
     xs, codes = first.tolist(), [tuple(c) for c in first_codes.tolist()]
     lo, hi = lo.tolist(), hi.tolist()
     cat_idx, cat_sizes = layout.cat_idx.tolist(), layout.cat_sizes.astype(float).tolist()
-    steps = [(k, a, b, n + n_d + k)   # an integer code's index, bounds and step column
+    _, copy_u, step_u, flags, redraw = rows.columns
+    steps = [(k, a, b, step_u.start + k)   # an integer code's index, bounds and step column
              for k, (a, b) in enumerate(zip(layout.disc_lo.tolist(), layout.disc_hi.tolist()))
              if k not in cat_idx]
-    flags, redraw = rows.columns[3:]
     fitness = [evaluate(x, c) for x, c in zip(xs, codes)]
 
     while not budget.exhausted:
@@ -470,7 +473,7 @@ def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
                 x = [a if a > (v := p + beta * (q - p) + s) else v if v < b else b
                      for a, b, p, q, s in zip(lo, hi, xi, xj, u)]
                 if m:
-                    disc = [c if c == t or w >= e else t for c, t, w in zip(disc, cj, u[n:])]
+                    disc = [c if c == t or w >= e else t for c, t, w in zip(disc, cj, u[copy_u])]
             if n_d:   # `_integer_step`'s doubles; a categorical code keeps its value
                 disc = list(disc)
                 for k, a, b, c in steps:
@@ -496,8 +499,15 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
                     float_distance(config.distance, space), _code_floats(rec), space)
     else:
         _fly(config, rec.budget, space.cont_lo, space.cont_hi,
-             partial(CODE_DISTANCES[config.distance], space), rec.evaluate, space)
+             partial(CODE_DISTANCES[config.distance], space), _code_vectors(rec), space)
     return rec.build()
+
+
+def _code_vectors(rec: Recorder):
+    """famv's evaluation map in the array form, on a float64 position and
+    an int64 code vector: the codes, decoded by the space."""
+    decode = rec.space.decode
+    return lambda x, codes: rec.evaluate(x, decode(codes))
 
 
 def _code_floats(rec: Recorder):
@@ -535,11 +545,15 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
 
 def _relaxed_evaluate(rec: Recorder):
     """fa's evaluation map in the array form: a clipped relaxed position's
-    discrete slots round to codes, which the space decodes, and the values
-    the loop passes are ignored."""
-    cont_pos, disc_pos, decode = rec.space.cont_pos, rec.space.disc_pos, rec.space.decode
-    if not len(disc_pos):   # the position is the point, and the loop passes ()
-        return rec.evaluate
+    discrete slots round to codes, decoded where a dimension is categorical,
+    and the loop's empty code vector is ignored."""
+    space = rec.space
+    cont_pos, disc_pos = space.cont_pos, space.disc_pos
+    if not len(disc_pos):   # the position is the point
+        return lambda x, _: rec.evaluate(x, ())
+    if not len(space.cat_idx):   # the codes are the values
+        return lambda x, _: rec.evaluate(x[cont_pos], tuple(_round_codes(x[disc_pos]).tolist()))
+    decode = space.decode
     return lambda x, _: rec.evaluate(x[cont_pos], decode(_round_codes(x[disc_pos])))
 
 

@@ -84,7 +84,8 @@ class ChromosomeLayout:
         widths[space.disc_pos] = [max(1, (n - 1).bit_length()) for n in space.disc_sizes.tolist()]
         self.starts = np.cumsum(widths) - widths
         self.length = int(widths.sum())
-        self.place = np.concatenate([2 ** np.arange(w - 1, -1, -1) for w in widths.tolist()])
+        # bit b of a segment that ends before bit e has place value 2 ** (e - b - 1)
+        self.place = 2 ** (np.repeat(self.starts + widths, widths) - np.arange(self.length) - 1)
         self.cont_levels = 2.0 ** widths[space.cont_pos] - 1
 
 

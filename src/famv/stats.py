@@ -169,9 +169,11 @@ def compare(groups: SampleSet) -> ComparisonReport:
     the lowest mean, and among equal means (two +inf means, say) the lowest
     mean pooled rank, the ranks Kruskal-Wallis uses.
     A group that holds an infinite value has std +inf, and a group of
-    finite values a finite mean and std.  The similar set is
-    the best plus every group whose Holm-adjusted comparison against the
-    best (adjusted within the best-vs-others family) is non-significant.
+    finite values a finite mean and std.  A group holding both +inf and
+    -inf, whose mean would be NaN, is a ValueError naming it, as a NaN is.
+    The similar set is the best plus every group whose Holm-adjusted
+    comparison against the best (adjusted within the best-vs-others family)
+    is non-significant.
     If the omnibus test is non-significant, no group is distinguishable
     from the best.  With one group, or fewer than three observations in
     all, the omnibus test cannot run; the report then gives no evidence,
@@ -180,6 +182,9 @@ def compare(groups: SampleSet) -> ComparisonReport:
     ranking = _rank(groups, least=1)
     mean_rank, n = ranking[1], ranking[3]
     values = {name: np.asarray(v, dtype=float) for name, v in groups.items()}
+    for name, v in values.items():
+        if np.isposinf(v).any() and np.isneginf(v).any():
+            raise ValueError(f"group {name!r} holds both +inf and -inf")
     moments = {name: _moments(v) for name, v in values.items()}
     means = {name: mean for name, (mean, _) in moments.items()}
     stds = {name: std for name, (_, std) in moments.items()}

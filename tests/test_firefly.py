@@ -804,11 +804,13 @@ def test_code_form_follows_the_size_rule(problem, famv_scalar, fa_scalar, monkey
     # famv runs a space of at most 24 dimensions in the scalar form, and fa
     # one of at most 14, categorical or not; a larger space runs the array
     # form.  Only the array form steps its codes with `_integer_step`, once
-    # per move, and decodes, once per FE: famv its codes and fa its rounded
-    # slots.  The scalar form converts its row with one tolist() per move,
-    # fa's included, and decodes symbols with `decode_ints` only on a space
-    # with a categorical dimension; the array form's categorical step
-    # converts its flag and redraw columns with one tolist() per move
+    # per move, and decodes with `decode`, once per FE: famv its codes and fa
+    # its rounded slots, on a space with a categorical dimension only; fa's
+    # rounded integer codes are already the values.  The scalar form
+    # converts its row with one tolist() per move, fa's included, and
+    # decodes symbols with `decode_ints` only on a space with a categorical
+    # dimension; the array form's categorical step converts its flag and
+    # redraw columns with one tolist() per move
     calls = {"_integer_step": 0, "decode": 0, "decode_ints": 0, "tolist": 0}
 
     def counting(name, original):
@@ -841,9 +843,49 @@ def test_code_form_follows_the_size_rule(problem, famv_scalar, fa_scalar, monkey
         run_algorithm(algo, problem, 300, 0)
         assert calls == {
             "_integer_step": moves * (codes and not scalar),
-            "decode": 300 * (not scalar),
+            "decode": 300 * (not scalar and (algo != "fa" or bool(n_cat))),
             "decode_ints": 300 * (scalar and bool(n_cat)),
             "tolist": moves if scalar else moves * (codes and bool(n_cat))}, algo
+
+
+class _TypeChecking:
+    """An objective that checks the types of every point it is called with:
+    ``cont`` a float64 vector of n_c, and each value of ``disc`` an ``int``
+    (not a numpy integer) or one of its dimension's own symbols."""
+
+    name, reference_optimum = "types", 0.0
+
+    def __init__(self, dims):
+        self.space, self.calls = SearchSpace(dims), 0
+
+    def __call__(self, sol):
+        self.calls += 1
+        assert type(sol.cont) is np.ndarray and sol.cont.dtype == np.float64
+        assert sol.cont.shape == (self.space.n_c,)
+        assert type(sol.disc) is tuple and len(sol.disc) == self.space.n_d
+        for v, d in zip(sol.disc, self.space.discrete):
+            if isinstance(d, IntegerRange):
+                assert type(v) is int and d.lo <= v <= d.hi, (v, d)
+            else:
+                assert any(v is symbol for symbol in d.values), (v, d)
+        return float(np.sum(sol.cont ** 2)) + sum(v for v in sol.disc if type(v) is int)
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "ga"])
+@pytest.mark.parametrize("scalar_dims", [-1, 10 ** 6])
+@pytest.mark.parametrize("dims", [
+    [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical((0, "one", 2.5)),
+     Categorical(("x", "y", "z"))] * 2,
+    [IntegerRange(-3, 3), IntegerRange(0, 9)] * 3,
+], ids=["mixed", "integers"])
+def test_every_engine_hands_its_objective_ints_and_symbols(algo, scalar_dims, dims, monkeypatch):
+    # only each engine's evaluation map builds the value tuple, in both
+    # firefly forms: a value is a Python int or a symbol, never a numpy integer
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+    problem = _TypeChecking(dims)
+    run_algorithm(algo, problem, 300, 0)
+    assert problem.calls == 300
 
 
 @pytest.mark.parametrize("dims, rounds", [

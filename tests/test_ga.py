@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from famv import (Categorical, Continuous, GaConfig, IntegerRange, MixedSolution,
                   SearchSpace, run_ga)
@@ -19,6 +21,20 @@ class TestLayout:
     def test_singleton_discrete_still_one_bit(self):
         layout = ChromosomeLayout(SearchSpace([IntegerRange(5, 5)]), 16)
         assert layout.length == 1
+
+    @given(dims=st.lists(st.one_of(
+               st.just(Continuous(-1.0, 2.0)),
+               st.integers(0, 2 ** 53 - 1).map(lambda w: IntegerRange(-2 ** 52, w - 2 ** 52)),
+               st.integers(1, 40).map(lambda n: Categorical(tuple(range(n))))),
+               min_size=1, max_size=30),
+           bits=st.integers(1, 63))
+    @settings(max_examples=100, deadline=None)
+    def test_place_values_equal_the_per_segment_powers(self, dims, bits):
+        layout = ChromosomeLayout(SearchSpace(dims), bits)
+        widths = np.diff([*layout.starts, layout.length]).tolist()
+        expected = np.concatenate([2 ** np.arange(w - 1, -1, -1) for w in widths])
+        assert layout.place.dtype == expected.dtype == np.int64
+        assert layout.place.tolist() == expected.tolist()
 
 
 class TestDecode:

@@ -416,6 +416,14 @@ class TestRunExperiment:
         best = [(row.algorithm, row.is_best) for row in compare_directory(tmp_path)]
         assert best == [("fa", False), ("ga", True)]
 
+    def test_both_infinities_in_a_group_exit_2(self, tmp_path, capsys):
+        # a group's mean of +inf and -inf is NaN, and compare rejects it
+        (tmp_path / "summary.csv").write_text(
+            "problem,algorithm,ae\nsphere,fa,inf\nsphere,fa,-inf\nsphere,ga,3.0\n")
+        assert cli_main(["compare", "--in", str(tmp_path)]) == 2
+        assert "group 'fa' holds both +inf and -inf" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
 
 class TestCli:
     def test_list(self, capsys):

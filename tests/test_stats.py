@@ -210,6 +210,28 @@ class TestCompare:
         # +inf is a value, ranked last
         assert compare({"fa": [1.0, math.inf], "ga": [3.0, 4.0]}).best_group == "ga"
 
+    def test_rejects_both_infinities_in_a_group_naming_it(self):
+        # their mean is NaN, which would let the best-group min keep either
+        # group, by the dict's order
+        inf = math.inf
+        for groups in ({"a": [inf, -inf, 0.0], "b": [1.0, 2.0, 3.0]},
+                       {"b": [1.0, 2.0, 3.0], "a": [inf, -inf, 0.0]}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="group 'a' holds both \\+inf and -inf"):
+                    compare(groups)
+        # the rank tests still rank both infinities
+        assert kruskal_wallis({"a": [inf, -inf, 0.0], "b": [1.0, 2.0, 3.0]})[0] >= 0.0
+        assert len(dunn_pairwise({"a": [inf, -inf, 0.0], "b": [1.0, 2.0, 3.0]})) == 1
+
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_a_group_of_one_infinity_ranks(self, inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare({"a": [inf, inf, 0.0], "b": [1.0, 2.0, 3.0]})
+        assert report.means["a"] == inf and report.stds["a"] == math.inf
+        assert report.best_group == ("a" if inf < 0 else "b")
+
 
 def _random_group_sets(count, seed):
     """Seeded group sets: tie-heavy integers, values with +inf, continuous
