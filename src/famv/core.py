@@ -9,16 +9,21 @@ The engines hold a continuous vector and an int64 *code* vector, whose
 codes are an integer's value or a category's index in ``values``.  Only
 `SearchSpace` knows that layout (index and bound arrays), and its `decode`
 turns codes into the tuple of values and symbols.  `Recorder` is the
-evaluation path every engine shares: `Recorder.evaluate` takes a point's
-continuous vector and value tuple, charges one function evaluation (FE) of
-the run's budget and calls the objective with a `MixedSolution`;
-`Recorder.evaluate_rows` decodes a batch of code rows and evaluates each row
-in order.  The firefly loops hand each FE's position and codes, as they
-hold them, to their engine's evaluation map, the one place that builds the
-value tuple: `SearchSpace.decode` of an int64 code vector in the array
-form, and `SearchSpace.decode_ints` of the code tuple of Python ints that
-the scalar form keeps on a small space.  With no categorical dimension the
-codes, as Python ints, are already the value tuple.
+evaluation path every engine shares, with one entry per kind of objective.
+A registry `famv.problems.Problem` reads a point as one *row*: its values as
+floats in ``dims`` order, an integer's as a whole float, which
+`SearchSpace.rows` builds.  `Recorder.evaluate_row` charges one function
+evaluation (FE) of the run's budget, calls the objective with the row and
+builds a `MixedSolution` only for a new best.  A plain objective, one with
+only ``__call__(sol)``, gets a `MixedSolution` of the continuous vector and
+the value tuple from `Recorder.evaluate`.  `Recorder.evaluate_rows` takes a
+batch of code rows and evaluates each in order, by whichever entry the run
+uses.  The firefly loops hand each FE's position and codes, as they hold
+them, to their engine's evaluation map, the one place that builds the row
+or the value tuple: `SearchSpace.decode` of an int64 code vector in the
+array form, and `SearchSpace.decode_ints` of the code tuple of Python ints
+that the scalar form keeps on a small space.  With no categorical dimension
+the codes, as Python ints, are already the value tuple.
 """
 
 from __future__ import annotations
@@ -102,7 +107,10 @@ class SearchSpace:
     Dimension order is stable and defines the solution layout: the k-th
     continuous dimension maps to ``cont[k]``, the k-th discrete one to
     ``disc[k]`` and code ``k``.  ``cont_pos``/``disc_pos`` are their places in
-    ``dims``; ``cat_idx`` picks the categorical codes.  Code k lies in
+    ``dims``; ``cat_idx`` picks the categorical codes.  ``cont_slots`` and
+    ``disc_slots`` pick each kind's values out of a row in ``dims`` order: a
+    slice where that kind's dimensions are consecutive, as they are in every
+    registry space, else ``cont_pos`` or ``disc_pos``.  Code k lies in
     [``disc_lo[k]``, ``disc_hi[k]``] and takes ``disc_sizes[k]`` values
     (``cat_sizes`` for the categorical ones).  ``lo``/``hi`` bound every
     dimension in ``dims`` order.  A dimension that is not a `Continuous`,
@@ -126,6 +134,7 @@ class SearchSpace:
         hi = [len(d.values) - 1 if isinstance(d, Categorical) else d.hi for d in self.dims]
         is_cont = np.array([isinstance(d, Continuous) for d in self.dims])
         self.cont_pos, self.disc_pos = np.flatnonzero(is_cont), np.flatnonzero(~is_cont)
+        self.cont_slots, self.disc_slots = _slots(self.cont_pos), _slots(self.disc_pos)
         self.lo, self.hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         self.cont_lo, self.cont_hi = self.lo[self.cont_pos], self.hi[self.cont_pos]
         self.cont_range = self.cont_hi - self.cont_lo
@@ -160,8 +169,34 @@ class SearchSpace:
                 disc[k] = values[disc[k]]
         return [tuple(disc) for disc in rows]
 
+    def rows(self, cont: np.ndarray, disc) -> np.ndarray:
+        """A new C-order float64 row of one point's values in ``dims`` order,
+        from its continuous vector ``cont`` and its integer values or codes
+        ``disc``, an integer as a whole float; or, from ``(n, n_c)`` and
+        ``(n, n_d)`` matrices, the ``(n, dim)`` matrix of n such rows.  A
+        float cannot hold a symbol: a categorical code would stay an index."""
+        out = np.empty(cont.shape[:-1] + (self.dim,))
+        out[..., self.cont_slots] = cont
+        out[..., self.disc_slots] = disc
+        return out
+
+    def solution(self, row) -> MixedSolution:
+        """The `MixedSolution` of a row of `rows`, a list of floats or a
+        float64 vector, in arrays of its own: each integer value an int."""
+        row = np.asarray(row)
+        return MixedSolution(row[self.cont_pos], tuple(map(int, row[self.disc_pos].tolist())))
+
     def __repr__(self):
         return f"SearchSpace(n_c={self.n_c}, n_d={self.n_d})"
+
+
+def _slots(pos: np.ndarray):
+    """The consecutive places ``pos`` as a slice, which costs a numpy row
+    about half of what the index array does, or ``pos`` itself."""
+    if len(pos) and pos[-1] - pos[0] != len(pos) - 1:
+        return pos
+    start = int(pos[0]) if len(pos) else 0
+    return slice(start, start + len(pos))
 
 
 @dataclass(slots=True, eq=False)
@@ -254,7 +289,8 @@ class EvaluationBudget:
 
 
 class ObjectiveFunction(Protocol):
-    """Minimization objective tied to a space and a reference optimum."""
+    """Minimization objective tied to a space and a reference optimum.  A
+    `famv.problems.Problem` is also called with a point's row of floats."""
 
     name: str
     space: SearchSpace
@@ -282,23 +318,30 @@ class RunTrace:
 class Recorder:
     """The one evaluation path of a run: charges its budget of ``max_fe``
     FE, calls the objective and keeps the best-so-far samples.
+    ``takes_rows`` says whether the objective reads rows, as a
+    `famv.problems.Problem` does; `famv.problems.takes_rows` refuses a
+    `Problem` over a categorical dimension here, before any FE.  The
+    engines' evaluation maps read it.
 
     A non-finite objective value is stored as +inf, so it never becomes the
     best while a finite value exists and never wins a comparison.
     """
 
     def __init__(self, problem: ObjectiveFunction, max_fe: int):
+        from .problems import takes_rows   # famv.problems imports this module
+
         self.problem = problem
         self.space = problem.space
+        self.takes_rows = takes_rows(problem)
         self.budget = EvaluationBudget(max_fe)
         self.best: Firefly | None = None
         self.samples: list[tuple[int, float]] = []
 
     def evaluate(self, cont: np.ndarray, disc: tuple) -> float:
-        """The one per-FE step: charge the FE (a RuntimeError past the
-        budget, before the objective call), call the objective with a
-        `MixedSolution` of ``cont`` and the value tuple ``disc``, record a
-        new best and return the objective value."""
+        """The per-FE step of a plain objective: charge the FE (a
+        RuntimeError past the budget, before the objective call), call the
+        objective with a `MixedSolution` of ``cont`` and the value tuple
+        ``disc``, record a new best and return the objective value."""
         budget = self.budget
         if not budget.consume():
             raise RuntimeError(f"evaluation past the budget of {budget.max_fe} FE")
@@ -312,12 +355,33 @@ class Recorder:
             self.samples.append((budget.consumed, fitness))
         return fitness
 
+    def evaluate_row(self, row) -> float:
+        """`evaluate` of a point given as one row of floats in ``dims``
+        order, for an objective that reads rows: the objective gets ``row``
+        itself, which no caller writes afterwards, and only a new best builds
+        a `MixedSolution`, its own copy of the row's values."""
+        budget = self.budget
+        if not budget.consume():
+            raise RuntimeError(f"evaluation past the budget of {budget.max_fe} FE")
+        fitness = self.problem(row)
+        if not math.isfinite(fitness):
+            fitness = math.inf
+        best = self.best
+        if best is None or fitness < best.fitness:
+            self.best = Firefly(self.space.solution(row), fitness)
+            self.samples.append((budget.consumed, fitness))
+        return fitness
+
     def evaluate_rows(self, cont: np.ndarray, codes: np.ndarray) -> np.ndarray:
         """Evaluate the rows of an ``(n, n_c)`` and an ``(n, n_d)`` code
-        matrix in order, one FE each, as `evaluate` would each row and its
-        decoded codes, and return their objective values.  A row past the
-        budget raises before its objective call, after the rows before it
-        were evaluated."""
+        matrix in order, one FE each, and return their objective values:
+        with ``takes_rows``, as `evaluate_row` each row of one
+        `SearchSpace.rows` matrix, else as `evaluate` each row and its
+        decoded codes.  A row past the budget raises before its objective
+        call, after the rows before it were evaluated."""
+        if self.takes_rows:
+            step = self.evaluate_row
+            return np.array([step(row) for row in self.space.rows(cont, codes)])
         step = self.evaluate
         return np.array([step(x, disc)
                          for x, disc in zip(cont, self.space.decode_rows(codes))])

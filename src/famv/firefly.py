@@ -44,14 +44,18 @@ code in a short loop and redraws categorical codes with
 `alpha_step_categorical` on lists.  Every other space runs `_fly`, one
 pass of numpy operations per move over float64 positions and int64 codes.
 At each FE both forms hand the position and the code vector, as the loop
-holds them, to their engine's evaluation map, the one place that builds the
-objective's value tuple: famv's decodes the codes, with
-`SearchSpace.decode_ints` in the scalar form where a dimension is
-categorical and with `SearchSpace.decode` in the array form, and fa's
-rounds its relaxed discrete slots and decodes them where a dimension is
-categorical.  Both forms do the same double operations in the same order,
-r's left-to-right sum included (`famv.distances`), so a run's stream and
-trace do not depend on the form.
+holds them, to their engine's evaluation map, chosen once per run, the one
+place that builds what the objective reads.  A registry `Problem` reads one
+new row of floats in ``dims`` order (`famv.problems`), a list in the scalar
+form and a float64 vector in the array form: famv's map joins the position
+and the codes as whole floats, and fa's rounds the discrete slots of its
+relaxed position.  A plain objective gets a `MixedSolution`: famv's map
+decodes the codes, with `SearchSpace.decode_ints` in the scalar form where
+a dimension is categorical and with `SearchSpace.decode` in the array form,
+and fa's rounds its relaxed discrete slots and decodes them where a
+dimension is categorical.  Both forms do the same double operations in
+the same order, r's left-to-right sum included (`famv.distances`), so a
+run's stream and trace do not depend on the form.
 
 Each K' is the largest dimension count at which the scalar form was not
 slower for its engine on any row below: CPU time of 3 runs of 2000 FE in
@@ -382,10 +386,10 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
     `_NO_CODES`, with which the loop does no code work.  ``distance(d, m)``
     is r for ``d = xj - xi`` and m differing codes; ``evaluate(x, codes)``
     charges one FE of the position and the int64 code vector as the loop
-    holds them, and is the engine's map that builds the value tuple.  In a
-    box where `_wide` holds, numpy warns of an overflow that the scalar
-    form's floats take silently, to the same inf, so such a run takes r,
-    the move and the walk under `_quiet`."""
+    holds them, and is the engine's map that builds what the objective
+    reads.  In a box where `_wide` holds, numpy warns of an overflow that
+    the scalar form's floats take silently, to the same inf, so such a run
+    takes r, the move and the walk under `_quiet`."""
     n_d, n_cat = len(layout.disc_lo), len(layout.cat_idx)
     cat_idx, cat_list = layout.cat_idx, layout.cat_idx.tolist()
     cat_sizes = layout.cat_sizes.astype(float).tolist()   # exact up to 2**53
@@ -490,8 +494,7 @@ def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
 def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     """Mixed-variable firefly run under a function-evaluation budget: the
     firefly loop on the continuous box and the codes of the space, with r
-    from the configured distance, handing each point's values to the
-    `Recorder`."""
+    from the configured distance, handing each point to the `Recorder`."""
     space = problem.space
     rec = Recorder(problem, config.max_fe)
     if space.dim <= _SCALAR_DIMS_FAMV:
@@ -505,17 +508,28 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
 
 def _code_vectors(rec: Recorder):
     """famv's evaluation map in the array form, on a float64 position and
-    an int64 code vector: the codes, decoded by the space."""
-    decode = rec.space.decode
+    an int64 code vector: a new row of both, or the codes decoded by the
+    space."""
+    space = rec.space
+    if rec.takes_rows:
+        return lambda x, codes: rec.evaluate_row(space.rows(x, codes))
+    decode = space.decode
     return lambda x, codes: rec.evaluate(x, decode(codes))
 
 
 def _code_floats(rec: Recorder):
     """famv's evaluation map in the scalar form, on a position list and a
-    code tuple: the codes, decoded where a dimension is categorical."""
-    if not len(rec.space.cat_idx):   # the code tuple is the value tuple
+    code tuple: a new row list of both, or the codes decoded where a
+    dimension is categorical."""
+    space = rec.space
+    if rec.takes_rows:
+        if isinstance(space.cont_slots, slice) and space.cont_slots.start == 0:
+            # continuous first, as in every registry space: the position, then the codes
+            return lambda x, disc: rec.evaluate_row(x + [float(c) for c in disc])
+        return lambda x, disc: rec.evaluate_row(space.rows(np.array(x), disc).tolist())
+    if not len(space.cat_idx):   # the code tuple is the value tuple
         return lambda x, disc: rec.evaluate(np.array(x), disc)
-    decode = rec.space.decode_ints
+    decode = space.decode_ints
     return lambda x, disc: rec.evaluate(np.array(x), decode(list(disc)))
 
 
@@ -546,11 +560,22 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
 def _relaxed_evaluate(rec: Recorder):
     """fa's evaluation map in the array form: a clipped relaxed position's
     discrete slots round to codes, decoded where a dimension is categorical,
-    and the loop's empty code vector is ignored."""
+    or to whole floats in a new row, and the loop's empty code vector is
+    ignored."""
     space = rec.space
     cont_pos, disc_pos = space.cont_pos, space.disc_pos
     if not len(disc_pos):   # the position is the point
+        if rec.takes_rows:
+            return lambda x, _: rec.evaluate_row(x)
         return lambda x, _: rec.evaluate(x, ())
+    if rec.takes_rows:
+        slots = space.disc_slots
+
+        def row(x, _):
+            x = x.copy()
+            x[slots] = _round_codes(x[slots])
+            return rec.evaluate_row(x)
+        return row
     if not len(space.cat_idx):   # the codes are the values
         return lambda x, _: rec.evaluate(x[cont_pos], tuple(_round_codes(x[disc_pos]).tolist()))
     decode = space.decode
@@ -564,9 +589,17 @@ def _round_ints(v: list) -> list:
 
 def _relaxed_floats(rec: Recorder):
     """`_relaxed_evaluate` in the scalar form, on a position list: the
-    rounded codes, decoded where a dimension is categorical."""
+    rounded codes, decoded where a dimension is categorical, or a new row
+    list with them as whole floats."""
     space = rec.space
     cont_pos, disc_pos = space.cont_pos.tolist(), space.disc_pos.tolist()
+    if rec.takes_rows:
+        if not disc_pos:
+            return lambda x, _: rec.evaluate_row(x)
+        discrete = [k in disc_pos for k in range(space.dim)]
+        return lambda x, _: rec.evaluate_row([
+            (float(int(v + 0.5)) if v >= 0.0 else float(int(v - 0.5))) if d else v
+            for v, d in zip(x, discrete)])
     if not disc_pos:
         return lambda x, _: rec.evaluate(np.array(x), ())
     decode = space.decode_ints if len(space.cat_idx) else tuple

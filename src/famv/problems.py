@@ -2,9 +2,17 @@
 of shifted synthetic functions with half the dimensions forced to integers.
 
 Engineering reference optima are best-known literature values; they only
-feed absolute-error reporting.  An engineering problem's ``terms`` reads the
-solution once and hands the same Python floats to its cost and constraint
-kernels, which return Python floats.
+feed absolute-error reporting.
+
+A `Problem` reads a point as one row of floats in ``space.dims`` order, an
+integer's value as a whole float: a list of Python floats from the firefly
+engines' scalar form, a float64 vector from their array form and from ga.
+The engines hand each FE's row to `Problem.__call__` and build no
+`MixedSolution` for it; a public caller may hand a `MixedSolution`, which is
+turned into its row once.  An engineering problem's ``terms`` reads the row
+as Python floats, ``tolist()`` of a vector, and hands them to its cost and
+constraint kernels, which return Python floats; a synthetic one subtracts
+its shift from the row.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from functools import cache
 
 import numpy as np
 
-from .core import Continuous, IntegerRange, MixedSolution, SearchSpace, check_integer
+from .core import (Categorical, Continuous, IntegerRange, MixedSolution, SearchSpace,
+                   check_integer)
 
 PENALTY_M = 1.0e6
 SYNTHETIC_DIM = 50      # the default dimension of a synthetic problem
@@ -24,30 +33,39 @@ class Problem:
     """Minimization objective over a mixed space, penalty-wrapped when
     constrained: PENALTY_M times the summed violation, plus PENALTY_M per
     violated constraint when ``count_violations`` is set; a NaN g counts
-    as violated.  A subclass defines one hook, ``terms``; ``raw``, ``constraints`` and the penalty
-    derive from it.  No subclass defines ``__call__``: objective calls are
-    counted there."""
+    as violated.  A subclass defines one hook, ``terms``; ``raw``,
+    ``constraints`` and the penalty derive from it.  Each takes a point as
+    its row of floats (the module docstring) or as a `MixedSolution`.  No
+    subclass defines ``__call__``: objective calls are counted there."""
 
     name: str
     space: SearchSpace
     reference_optimum: float
     count_violations = False
 
-    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        """``(raw value, g values)`` from one read of ``sol``; the g values
-        are floats, feasible iff all g <= 0, empty for unconstrained."""
+    def terms(self, x) -> tuple[float, tuple[float, ...]]:
+        """``(raw value, g values)`` from one read of the row ``x``, which
+        it must not write; the g values are floats, feasible iff all g <= 0,
+        empty for unconstrained."""
         raise NotImplementedError
 
-    def raw(self, sol: MixedSolution) -> float:
+    def _row_of(self, point):
+        """``point``'s row: a row as it is, a `MixedSolution` as a new one."""
+        if not isinstance(point, MixedSolution):
+            return point
+        takes_rows(self)   # a TypeError where a dimension is categorical
+        return self.space.rows(point.cont, point.disc)
+
+    def raw(self, point) -> float:
         """The objective without the penalty."""
-        return self.terms(sol)[0]
+        return self.terms(self._row_of(point))[0]
 
-    def constraints(self, sol: MixedSolution) -> np.ndarray:
+    def constraints(self, point) -> np.ndarray:
         """The g values as an array."""
-        return np.array(self.terms(sol)[1], dtype=float)
+        return np.array(self.terms(self._row_of(point))[1], dtype=float)
 
-    def __call__(self, sol: MixedSolution) -> float:
-        value, g = self.terms(sol)
+    def __call__(self, point) -> float:
+        value, g = self.terms(self._row_of(point))
         if not g:
             return value
         # summed left to right, as numpy's reduction adds fewer than 8 terms
@@ -64,6 +82,21 @@ class Problem:
     def absolute_error(self, achieved: float) -> float:
         """|achieved - reference optimum|."""
         return abs(achieved - self.reference_optimum)
+
+
+def takes_rows(objective) -> bool:
+    """Whether the engines hand ``objective`` rows of floats: true for a
+    `Problem`, false for a plain objective, which gets a `MixedSolution`.
+    A float cannot hold a symbol, so a `Problem` over a `Categorical`
+    dimension is a TypeError naming its place, raised before any FE."""
+    if not isinstance(objective, Problem):
+        return False
+    for k, d in enumerate(objective.space.dims):
+        if isinstance(d, Categorical):
+            raise TypeError(f"dimension {k} is a Categorical, which a Problem's row of "
+                            f"floats cannot hold; write an objective over symbols as a "
+                            f"plain __call__(sol)")
+    return True
 
 
 # --- pressure vessel -------------------------------------------------------
@@ -99,9 +132,9 @@ class VesselProblem(Problem):
             IntegerRange(1, 99),       # head thickness / 0.0625
         ])
 
-    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        d_s, d_h = THICKNESS_STEP * sol.disc[0], THICKNESS_STEP * sol.disc[1]
-        r, length = sol.cont.tolist()
+    def terms(self, x) -> tuple[float, tuple[float, ...]]:
+        r, length, n_shell, n_head = x.tolist() if isinstance(x, np.ndarray) else x
+        d_s, d_h = THICKNESS_STEP * n_shell, THICKNESS_STEP * n_head
         return vessel_cost(d_s, d_h, r, length), vessel_constraints(d_s, d_h, r, length)
 
 
@@ -155,8 +188,8 @@ class BeamProblem(Problem):
             Continuous(0.1, 2.0),    # beam thickness
         ])
 
-    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        x1, x2, x3, x4 = sol.cont.tolist()
+    def terms(self, x) -> tuple[float, tuple[float, ...]]:
+        x1, x2, x3, x4 = x.tolist() if isinstance(x, np.ndarray) else x
         return beam_cost(x1, x2, x3, x4), beam_constraints(x1, x2, x3, x4)
 
 
@@ -173,11 +206,11 @@ CSD_DELTA_W = 1.25      # working deflection
 CSD_G = 11.5e6          # shear modulus
 
 
-def csd_weight(d: float, d_coil: float, n: int) -> float:
+def csd_weight(d: float, d_coil: float, n: float) -> float:
     return (n + 2) * d * d * d_coil
 
 
-def csd_constraints(d: float, d_coil: float, n: int) -> tuple[float, ...]:
+def csd_constraints(d: float, d_coil: float, n: float) -> tuple[float, ...]:
     ratio = d_coil / d
     denom = 4.0 * ratio - 4.0
     c_f = math.inf if abs(denom) < 1e-12 else (4.0 * ratio - 1.0) / denom + 0.615 / ratio
@@ -204,9 +237,8 @@ class CsdProblem(Problem):
             IntegerRange(1, 70),     # number of active coils
         ])
 
-    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        d, d_coil = sol.cont.tolist()
-        (n,) = sol.disc
+    def terms(self, x) -> tuple[float, tuple[float, ...]]:
+        d, d_coil, n = x.tolist() if isinstance(x, np.ndarray) else x
         return csd_weight(d, d_coil, n), csd_constraints(d, d_coil, n)
 
 
@@ -298,20 +330,14 @@ class SyntheticProblem(Problem):
         shift[half:] = np.clip(np.round(shift[half:]), int_lo, int_hi)
         self.shift = shift
         self.reference_optimum = 0.0
-        self._row = np.empty(dim)   # x - shift, refilled by every terms() call
 
     def optimum_solution(self) -> MixedSolution:
         half = self.space.n_c
         return MixedSolution(self.shift[:half].copy(),
                              tuple(int(v) for v in self.shift[half:]))
 
-    def terms(self, sol: MixedSolution) -> tuple[float, tuple[float, ...]]:
-        # integer values up to 2**53 convert to float exactly
-        z, half = self._row, self.space.n_c
-        z[:half] = sol.cont
-        z[half:] = sol.disc
-        z -= self.shift
-        return self._fn(z), ()
+    def terms(self, x) -> tuple[float, tuple[float, ...]]:
+        return self._fn(x - self.shift), ()
 
 
 _ENGINEERING = {"vessel": VesselProblem, "beam": BeamProblem, "csd": CsdProblem}

@@ -11,6 +11,7 @@ from famv import (Categorical, Continuous, EvaluationBudget, Firefly,
                   IntegerRange, MixedSolution, RunTrace, SearchSpace,
                   random_solution)
 from famv.core import Recorder
+from famv.problems import Problem
 
 
 def _hypothesis_space():
@@ -383,6 +384,93 @@ class TestEvaluateRows:
         recorder = Recorder(self.Objective(self.SPACE), 5)
         values = recorder.evaluate_rows(np.empty((0, 2)), np.empty((0, 2), dtype=np.int64))
         assert values.shape == (0,) and recorder.budget.consumed == 0
+
+
+class TestRows:
+    """A point's row of floats in ``dims`` order, and back."""
+
+    INTERLEAVED = SearchSpace([IntegerRange(-3, 3), Continuous(-1.0, 1.0),
+                               IntegerRange(0, 9), Continuous(0.0, 4.0)])
+    FIRST = SearchSpace([Continuous(-1.0, 1.0), Continuous(0.0, 4.0),
+                         IntegerRange(-3, 3), IntegerRange(0, 9)])
+
+    def test_slots_are_slices_where_a_kind_is_consecutive(self):
+        assert (self.FIRST.cont_slots, self.FIRST.disc_slots) == (slice(0, 2), slice(2, 4))
+        assert self.INTERLEAVED.cont_slots.tolist() == [1, 3]
+        assert self.INTERLEAVED.disc_slots.tolist() == [0, 2]
+        only = SearchSpace([Continuous(0.0, 1.0)])
+        assert (only.cont_slots, only.disc_slots) == (slice(0, 1), slice(0, 0))
+
+    @pytest.mark.parametrize("name", ["INTERLEAVED", "FIRST"])
+    def test_rows_are_c_order_values_in_dims_order(self, name):
+        space = getattr(self, name)
+        cont = np.array([[0.25, -0.0], [-1.0, 4.0], [0.5, 3.5]])
+        codes = np.array([[0, 9], [-3, 0], [3, 4]])
+        rows = space.rows(cont, codes)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous and rows.shape == (3, 4)
+        for k in range(3):
+            row = space.rows(cont[k], tuple(codes[k].tolist()))
+            assert row.flags.c_contiguous and row.tobytes() == rows[k].tobytes()
+            assert row[space.cont_pos].tobytes() == cont[k].tobytes()
+            assert row[space.disc_pos].tolist() == codes[k].tolist()
+            # an integer is a whole float, and 0 is +0.0
+            assert all(math.copysign(1.0, v) == 1.0 for v in row[space.disc_pos].tolist()
+                       if v == 0)
+
+    @pytest.mark.parametrize("name", ["INTERLEAVED", "FIRST"])
+    def test_solution_inverts_a_row_in_arrays_of_its_own(self, name):
+        space = getattr(self, name)
+        sol = MixedSolution(np.array([-0.0, 3.5]), (-3, 7))
+        vector = space.rows(sol.cont, sol.disc)
+        for row in (vector, vector.tolist()):
+            got = space.solution(row)
+            assert got == sol and got.cont.tobytes() == sol.cont.tobytes()
+            assert all(type(v) is int for v in got.disc)
+            row[space.cont_pos[0]] = 0.75
+            assert got.cont[0] == 0.0
+
+    def test_a_row_past_the_budget_raises_before_its_call(self):
+        calls = []
+
+        class Objective(Problem):
+            space = self.FIRST
+
+            def terms(self, row):
+                calls.append(row)
+                return float(row[0]), ()
+
+        recorder = Recorder(Objective(), 2)
+        assert recorder.takes_rows
+        values = [recorder.evaluate_row(row) for row in ([0.5, 1.0, 1.0, 2.0],
+                                                        np.array([-0.5, 1.0, 0.0, 9.0]))]
+        assert values == [0.5, -0.5] and len(calls) == 2
+        with pytest.raises(RuntimeError, match="past the budget of 2 FE"):
+            recorder.evaluate_row([0.0, 0.0, 0.0, 0.0])
+        assert len(calls) == 2
+        best = recorder.build().final
+        assert best == Firefly(MixedSolution(np.array([-0.5, 1.0]), (0, 9)), -0.5)
+        assert all(type(v) is int for v in best.solution.disc)
+
+    def test_rows_and_solutions_give_one_run(self):
+        # a Problem evaluated through rows and through MixedSolutions: the
+        # same values, samples and best
+        class Bowl(Problem):
+            name, reference_optimum, space = "bowl", 0.0, self.INTERLEAVED
+
+            def terms(self, x):
+                a, b, c, d = x.tolist() if isinstance(x, np.ndarray) else x
+                return a * a + b * c - d + (math.nan if c == 9.0 else 0.0), ()
+
+        rng = np.random.default_rng(1)
+        cont = self.INTERLEAVED.cont_lo + rng.random((30, 2)) * self.INTERLEAVED.cont_range
+        codes = self.INTERLEAVED.disc_lo + rng.integers(0, 100, (30, 2)) % 10 % \
+            self.INTERLEAVED.disc_sizes
+        by_rows, by_solutions = Recorder(Bowl(), 30), Recorder(Bowl(), 30)
+        values = by_rows.evaluate_rows(cont, codes)
+        assert values.tolist() == [by_solutions.evaluate(x, tuple(c.tolist()))
+                                   for x, c in zip(cont, codes)]
+        assert by_rows.samples == by_solutions.samples
+        assert by_rows.best == by_solutions.best
 
 
 class TestEvaluationBudget:

@@ -13,6 +13,7 @@ from famv import (Categorical, Continuous, EvaluationBudget, FireflyConfig,
                   run_algorithm, run_classical_fa, run_famv)
 from famv import firefly
 from famv.core import Recorder
+from famv.problems import Problem
 from famv.distances import DistanceKind
 from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step, _round_codes,
                           _round_ints, _sweep, adapt_parameters, alpha_step_categorical,
@@ -1191,6 +1192,52 @@ def test_scalar_form_equals_array_form(dims, algo, alpha, budget, nan_every, see
             trace = run_algorithm(algo, problem, budget, seed, {"alpha": alpha})
         assert trace.final.solution.conforms(problem.space)
         runs.append((problem.points, _bits(trace)))
+    assert runs[0] == runs[1]
+
+
+class _Rows(Problem):
+    """A `Problem` over any space without categorical dimensions that keeps
+    the bytes of every row it reads: a bowl scaled to the bounds."""
+
+    name, reference_optimum = "rows", 0.0
+
+    def __init__(self, dims):
+        self.space, self.rows = SearchSpace(dims), []
+
+    def terms(self, x):
+        self.rows.append((type(x), np.array(x, dtype=float).tobytes()))
+        z = (np.asarray(x) - self.space.lo) / (self.space.hi - self.space.lo + 1.0)
+        return float(z.dot(z)), ()
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
+@pytest.mark.parametrize("problem", [
+    lambda: get_problem("vessel"), lambda: get_problem("csd"), lambda: get_problem("beam"),
+    lambda: get_problem("rastrigin", dim=30),
+    lambda: _Rows([IntegerRange(-3, 3), Continuous(-1.0, 2.0), IntegerRange(0, 9)] * 3),
+    lambda: _Rows([IntegerRange(-2 ** 52, 2 ** 52 - 1), IntegerRange(1 - 2 ** 52, 2 ** 52)] * 2)],
+    ids=["vessel", "csd", "beam", "rastrigin-30", "interleaved", "integers"])
+def test_a_problem_reads_the_same_rows_in_both_forms(algo, problem):
+    # a Problem reads lists in the scalar form and float64 vectors in the
+    # array form, each forced through both engines' size limits: the same
+    # values, bit for bit, and the same trace
+    runs = []
+    for scalar_dims, kind in ((-1, np.ndarray), (10 ** 6, list)):
+        reading = problem()
+        if not isinstance(reading, _Rows):
+            terms = reading.terms
+            reading.rows = []
+
+            def keeping(x, terms=terms, rows=reading.rows):
+                rows.append((type(x), np.array(x, dtype=float).tobytes()))
+                return terms(x)
+            reading.terms = keeping
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+            mp.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+            trace = run_algorithm(algo, reading, 600, 1)
+        assert {t for t, _ in reading.rows} == {kind} and len(reading.rows) == 600
+        runs.append(([b for _, b in reading.rows], _bits(trace)))
     assert runs[0] == runs[1]
 
 

@@ -12,15 +12,17 @@ import pytest
 
 import famv
 from famv import (ALGORITHMS, Categorical, Continuous, DistanceKind, ExperimentSpec,
-                  GaConfig, IntegerRange, SearchSpace, compare, harness,
+                  GaConfig, IntegerRange, MixedSolution, SearchSpace, compare, harness,
                   run_algorithm, run_experiment)
 from famv.cli import main as cli_main
 from famv.firefly import FireflyConfig, run_classical_fa, run_famv
 from famv.harness import (DEFAULT_ENGINEERING_BUDGET, DEFAULT_SYNTHETIC_BUDGET,
                           ResultRow, compare_directory, emit_results_table,
                           emit_trace)
+from famv import firefly
 from famv.core import EvaluationBudget
-from famv.problems import Problem, get_problem
+from famv.problems import (BeamProblem, Problem, SyntheticProblem, VesselProblem,
+                           get_problem)
 
 
 def _read_csv(path):
@@ -642,6 +644,91 @@ CATEGORICAL_DIGEST = {
 
 def test_golden_stream_categorical():
     assert _stream_digests([MixedCategorical()]) == CATEGORICAL_DIGEST
+
+
+# per engine and problem, sha256 of the final point's cont bytes and disc
+# tuple of seeds 0 and 1 at 1000 FE, taken before a registry problem read
+# rows: vessel runs both firefly engines' scalar form and dim-30 sphere
+# their array form
+FINAL_DIGEST = {
+    "fa-vessel": "238807605c51c38725b4cb2ae1fc745e3fb59460e9e7d242f94848c111daca7f",
+    "fa-sphere": "e4b4c48b2a61944e0a2cde037d4a604dd68d03fb4afda2cbf53e4e70eb0a2d94",
+    "famv-h-vessel": "e2ede3cac4f1bc9f08c52a47018ee9a890504f8a1e64e7a222afbbe1be72a631",
+    "famv-h-sphere": "ef83944c625dbbac326c4f2d0bdcdc3e040f7cb9eaab61aeec56de83be6a037d",
+    "famv-g-vessel": "775c12ef6b52d3747b4b6f97d1d6f7eb00f1ca15e5922ca0c4afe0d468bf767c",
+    "famv-g-sphere": "3690e78361baa1067e6a28d8b2892a88287109a709c8d8355682360384566e74",
+    "ga-vessel": "2c7dae6c4f9a58bfbc476be0c906eb62f1405f8ff27c11e697a059628ba49afb",
+    "ga-sphere": "c6917abbad86cc3654ef4d4a9bfc93ee1a6fdbae6075ae0b5432d3ebccefc811",
+}
+
+
+@pytest.mark.parametrize("key", FINAL_DIGEST)
+def test_final_solution_bits_and_int_values(key):
+    algo, name = key.rsplit("-", 1)
+    problem = get_problem(name, dim=30)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        sol = run_algorithm(algo, problem, 1000, seed).final.solution
+        assert type(sol.cont) is np.ndarray and sol.cont.dtype == np.float64
+        assert all(type(v) is int for v in sol.disc)
+        digest.update(repr((sol.cont.tobytes().hex(), sol.disc)).encode())
+    assert digest.hexdigest() == FINAL_DIGEST[key]
+
+
+def _held(point):
+    """The values ``point`` holds now: a row's bytes, or a `MixedSolution`'s
+    ``cont`` bytes and ``disc``."""
+    if isinstance(point, MixedSolution):
+        return point.cont.tobytes(), point.disc
+    return np.array(point, dtype=float).tobytes()
+
+
+def _keeping(cls, *args):
+    """An instance of ``cls`` that keeps every point it is called with, with
+    the values that point held then."""
+    class Keeping(cls):
+        def __call__(self, point):
+            self.kept.append((point, _held(point)))
+            return super().__call__(point)
+
+    problem = Keeping(*args)
+    problem.kept = []
+    return problem
+
+
+_COUNTED = [(VesselProblem, ()), (BeamProblem, ()), (SyntheticProblem, ("rastrigin", 30)),
+            (MixedCategorical, ())]
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "ga"])
+@pytest.mark.parametrize("scalar_dims", [-1, 10 ** 6])
+@pytest.mark.parametrize("cls, args", _COUNTED, ids=["vessel", "beam", "rastrigin-30", "plain"])
+def test_objective_calls_equal_charges_equal_budget(algo, scalar_dims, cls, args,
+                                                    monkeypatch):
+    """bench/run.py's traced count rule, in both firefly forms: per run,
+    objective calls = FE charged = budget, on registry problems (rows) and a
+    plain objective (a `MixedSolution` each); and no point an objective read
+    is written after its call returns."""
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+    counts = {"calls": 0, "charged": 0}
+    consume = EvaluationBudget.consume
+
+    def counted_consume(self):
+        charged = consume(self)
+        counts["charged"] += charged
+        return charged
+
+    monkeypatch.setattr(EvaluationBudget, "consume", counted_consume)
+    for budget in (1, 73, 300):
+        problem = _keeping(cls, *args)
+        counts.update(calls=0, charged=0)
+        run_algorithm(algo, problem, budget, 3)
+        counts["calls"] = len(problem.kept)
+        assert counts == {"calls": budget, "charged": budget}, budget
+        kind = (list, np.ndarray) if isinstance(problem, Problem) else MixedSolution
+        assert all(isinstance(point, kind) for point, _ in problem.kept)
+        assert all(_held(point) == then for point, then in problem.kept)
 
 
 # each variable makes one process behave as on another CPU: another OpenBLAS

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famv import (Continuous, MixedSolution, SearchSpace, available_problems, get_problem,
-                  run_algorithm)
+from famv import (Categorical, Continuous, IntegerRange, MixedSolution, SearchSpace,
+                  available_problems, firefly, get_problem, run_algorithm)
 from famv.core import Recorder
 from famv.problems import (BEAM_ARM, BEAM_DELTA_MAX, BEAM_E, BEAM_G, BEAM_P,
                            BEAM_SIGMA_MAX, BEAM_TAU_MAX, CSD_D_MIN, CSD_DELTA_PM,
@@ -287,6 +287,28 @@ def _bits(x) -> str:
     return float(x).hex()
 
 
+def _rows(space, sol):
+    """``sol`` as a list row and as a float64 row, built value by value in
+    ``dims`` order, each integer value as a whole float."""
+    values = [0.0] * space.dim
+    for k, v in zip(space.cont_pos.tolist(), sol.cont.tolist()):
+        values[k] = v
+    for k, v in zip(space.disc_pos.tolist(), sol.disc):
+        values[k] = float(v)
+    return values, np.array(values)
+
+
+def _assert_forms_agree(problem, sol):
+    """The problem, ``raw`` and ``constraints`` give the same bits on a
+    `MixedSolution` and on both of its rows."""
+    value, raw, g = _bits(problem(sol)), _bits(problem.raw(sol)), problem.constraints(sol)
+    for row in _rows(problem.space, sol):
+        assert _bits(problem(row)) == value
+        assert _bits(problem.raw(row)) == raw
+        got = problem.constraints(row)
+        assert got.dtype == g.dtype and got.tobytes() == g.tobytes()
+
+
 def _assert_matches_reference(problem, sol):
     raw, g = _REFERENCE[problem.name](sol)
     expected = _reference_penalized(raw, g, problem.count_violations)
@@ -295,6 +317,7 @@ def _assert_matches_reference(problem, sol):
     got = problem.constraints(sol)
     assert got.dtype == g.dtype and np.array_equal(got, g)
     assert got.tobytes() == g.tobytes()
+    _assert_forms_agree(problem, sol)
 
 
 def _coordinates(dim):
@@ -365,6 +388,103 @@ def test_float_path_matches_numpy_formulation_at_corners(name, rng):
         _assert_matches_reference(problem, sol)
 
 
+@pytest.mark.parametrize("name, dim", [(name, 50) for name in available_problems()]
+                         + [(name, 2) for name in _SYNTHETIC])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_three_point_forms_agree(name, dim, data):
+    # a registry problem reads a MixedSolution, a list row and a float64 row
+    # of the same point to the same bits (the engineering designs' corners
+    # and csd's infinite Wahl factor are in the reference tests above)
+    problem = get_problem(name, dim=dim)
+    _assert_forms_agree(problem, data.draw(_points(problem.space)))
+
+
+@pytest.mark.parametrize("name", list(_SYNTHETIC))
+def test_the_three_point_forms_agree_at_corners(name):
+    problem = get_problem(name, dim=4)
+    space = problem.space
+    for corner in itertools.product(*((d.lo, d.hi) for d in space.dims)):
+        _assert_forms_agree(problem, MixedSolution(np.array(corner[:2], dtype=float),
+                                                   tuple(corner[2:])))
+    problem = get_problem(name, dim=50)
+    for end in ("lo", "hi"):
+        _assert_forms_agree(problem, MixedSolution(
+            getattr(problem.space, "cont_" + end).copy(),
+            tuple(getattr(d, end) for d in problem.space.discrete)))
+    _assert_forms_agree(problem, problem.optimum_solution())
+
+
+class _Widest(Problem):
+    """The widest admitted integer codes around a continuous dimension, so
+    that rows are gathered into ``dims`` order: the distance of each value
+    from its lower bound.  Every row must hold the integers as whole floats
+    inside their bounds."""
+
+    name, reference_optimum = "widest", 0.0
+    space = SearchSpace([IntegerRange(-2 ** 52, 1 - 2 ** 52), Continuous(-1.0, 1.0),
+                         IntegerRange(2 ** 52 - 1, 2 ** 52)])
+
+    def terms(self, x):
+        a, c, b = x.tolist() if isinstance(x, np.ndarray) else x
+        assert type(a) is type(b) is float and a in (-2.0 ** 52, 1 - 2.0 ** 52) \
+            and b in (2.0 ** 52 - 1, 2.0 ** 52), (a, b)
+        return (a + 2.0 ** 52) + c * c + (b - (2.0 ** 52 - 1)), ()
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "ga"])
+@pytest.mark.parametrize("scalar_dims", [-1, 10 ** 6])
+def test_rows_hold_the_widest_integer_codes(algo, scalar_dims, monkeypatch):
+    problem = _Widest()
+    for corner in itertools.product(*((d.lo, d.hi) for d in problem.space.dims)):
+        _assert_forms_agree(problem, MixedSolution(np.array([corner[1]], dtype=float),
+                                                   (corner[0], corner[2])))
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+    final = run_algorithm(algo, problem, 300, 0).final
+    assert final.solution.conforms(problem.space)
+    assert all(type(v) is int for v in final.solution.disc)
+    assert problem(final.solution) == final.fitness
+
+
+class _Symbols(Problem):
+    """A `Problem` over a categorical dimension, which its row cannot hold."""
+
+    name, reference_optimum = "symbols", 0.0
+
+    def __init__(self):
+        self.space = SearchSpace([Continuous(0.0, 1.0), IntegerRange(0, 3),
+                                  Categorical(("a", "b"))])
+        self.calls = 0
+
+    def terms(self, x):
+        self.calls += 1
+        return 0.0, ()
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "ga"])
+@pytest.mark.parametrize("scalar_dims", [-1, 10 ** 6])
+def test_a_problem_over_a_categorical_dimension_is_refused(algo, scalar_dims, monkeypatch):
+    # refused before the first FE, naming the dimension's place; a plain
+    # objective over the same space runs
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+    problem = _Symbols()
+    with pytest.raises(TypeError, match="dimension 2 is a Categorical"):
+        run_algorithm(algo, problem, 50, 0)
+    with pytest.raises(TypeError, match="dimension 2 "):
+        problem(MixedSolution(np.array([0.5]), (1, "a")))
+    assert problem.calls == 0
+
+    class Plain:
+        name, reference_optimum, space = "plain", 0.0, problem.space
+
+        def __call__(self, sol):
+            return float(sol.cont[0]) + sol.disc[0] + (sol.disc[1] == "b")
+
+    assert run_algorithm(algo, Plain(), 50, 0).final.solution.conforms(problem.space)
+
+
 class _Degenerate(Problem):
     """Raw value ``value`` and constraint values ``g``, whatever the point."""
 
@@ -411,8 +531,8 @@ class TestDegenerateConstraints:
 
     def test_nan_reaches_recorder_as_inf(self):
         class HalfNaN(_Degenerate):
-            def terms(self, sol):
-                return self.value, (math.nan,) if sol.cont[0] > 0.5 else (-1.0,)
+            def terms(self, x):
+                return self.value, (math.nan,) if x[0] > 0.5 else (-1.0,)
 
         recorder = Recorder(HalfNaN(1.0, None), 10)
         assert recorder.evaluate(np.array([0.9]), ()) == math.inf
