@@ -101,6 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, ValueError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:   # a run of the grid raised: not a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,11 +5,12 @@ numpy vector and its discrete components (integer values or category
 symbols) in a tuple.  Continuous components come first, discrete second;
 both follow the order in which their dimensions appear in the search space.
 
-The engines hold a continuous vector and an int64 *code* vector, whose
-codes are an integer's value or a category's index in ``values``.  Only
+The engines hold a point's continuous values and its discrete ones as
+*codes*, each an integer's value or a category's index in ``values``.  Only
 `SearchSpace` knows that layout (index and bound arrays), and its `decode`
-turns codes into the tuple of values and symbols.  `Recorder` is the
-evaluation path every engine shares, with one entry per kind of objective.
+turns an int64 code vector into the tuple of values and symbols.
+`Recorder` is the evaluation path every engine shares, with one entry per
+kind of objective.
 A registry `famv.problems.Problem` reads a point as one *row*: its values as
 floats in ``dims`` order, an integer's as a whole float, which
 `SearchSpace.rows` builds.  `Recorder.evaluate_row` charges one function
@@ -20,10 +21,13 @@ the value tuple from `Recorder.evaluate`.  `Recorder.evaluate_rows` takes a
 batch of code rows and evaluates each in order, by whichever entry the run
 uses.  The firefly loops hand each FE's position and codes, as they hold
 them, to their engine's evaluation map, the one place that builds the row
-or the value tuple: `SearchSpace.decode` of an int64 code vector in the
-array form, and `SearchSpace.decode_ints` of the code tuple of Python ints
-that the scalar form keeps on a small space.  With no categorical dimension
-the codes, as Python ints, are already the value tuple.
+or the value tuple: in the array form one float64 vector, the position and
+then the codes as whole floats, which is itself the row where the
+continuous dimensions come first and whose codes `SearchSpace.decode` reads
+cast to int64; in the scalar form, which a small space runs, a position
+list and a code tuple of Python ints, which `SearchSpace.decode_ints`
+reads.  With no categorical dimension the codes, as Python ints, are
+already the value tuple.
 """
 
 from __future__ import annotations

@@ -42,20 +42,23 @@ being its symbol's index.  A move converts its row with one ``tolist()``,
 moves and clips the position in one list comprehension, steps each integer
 code in a short loop and redraws categorical codes with
 `alpha_step_categorical` on lists.  Every other space runs `_fly`, one
-pass of numpy operations per move over float64 positions and int64 codes.
-At each FE both forms hand the position and the code vector, as the loop
-holds them, to their engine's evaluation map, chosen once per run, the one
-place that builds what the objective reads.  A registry `Problem` reads one
-new row of floats in ``dims`` order (`famv.problems`), a list in the scalar
-form and a float64 vector in the array form: famv's map joins the position
-and the codes as whole floats, and fa's rounds the discrete slots of its
-relaxed position.  A plain objective gets a `MixedSolution`: famv's map
-decodes the codes, with `SearchSpace.decode_ints` in the scalar form where
-a dimension is categorical and with `SearchSpace.decode` in the array form,
-and fa's rounds its relaxed discrete slots and decodes them where a
-dimension is categorical.  Both forms do the same double operations in
-the same order, r's left-to-right sum included (`famv.distances`), so a
-run's stream and trace do not depend on the form.
+pass of numpy operations per move over one float64 vector per firefly, the
+position and then the codes as whole floats: the copy step is a 0/1
+coefficient of the move, and one clip bounds both parts.  At each FE both
+forms hand what the loop holds to their engine's evaluation map, chosen
+once per run, the one place that builds what the objective reads.  A
+registry `Problem` reads one row of floats in ``dims`` order
+(`famv.problems`), a list in the scalar form and a float64 vector in the
+array form: famv's map joins the position and the codes, or hands the
+array form's vector itself where the continuous dimensions come first, and
+fa's rounds the discrete slots of its relaxed position.  A plain objective
+gets a `MixedSolution`: famv's map decodes the codes, with
+`SearchSpace.decode_ints` in the scalar form where a dimension is
+categorical and with `SearchSpace.decode` in the array form, and fa's
+rounds its relaxed discrete slots and decodes them where a dimension is
+categorical.  Both forms do the same double operations in the same order,
+r's left-to-right sum included (`famv.distances`), so a run's stream and
+trace do not depend on the form.
 
 Each K' is the largest dimension count at which the scalar form was not
 slower for its engine on any row below: CPU time of 3 runs of 2000 FE in
@@ -104,26 +107,26 @@ class _Uniforms:
     read, drawn ahead in blocks.
 
     Every move, an idle walk included, gets one read-only row of
-    w = n_c + 2 n_d + 2 n_cat doubles: n_c of continuous noise, one copy
-    uniform per code, n_d of the integer step, one replacement flag per
-    categorical code and one redraw per categorical code, in that order.  A
-    block is ``max(1, _BLOCK // w)`` rows from one ``rng.random((rows, w))``
-    call.  Each double of ``Generator.random`` comes from one 64-bit draw,
-    so the rows are the doubles of one flat ``rng.random`` call, reshaped,
-    however the blocks fall.  The rows come from the block in its alpha
-    form, for the alpha last given to ``scale``: the noise columns hold
-    alpha (u - 1/2), the step columns alpha (2u - 1) and every other column
-    u.  A new alpha forms only the rows not yet read.  ``columns`` holds the
-    five column groups as slices, in that order; `_fly` slices them out of
-    the row, and `_fly_floats` converts the row to a list once.  The block
-    is read-only, so no stage can write into its uniforms.  Once wrapped,
-    ``rng`` must not be drawn from directly.
+    w = n_c + 2 n_d + 2 n_cat doubles, drawn as n_c of continuous noise, one
+    copy uniform per code, n_d of the integer step, one replacement flag
+    per categorical code and one redraw per categorical code, in that order.
+    A block is ``max(1, _BLOCK // w)`` rows from one ``rng.random((rows,
+    w))`` call.  Each double of ``Generator.random`` comes from one 64-bit
+    draw, so the rows are the doubles of one flat ``rng.random`` call,
+    reshaped, however the blocks fall.  The rows come from the block in its
+    alpha form, for the alpha last given to ``scale``: the noise columns
+    hold alpha (u - 1/2), the step columns alpha (2u - 1), moved beside the
+    noise so that a row's first n_c + n_d doubles are a move's additive
+    part, and every other column u.  A new alpha forms only the rows not yet
+    read.  ``columns`` holds the five groups as slices of a formed row, in
+    their drawn order.  The block is read-only, so no stage can write into
+    its uniforms.  Once wrapped, ``rng`` must not be drawn from directly.
     """
 
     def __init__(self, rng: np.random.Generator, n_c: int, n_d: int, n_cat: int):
-        edges = np.cumsum([0, n_c, n_d, n_d, n_cat, n_cat]).tolist()
-        self.columns = tuple(map(slice, edges[:-1], edges[1:]))
-        width = edges[-1]
+        add, width = n_c + n_d, n_c + 2 * n_d + 2 * n_cat
+        self.columns = (slice(0, n_c), slice(add, add + n_d), slice(n_c, add),
+                        slice(add + n_d, width - n_cat), slice(width - n_cat, width))
         self._rng, self._shape, self._alpha = rng, (max(1, _BLOCK // width), width), 1.0
         self._raw, self._next = np.empty((0, width)), 0
 
@@ -137,11 +140,14 @@ class _Uniforms:
 
     def _rescale(self) -> None:
         """Drop the rows already read and form the others for the alpha."""
-        raw, (noise, _, step, _, _) = self._raw[self._next:], self.columns
+        raw, (noise, copy, step, _, _) = self._raw[self._next:], self.columns
         self._raw, self._next = raw, 0
+        # the copy and step groups swap places: a raw row holds at ``copy``
+        # the step's uniforms, drawn after the copy uniforms it holds at ``step``
         block = raw.copy()
         block[:, noise] = self._alpha * (raw[:, noise] - 0.5)
-        block[:, step] = self._alpha * (2.0 * raw[:, step] - 1.0)
+        block[:, step] = self._alpha * (2.0 * raw[:, copy] - 1.0)
+        block[:, copy] = raw[:, step]
         block.flags.writeable = False
         self._block = block
 
@@ -209,9 +215,9 @@ def attractiveness(beta0: float, e: float) -> float:
     return beta0 * e
 
 
-def _attract(xi: np.ndarray, d: np.ndarray, beta: float, noise: np.ndarray) -> np.ndarray:
+def _attract(xi: np.ndarray, d: np.ndarray, beta, noise: np.ndarray) -> np.ndarray:
     """Move ``xi`` by ``beta * d`` (``d = xj - xi``) plus ``noise``, which
-    is alpha (u - 1/2)."""
+    is alpha (u - 1/2); ``beta`` is a float, or one coefficient per slot."""
     return xi + beta * d + noise
 
 
@@ -226,55 +232,29 @@ def _round_codes(v: np.ndarray) -> np.ndarray:
     return (v + np.copysign(_HALF, v)).astype(np.int64)
 
 
-def _copy_differing(xi_codes: np.ndarray, xj_codes: np.ndarray, differ: np.ndarray,
-                    prob: float, u: np.ndarray) -> np.ndarray:
-    """Copy ``xj_codes[k]`` for each k of ``differ`` whose uniform ``u[k]``
-    is below ``prob``; with no code copied, ``xi_codes`` itself comes back."""
-    copied = differ[u[differ] < prob]
-    if not len(copied):
-        return xi_codes
-    out = xi_codes.copy()
-    out[copied] = xj_codes[copied]
-    return out
-
-
-def _differ(xi_codes: np.ndarray, xj_codes: np.ndarray) -> np.ndarray:
-    """The indices of the codes in which two code vectors differ, in order."""
-    return (xi_codes != xj_codes).nonzero()[0]
-
-
 # Draws its own uniforms because acceptance criterion 4 calls it with a Generator.
 def beta_step(space: SearchSpace, xi_codes, xj_codes, prob: float,
               rng: np.random.Generator) -> np.ndarray:
     """Copy each differing discrete component from the brighter firefly with
     probability ``prob``; agreeing components never change.  As in a
-    firefly move, one uniform is drawn per component, in order, and only a
-    differing component's is read; with none copied, ``xi_codes`` itself
-    comes back."""
+    firefly move, one uniform is drawn per component, in order, and a
+    component is copied when it differs and its uniform is below ``prob``;
+    with none copied, ``xi_codes`` itself comes back."""
     xi_codes, xj_codes = np.asarray(xi_codes), np.asarray(xj_codes)
     if len(xi_codes) != space.n_d or len(xj_codes) != space.n_d:
         raise ValueError("discrete parts do not conform to the space")
-    return _copy_differing(xi_codes, xj_codes, _differ(xi_codes, xj_codes), prob,
-                           rng.random(space.n_d))
-
-
-def _integer_step(codes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                  step: np.ndarray) -> np.ndarray:
-    """round(codes + step) with ``step = alpha (2u - 1)``, halves away from
-    zero, clipped into [lo, hi]: the sum is clipped first, which gives the
-    same codes for integer bounds and keeps every value that is rounded and
-    cast within the bounds, however large alpha is."""
-    return _round_codes(_clip(codes + step, lo, hi))
+    copied = (xi_codes != xj_codes) & (rng.random(space.n_d) < prob)
+    return np.where(copied, xj_codes, xi_codes) if copied.any() else xi_codes
 
 
 # Kept name: bench/run.py counts its calls and bench/tests asserts them on
 # mixed-cat; both forms of the firefly loop look it up at call time, once per
 # move on a space with a categorical dimension, and hand it lists.  The array
-# form hands it its codes as the int64 vector and the flag and redraw columns
-# from one tolist(), the fastest of the handings measured.  A move then costs
-# about 1.2 + 0.13 k us for k categorical codes, against a constant 2.5-3 us
-# for numpy's masked redraw (2-core Xeon VM, numpy 2.4.6), so past about 13
-# codes the loop is the dearer.
+# form hands it its joint float64 vector, the codes' places in it and the
+# flag and redraw columns from one tolist(), the fastest of the handings
+# measured.  A move then costs about 1.2 + 0.13 k us for k categorical codes,
+# against a constant 2.5-3 us for numpy's masked redraw (2-core Xeon VM,
+# numpy 2.4.6), so past about 13 codes the loop is the dearer.
 def alpha_step_categorical(codes, cat_idx, sizes, flags, p_alpha: float, redraw):
     """Redraw in place, and return, ``codes``: each categorical code
     ``codes[cat_idx[k]]`` whose flag ``flags[k]``, a uniform, is below
@@ -283,7 +263,7 @@ def alpha_step_categorical(codes, cat_idx, sizes, flags, p_alpha: float, redraw)
     code's own uniform u = ``redraw[k]`` in [0, 1), which stays below
     ``size`` for every u < 1.  The flag is not reused: rescaled as
     flag * (1 / p_alpha) it can round to 1 and give ``size``.  Any
-    sequences serve, and an int64 array of codes stays one."""
+    sequences serve, and an array of codes keeps its dtype."""
     for k, size, flag, u in zip(cat_idx, sizes, flags, redraw):
         if flag < p_alpha:
             codes[k] = int(u * size)
@@ -381,27 +361,37 @@ def _schedule(config: FireflyConfig, budget: EvaluationBudget) -> tuple[float, f
 def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np.ndarray,
          distance, evaluate, layout) -> None:
     """The array form of the firefly loop of both engines, run until
-    ``budget`` is spent: positions move in the box [``lo``, ``hi``] and
-    int64 code vectors in the code layout of ``layout``, a `SearchSpace` or
-    `_NO_CODES`, with which the loop does no code work.  ``distance(d, m)``
-    is r for ``d = xj - xi`` and m differing codes; ``evaluate(x, codes)``
-    charges one FE of the position and the int64 code vector as the loop
-    holds them, and is the engine's map that builds what the objective
+    ``budget`` is spent.  A firefly is one float64 vector z: its position in
+    the box [``lo``, ``hi``], then its codes as whole floats in the code
+    layout of ``layout``, a `SearchSpace` or `_NO_CODES`, with which there
+    are no codes and no code work.  A move is z' = zi + c dz + a for
+    dz = zj - zi, with r = ``distance(dz[:n], m)`` for the m nonzero code
+    slots of dz; c is beta on the position and, on each code, 1.0 where its
+    copy uniform is below e, else 0.0, so a code becomes exactly cj or ci
+    (codes lie within 2**52); a is the row's noise and step (`_Uniforms`).
+    An idle walk is z' = zi + a.  One clip bounds both parts, so the code
+    slots lie within their bounds however large alpha is, and they round
+    half away from zero through int64, which writes no -0.0.
+    ``evaluate(z)`` charges one FE of z, which the loop never writes
+    afterwards, and is the engine's map that builds what the objective
     reads.  In a box where `_wide` holds, numpy warns of an overflow that
     the scalar form's floats take silently, to the same inf, so such a run
     takes r, the move and the walk under `_quiet`."""
-    n_d, n_cat = len(layout.disc_lo), len(layout.cat_idx)
-    cat_idx, cat_list = layout.cat_idx, layout.cat_idx.tolist()
+    n, n_d, n_cat = len(lo), len(layout.disc_lo), len(layout.cat_idx)
+    w = n + n_d   # a move's additive columns
+    cat_pos = n + layout.cat_idx
+    cat_list = cat_pos.tolist()
     cat_sizes = layout.cat_sizes.astype(float).tolist()   # exact up to 2**53
-    # float bounds keep the step's clip in one dtype, which is exact within 2**52
-    code_lo, code_hi = layout.disc_lo.astype(float), layout.disc_hi.astype(float)
     walk, attract = np.add, _attract
     if _wide(config, lo, hi):
         distance, walk, attract = _quiet(distance), _quiet(np.add), _quiet(_attract)
     first, first_codes, rows = _start(config, lo, hi, layout)
-    xs, codes = list(first), list(first_codes)
-    noise, copy_u, step_u, flags, _ = rows.columns
-    fitness = [evaluate(x, c) for x, c in zip(xs, codes)]
+    zs = list(np.concatenate((first, first_codes), axis=1))
+    lo, hi = np.concatenate((lo, layout.disc_lo)), np.concatenate((hi, layout.disc_hi))
+    _, copy_u, _, flags, _ = rows.columns
+    coef = np.empty(w)   # beta on the position, then 1.0 or 0.0 on each code
+    coef_pos, coef_codes = coef[:n], coef[n:]
+    fitness = [evaluate(z) for z in zs]
 
     while not budget.exhausted:
         alpha, gamma = _schedule(config, budget)
@@ -411,27 +401,30 @@ def _fly(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray, hi: np
 
         for i, j in _sweep(fitness, budget):
             row = rows.move()
-            xi, disc = xs[i], codes[i]
+            zi = zs[i]
             if j is None:
-                x = walk(xi, row[noise])
+                z = walk(zi, row[:w])
             else:
-                d, cj = xs[j] - xi, codes[j]
-                differ = _differ(disc, cj) if n_d else ()
-                r = distance(d, len(differ))
+                dz = zs[j] - zi
+                r = distance(dz[:n], np.count_nonzero(dz[n:])) if n_d else distance(dz, 0)
                 e = math.exp(-gamma * r * r)   # beta / beta0 and the copy probability
-                x = attract(xi, d, attractiveness(config.beta0, e), row[noise])
-                if len(differ):
-                    disc = _copy_differing(disc, cj, differ, e, row[copy_u])
+                beta = attractiveness(config.beta0, e)
+                if n_d:
+                    coef_pos.fill(beta)
+                    np.less(row[copy_u], e, out=coef_codes)
+                    beta = coef
+                z = attract(zi, dz, beta, row[:w])
+            z = _clip(z, lo, hi)
             if n_d:
-                stepped = _integer_step(disc, code_lo, code_hi, row[step_u])
-                if n_cat:   # a categorical code keeps its pre-step value unless redrawn
-                    stepped[cat_idx] = disc[cat_idx]
+                z[n:] = _round_codes(z[n:])
+                if n_cat:   # a categorical code keeps its copied value unless redrawn
+                    kept = zi[cat_pos]
+                    z[cat_pos] = kept if j is None else kept + coef[cat_pos] * dz[cat_pos]
                     tail = row[flags.start:].tolist()   # the flag and redraw columns
-                    alpha_step_categorical(stepped, cat_list, cat_sizes, tail[:n_cat], p_alpha,
+                    alpha_step_categorical(z, cat_list, cat_sizes, tail[:n_cat], p_alpha,
                                            tail[n_cat:])
-                codes[i] = stepped
-            xs[i] = x = _clip(x, lo, hi)
-            fitness[i] = evaluate(x, codes[i])
+            zs[i] = z
+            fitness[i] = evaluate(z)
 
 
 def _fly_floats(config: FireflyConfig, budget: EvaluationBudget, lo: np.ndarray,
@@ -506,15 +499,23 @@ def run_famv(problem: ObjectiveFunction, config: FireflyConfig) -> RunTrace:
     return rec.build()
 
 
+def _continuous_first(space: SearchSpace) -> bool:
+    """Whether a row of ``space`` is the position, then the codes, as in
+    every registry space."""
+    return isinstance(space.cont_slots, slice) and space.cont_slots.start == 0
+
+
 def _code_vectors(rec: Recorder):
-    """famv's evaluation map in the array form, on a float64 position and
-    an int64 code vector: a new row of both, or the codes decoded by the
-    space."""
-    space = rec.space
+    """famv's evaluation map in the array form, on the loop's joint vector
+    z: z itself where it is the row, a new row of its two parts, or its
+    codes decoded by the space."""
+    space, n = rec.space, rec.space.n_c
     if rec.takes_rows:
-        return lambda x, codes: rec.evaluate_row(space.rows(x, codes))
+        if _continuous_first(space):
+            return rec.evaluate_row
+        return lambda z: rec.evaluate_row(space.rows(z[:n], z[n:]))
     decode = space.decode
-    return lambda x, codes: rec.evaluate(x, decode(codes))
+    return lambda z: rec.evaluate(z[:n], decode(z[n:].astype(np.int64)))
 
 
 def _code_floats(rec: Recorder):
@@ -523,8 +524,7 @@ def _code_floats(rec: Recorder):
     dimension is categorical."""
     space = rec.space
     if rec.takes_rows:
-        if isinstance(space.cont_slots, slice) and space.cont_slots.start == 0:
-            # continuous first, as in every registry space: the position, then the codes
+        if _continuous_first(space):
             return lambda x, disc: rec.evaluate_row(x + [float(c) for c in disc])
         return lambda x, disc: rec.evaluate_row(space.rows(np.array(x), disc).tolist())
     if not len(space.cat_idx):   # the code tuple is the value tuple
@@ -560,26 +560,23 @@ def run_classical_fa(problem: ObjectiveFunction, config: FireflyConfig) -> RunTr
 def _relaxed_evaluate(rec: Recorder):
     """fa's evaluation map in the array form: a clipped relaxed position's
     discrete slots round to codes, decoded where a dimension is categorical,
-    or to whole floats in a new row, and the loop's empty code vector is
-    ignored."""
+    or to whole floats in a new row."""
     space = rec.space
     cont_pos, disc_pos = space.cont_pos, space.disc_pos
     if not len(disc_pos):   # the position is the point
-        if rec.takes_rows:
-            return lambda x, _: rec.evaluate_row(x)
-        return lambda x, _: rec.evaluate(x, ())
+        return rec.evaluate_row if rec.takes_rows else lambda x: rec.evaluate(x, ())
     if rec.takes_rows:
         slots = space.disc_slots
 
-        def row(x, _):
+        def row(x):
             x = x.copy()
             x[slots] = _round_codes(x[slots])
             return rec.evaluate_row(x)
         return row
     if not len(space.cat_idx):   # the codes are the values
-        return lambda x, _: rec.evaluate(x[cont_pos], tuple(_round_codes(x[disc_pos]).tolist()))
+        return lambda x: rec.evaluate(x[cont_pos], tuple(_round_codes(x[disc_pos]).tolist()))
     decode = space.decode
-    return lambda x, _: rec.evaluate(x[cont_pos], decode(_round_codes(x[disc_pos])))
+    return lambda x: rec.evaluate(x[cont_pos], decode(_round_codes(x[disc_pos])))
 
 
 def _round_ints(v: list) -> list:

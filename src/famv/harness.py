@@ -178,7 +178,9 @@ def emit_results_table(rows: list[ResultRow], results_path: str | Path,
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Execute the grid, write traces and summary, then rank the summary
-    with `compare_directory`."""
+    with `compare_directory`.  A run that raises, its objective for one,
+    ends the grid with a RuntimeError naming its problem, algorithm, run
+    index and seed, raised from the run's own exception."""
     out = Path(spec.out_dir)
     traces_dir = out / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -190,7 +192,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         for algo in spec.algorithms:
             for run_idx in range(spec.runs):
                 seed = spec.base_seed + run_idx
-                trace = run_algorithm(algo, problem, budget, seed)
+                try:
+                    trace = run_algorithm(algo, problem, budget, seed)
+                except Exception as exc:
+                    raise RuntimeError(f"{algo} on {problem_name}, run {run_idx}, seed {seed} "
+                                       f"failed: {type(exc).__name__}: {exc}") from exc
                 trace_path = traces_dir / f"{problem_name}__{algo}__run{run_idx:03d}.csv"
                 emit_trace(trace, trace_path, spec.stride)
                 best = trace.final.fitness

@@ -15,9 +15,9 @@ from famv import firefly
 from famv.core import Recorder
 from famv.problems import Problem
 from famv.distances import DistanceKind
-from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _integer_step, _round_codes,
-                          _round_ints, _sweep, adapt_parameters, alpha_step_categorical,
-                          attractiveness, beta_step, replacement_prob)
+from famv.firefly import (_BLOCK, _Uniforms, _attract, _clip, _round_codes, _round_ints, _sweep,
+                          adapt_parameters, alpha_step_categorical, attractiveness, beta_step,
+                          replacement_prob)
 
 
 def _decay(gamma, r):
@@ -205,8 +205,9 @@ class TestUniforms:
         assert uniforms._block is not block
         row = uniforms.move()
         u = np.random.default_rng(0).random(2 * 8)[8:]   # w = 2 + 2 * 2 + 2 * 1
-        assert row[:2].tobytes() == (0.25 * (u[:2] - 0.5)).tobytes()
-        assert row[4:6].tobytes() == (0.25 * (2.0 * u[4:6] - 1.0)).tobytes()
+        noise, _, step, _, _ = uniforms.columns
+        assert row[noise].tobytes() == (0.25 * (u[:2] - 0.5)).tobytes()
+        assert row[step].tobytes() == (0.25 * (2.0 * u[4:6] - 1.0)).tobytes()
 
     def test_a_new_alpha_forms_only_the_unread_rows(self, monkeypatch):
         # rows formed per row read: a block is formed once when it is drawn,
@@ -241,8 +242,9 @@ class TestUniforms:
         uniforms.scale(0.5)
         row = uniforms.move()
         u = np.random.default_rng(0).random((rows + 1) * (n_c + 2 * n_d))[-(n_c + 2 * n_d):]
-        assert row[:n_c].tobytes() == (0.5 * (u[:n_c] - 0.5)).tobytes()
-        assert row[n_c + n_d:].tobytes() == (0.5 * (2.0 * u[n_c + n_d:] - 1.0)).tobytes()
+        noise, _, step, _, _ = uniforms.columns
+        assert row[noise].tobytes() == (0.5 * (u[:n_c] - 0.5)).tobytes()
+        assert row[step].tobytes() == (0.5 * (2.0 * u[n_c + n_d:] - 1.0)).tobytes()
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g", "famv-h-adaptive"])
@@ -276,6 +278,13 @@ def _admitted(code: int) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _integer_step(codes, lo, hi, step):
+    """The code slots of the array form's move when no code is copied:
+    codes plus their step ``alpha (2u - 1)``, clipped, then rounded, as the
+    loop clips and rounds them."""
+    return _round_codes(_clip(codes + step, lo, hi))
 
 
 class TestAlphaStepInteger:
@@ -733,7 +742,7 @@ class TestRelaxation:
     @staticmethod
     def evaluate(space, position):
         rec = Recorder(_Zero(space), 1)
-        firefly._relaxed_evaluate(rec)(_clip(position, space.lo, space.hi), None)
+        firefly._relaxed_evaluate(rec)(_clip(position, space.lo, space.hi))
         return rec.best.solution
 
     def test_bounds(self, mixed_space):
@@ -766,29 +775,35 @@ class TestRelaxation:
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h"])
 def test_fa_does_no_code_work(algo, monkeypatch):
-    # fa moves no code vector, so it never copies or steps a code; famv-h
-    # on the same space does both on every move.  Both run the array form,
-    # whose code steps are functions
-    calls = {"_copy_differing": 0, "_integer_step": 0}
+    # fa moves no code vector, so every move attracts by the float beta and
+    # its loop rounds nothing: its only rounding is its map's, once per FE.
+    # famv-h on the same space attracts by a coefficient vector whose code
+    # slots copy a code, 1.0, or keep it, 0.0, and rounds its codes once
+    # per move.  Both run the array form
+    coefs, rounds = [], 0
     monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", -1)
     monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", -1)
+    attract, round_codes = firefly._attract, firefly._round_codes
 
-    def counting(name):
-        original = getattr(firefly, name)
+    def recording(xi, d, beta, noise):
+        coefs.append(beta.copy() if isinstance(beta, np.ndarray) else beta)
+        return attract(xi, d, beta, noise)
 
-        def count(*args):
-            calls[name] += 1
-            return original(*args)
-        return count
+    def counting(v):
+        nonlocal rounds
+        rounds += 1
+        return round_codes(v)
 
-    for name in calls:
-        monkeypatch.setattr(firefly, name, counting(name))
+    monkeypatch.setattr(firefly, "_attract", recording)
+    monkeypatch.setattr(firefly, "_round_codes", counting)
     dims = [Continuous(-1.0, 2.0), IntegerRange(-3, 3), Categorical(("x", "y", "z"))]
     run_algorithm(algo, Bowl(dims), 300, 0)
+    assert coefs
     if algo == "fa":
-        assert calls == {"_copy_differing": 0, "_integer_step": 0}
+        assert all(type(beta) is float for beta in coefs) and rounds == 300
     else:
-        assert calls["_copy_differing"] > 0 and calls["_integer_step"] == 300 - 25
+        assert all(isinstance(c, np.ndarray) and set(c[1:]) <= {0.0, 1.0} for c in coefs)
+        assert any(1.0 in c[1:] for c in coefs) and rounds == 300 - 25
 
 
 _MIXED = [Continuous(-10.0, 10.0), IntegerRange(0, 20), Categorical(tuple("abcdef"))] * 8
@@ -804,15 +819,16 @@ _MIXED = [Continuous(-10.0, 10.0), IntegerRange(0, 20), Categorical(tuple("abcde
 def test_code_form_follows_the_size_rule(problem, famv_scalar, fa_scalar, monkeypatch):
     # famv runs a space of at most 24 dimensions in the scalar form, and fa
     # one of at most 14, categorical or not; a larger space runs the array
-    # form.  Only the array form steps its codes with `_integer_step`, once
-    # per move, and decodes with `decode`, once per FE: famv its codes and fa
-    # its rounded slots, on a space with a categorical dimension only; fa's
-    # rounded integer codes are already the values.  The scalar form
+    # form.  Only the array form rounds with `_round_codes`: famv's loop its
+    # code slots once per move, and fa's map its relaxed discrete slots once
+    # per FE.  Only the array form decodes with `decode`, once per FE: famv
+    # its codes and fa its rounded slots, on a space with a categorical
+    # dimension only; fa's rounded integer codes are already the values.  The scalar form
     # converts its row with one tolist() per move, fa's included, and
     # decodes symbols with `decode_ints` only on a space with a categorical
     # dimension; the array form's categorical step converts its flag and
     # redraw columns with one tolist() per move
-    calls = {"_integer_step": 0, "decode": 0, "decode_ints": 0, "tolist": 0}
+    calls = {"_round_codes": 0, "decode": 0, "decode_ints": 0, "tolist": 0}
 
     def counting(name, original):
         def count(*args):
@@ -829,7 +845,7 @@ def test_code_form_follows_the_size_rule(problem, famv_scalar, fa_scalar, monkey
             arr = arr.view(np.ndarray)
             return arr[()] if return_scalar else arr
 
-    monkeypatch.setattr(firefly, "_integer_step", counting("_integer_step", firefly._integer_step))
+    monkeypatch.setattr(firefly, "_round_codes", counting("_round_codes", firefly._round_codes))
     for name in ("decode", "decode_ints"):
         monkeypatch.setattr(SearchSpace, name, counting(name, getattr(SearchSpace, name)))
     move = _Uniforms.move
@@ -843,7 +859,7 @@ def test_code_form_follows_the_size_rule(problem, famv_scalar, fa_scalar, monkey
         calls.update(dict.fromkeys(calls, 0))
         run_algorithm(algo, problem, 300, 0)
         assert calls == {
-            "_integer_step": moves * (codes and not scalar),
+            "_round_codes": (300 if algo == "fa" else moves) * (bool(space.n_d) and not scalar),
             "decode": 300 * (not scalar and (algo != "fa" or bool(n_cat))),
             "decode_ints": 300 * (scalar and bool(n_cat)),
             "tolist": moves if scalar else moves * (codes and bool(n_cat))}, algo
@@ -1168,7 +1184,7 @@ _categorical_dims = st.sampled_from([
          algo="famv-g-adaptive", alpha=1e19, budget=137, nan_every=7, seed=3)
 # the codes an IntegerRange admits nearest the float64 limits, held by a
 # zero step and moved by a small one: the scalar form's inline integer step
-# rounds them as `_integer_step` does
+# rounds them as the array form does
 @example(dims=[IntegerRange(2 ** 52 - 3, 2 ** 52), IntegerRange(-2 ** 52, 3 - 2 ** 52),
                IntegerRange(2 ** 52 - 1, 2 ** 52), IntegerRange(-2 ** 52, 1 - 2 ** 52),
                Continuous(-1.0, 2.0)],
@@ -1239,6 +1255,42 @@ def test_a_problem_reads_the_same_rows_in_both_forms(algo, problem):
         assert {t for t, _ in reading.rows} == {kind} and len(reading.rows) == 600
         runs.append(([b for _, b in reading.rows], _bits(trace)))
     assert runs[0] == runs[1]
+
+
+class _KeptRows(_Rows):
+    """A `_Rows` that also keeps each row object it is handed, so that a
+    later write into one shows."""
+
+    def __init__(self, dims):
+        super().__init__(dims)
+        self.kept = []
+
+    def terms(self, x):
+        self.kept.append(x)
+        return super().terms(x)
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])
+@pytest.mark.parametrize("scalar_dims", [-1, 10 ** 6], ids=["array", "scalar"])
+@pytest.mark.parametrize("dims", [
+    [Continuous(-1.0, 2.0)] * 3 + [IntegerRange(-3, 3), IntegerRange(-1, 1)] * 2,
+    [IntegerRange(-3, 3), Continuous(-1.0, 2.0), IntegerRange(-1, 1)] * 2,
+], ids=["continuous-first", "interleaved"])
+def test_no_row_changes_after_its_call(algo, scalar_dims, dims, monkeypatch):
+    # famv's array form hands its joint vector itself as the row where the
+    # continuous dimensions come first, the first population's rows
+    # included, and moves on from it: no row may change after its call, and
+    # no integer slot of a row may hold -0.0
+    problem = _KeptRows(dims)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FAMV", scalar_dims)
+    monkeypatch.setattr(firefly, "_SCALAR_DIMS_FA", scalar_dims)
+    run_algorithm(algo, problem, 600, 0)
+    assert len(problem.kept) == len(problem.rows) == 600
+    for row, (_, snapshot) in zip(problem.kept, problem.rows):
+        now = np.array(row, dtype=float)
+        assert now.tobytes() == snapshot
+        codes = now[problem.space.disc_pos]
+        assert not (np.signbit(codes) & (codes == 0.0)).any(), codes
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "famv-g"])

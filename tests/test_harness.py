@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,46 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg), "--budget", "10"]) == 2
         assert "exp.ini" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _raise_on_call(monkeypatch, number: int) -> None:
+    """Make `Problem.__call__` raise a ValueError on its call ``number``."""
+    call, calls = Problem.__call__, 0
+
+    def raising(self, point):
+        nonlocal calls
+        calls += 1
+        if calls == number:
+            raise ValueError("objective broke")
+        return call(self, point)
+
+    monkeypatch.setattr(Problem, "__call__", raising)
+
+
+@pytest.mark.parametrize("algo", ["fa", "famv-h", "ga"])
+def test_a_raising_objective_names_its_run(algo, tmp_path, monkeypatch, capsys):
+    # the objective raises on the 50th FE of the second run (seed 8): the
+    # grid ends with a RuntimeError naming problem, algorithm, run and seed,
+    # from the objective's own error, and `famv run` exits 1, not as a
+    # usage error.  ga's call goes through `Recorder.evaluate_rows`
+    _raise_on_call(monkeypatch, 400 + 50)
+    spec = ExperimentSpec(problems=["sphere"], algorithms=[algo], out_dir=str(tmp_path / "a"),
+                          runs=3, budget=400, base_seed=7, dim=4)
+    with pytest.raises(RuntimeError) as caught:
+        run_experiment(spec)
+    message = str(caught.value)
+    assert message.startswith(f"{algo} on sphere, run 1, seed 8 failed")
+    assert message.endswith("ValueError: objective broke")
+    assert isinstance(caught.value.__cause__, ValueError)
+    frames = [f.name for f in traceback.extract_tb(caught.value.__cause__.__traceback__)]
+    assert ("evaluate_rows" in frames) == (algo == "ga")
+    monkeypatch.undo()
+    _raise_on_call(monkeypatch, 400 + 50)
+    code = cli_main(["run", "--problem", "sphere", "--algo", algo, "--runs", "3",
+                     "--budget", "400", "--seed", "7", "--dim", "4",
+                     "--out", str(tmp_path / "b")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("algo", ["fa", "famv-h", "ga"])
